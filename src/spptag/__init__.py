@@ -5,7 +5,6 @@ from .model import (
     RngSpec,
     Shape,
     TemporalWaveform,
-    TimeTag,
     TimeTagStream,
     evaluate_density,
     sample_delay,
@@ -32,7 +31,6 @@ __all__ = [
     "SpptagError",
     "TagFileError",
     "TemporalWaveform",
-    "TimeTag",
     "TimeTagStream",
     "evaluate_density",
     "sample_delay",

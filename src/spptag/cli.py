@@ -31,7 +31,7 @@ from .errors import (
     FitError,
     TagFileError,
 )
-from .hom import fit_coherence_time, hom_coincidence, hom_visibility
+from .hom import fit_coherence_time, hom_coincidence, hom_curve, hom_visibility
 from .model import (
     PS_PER_NS,
     BiphotonAmplitude,
@@ -233,8 +233,8 @@ def _detunings_from(args) -> np.ndarray:
 
 def cmd_hom_curve(args) -> int:
     amp = BiphotonAmplitude(args.shape, args.fwhm_ns)
-    det = _detunings_from(args)
-    pc = np.array([hom_coincidence(amp, d, args.delay_ns) for d in det])
+    curve = hom_curve(amp, _detunings_from(args), args.delay_ns)
+    det, pc = curve.detunings_mhz, curve.coincidence
     for d, p in zip(det, pc):
         print(f"detuning {d:10.3f} MHz  coincidence {p:.6f}")
     if args.csv:
@@ -431,7 +431,7 @@ def cmd_repro_fig5(args) -> int:
     columns = [detunings.tolist()]
     names = ["detuning_mhz"]
     for delay in delays:
-        pc = np.array([hom_coincidence(amp, d, delay) for d in detunings])
+        pc = hom_curve(amp, detunings, delay).coincidence
         columns.append(pc.tolist())
         names.append(f"coincidence_delay_{str(delay).replace('.', 'p')}ns")
         print(f"delay {delay:g} ns: P_c(0) = {pc[0]:.4f}, "

@@ -417,8 +417,3 @@ def format_config(run: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(path, run: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(run))

@@ -1,53 +1,36 @@
 """Two-photon interference of independently delayed wavepackets.
 
 Coincidence probability behind a balanced beamsplitter for two photons with
-real amplitude psi (the square root of the delay density), relative arm
+real amplitude psi (the square root of the delay density f), relative arm
 delay delta, and carrier detuning Delta:
 
-    P_c(Delta, delta) = 1/2 * (1 - Re I / N)
-    I = integral psi(tau + delta) psi(delta - tau) cos(Delta tau) dtau
-    N = integral psi(tau)^2 dtau
+    P_c(Delta, delta) = 1/2 * (1 - O)
+    O = integral psi(tau + delta) psi(delta - tau) cos(Omega tau) dtau
 
-Everything is evaluated by adaptive quadrature, split at the kinks of the
-amplitude so the integrator only ever sees smooth pieces; oscillatory
-integrands use the cosine-weighted rule.
+with Omega = 2 pi Delta.  The usual normalization N = integral psi^2 dtau is
+exactly 1 because f is a normalized density, so it is left out.  The overlap
+is elementary for every shape; with d = delta - offset:
+
+    Gaussian            O = exp(-d^2 / 2 sigma^2 - Omega^2 sigma^2 / 2)
+    double exponential  O = exp(-a/tau0) [a sinc(Omega a)
+                              + (cos(Omega a)/tau0 - Omega sin(Omega a))
+                                / (tau0^-2 + Omega^2)] / tau0,   a = |d|
+    exponential decay   O = 2 d sinc(Omega d) exp(-d/tau0) / tau0 for d > 0,
+                        O = 0 otherwise
+
+where sinc(x) = sin(x) / x.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import FitError
-from .model import BiphotonAmplitude, Shape, evaluate_density
+from .model import BiphotonAmplitude, Shape
 
 TWO_PI_MHZ_TO_RAD_PER_NS = 2.0 * np.pi * 1e-3
-
-
-def _psi(amp: BiphotonAmplitude, t):
-    return np.sqrt(evaluate_density(amp, t))
-
-
-def _kinks(amp: BiphotonAmplitude, delay_ns: float) -> list[float]:
-    """Points where the product psi(tau+d) psi(d-tau) is not smooth."""
-    if amp.shape is Shape.GAUSSIAN:
-        return []
-    o = amp.offset_ns
-    return sorted({o - delay_ns, delay_ns - o})
-
-
-def _support(amp: BiphotonAmplitude, delay_ns: float) -> tuple[float, float] | None:
-    """Interval where the product can be nonzero; None when it vanishes."""
-    span = 30.0 * amp.fwhm_ns + abs(delay_ns - amp.offset_ns)
-    lo, hi = -span, span
-    if amp.shape is Shape.EXPONENTIAL_DECAY:
-        # psi(tau+d) needs tau >= o-d, psi(d-tau) needs tau <= d-o
-        lo = amp.offset_ns - delay_ns
-        hi = delay_ns - amp.offset_ns
-        if hi <= lo:
-            return None
-    return lo, hi
 
 
 def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz: float,
@@ -59,35 +42,23 @@ def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz: float,
     if np.isinf(detuning_mhz):
         return 0.5
     omega = detuning_mhz * TWO_PI_MHZ_TO_RAD_PER_NS
-    support = _support(amp, delay_ns)
-    if support is None:
-        return 0.5
-    lo, hi = support
-    pieces = [lo] + [k for k in _kinks(amp, delay_ns) if lo < k < hi] + [hi]
-
-    def product(t):
-        return _psi(amp, t + delay_ns) * _psi(amp, delay_ns - t)
-
-    num = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        if omega == 0.0:
-            val, _ = integrate.quad(product, a, b, limit=200,
-                                    epsabs=1e-11, epsrel=1e-10)
-        else:
-            val, _ = integrate.quad(product, a, b, weight="cos", wvar=omega,
-                                    limit=200, epsabs=1e-11)
-        num += val
-
-    if amp.shape is Shape.EXPONENTIAL_DECAY:
-        n_lo, n_hi = amp.offset_ns, amp.offset_ns + 30.0 * amp.fwhm_ns
-        points = None
-    else:
-        n_lo, n_hi = (amp.offset_ns - 30.0 * amp.fwhm_ns,
-                      amp.offset_ns + 30.0 * amp.fwhm_ns)
-        points = [amp.offset_ns]
-    den, _ = integrate.quad(lambda t: evaluate_density(amp, t), n_lo, n_hi,
-                            points=points, limit=200, epsabs=1e-11, epsrel=1e-10)
-    return 0.5 * (1.0 - num / den)
+    d = delay_ns - amp.offset_ns
+    if amp.shape is Shape.GAUSSIAN:
+        s = amp.sigma_ns
+        overlap = np.exp(-0.5 * (d / s) ** 2 - 0.5 * (omega * s) ** 2)
+    elif amp.shape is Shape.DOUBLE_EXPONENTIAL:
+        t0, a = amp.tau0_ns, abs(d)
+        tail = ((np.cos(omega * a) / t0 - omega * np.sin(omega * a))
+                / (t0 ** -2 + omega ** 2))
+        # a * np.sinc(omega a / pi) = sin(omega a) / omega, finite at omega = 0
+        overlap = np.exp(-a / t0) * (a * np.sinc(omega * a / np.pi) + tail) / t0
+    else:  # exponential decay
+        if d <= 0.0:
+            # one-sided packets do not overlap after the swap
+            return 0.5
+        t0 = amp.tau0_ns
+        overlap = 2.0 * d * np.sinc(omega * d / np.pi) * np.exp(-d / t0) / t0
+    return float(0.5 * (1.0 - overlap))
 
 
 def hom_visibility(amp: BiphotonAmplitude, delay_ns: float = 0.0) -> float:

@@ -144,27 +144,6 @@ def sample_delay(amp: BiphotonAmplitude, rng: RngSpec | np.random.Generator,
     return out
 
 
-class TimeTag:
-    """A single detection: integer picosecond time stamp plus channel."""
-
-    __slots__ = ("time_ps", "channel")
-
-    def __init__(self, time_ps: int, channel: int):
-        self.time_ps = int(time_ps)
-        self.channel = int(channel)
-
-    def __iter__(self):
-        return iter((self.time_ps, self.channel))
-
-    def __eq__(self, other):
-        return (isinstance(other, TimeTag)
-                and self.time_ps == other.time_ps
-                and self.channel == other.channel)
-
-    def __repr__(self):
-        return f"TimeTag({self.time_ps}, ch={self.channel})"
-
-
 class TimeTagStream:
     """Multi-channel detection record over a fixed observation time.
 
@@ -215,10 +194,6 @@ class TimeTagStream:
 
     def __len__(self) -> int:
         return int(self.times_ps.size)
-
-    def __iter__(self):
-        for t, c in zip(self.times_ps, self.channels):
-            yield TimeTag(int(t), int(c))
 
     def channel_times(self, channel: int | tuple[int, ...]) -> np.ndarray:
         """Sorted tag times [ps] on one channel (or merged over several)."""

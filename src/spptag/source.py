@@ -51,19 +51,6 @@ class SourceConfig:
             raise ValueError("background rates must be nonnegative")
 
 
-class PairEvent:
-    __slots__ = ("idler_ps", "signal_ps", "kind")
-
-    def __init__(self, idler_ps: int, signal_ps: int, kind: PairKind):
-        self.idler_ps = int(idler_ps)
-        self.signal_ps = int(signal_ps)
-        self.kind = PairKind(kind)
-
-    def __repr__(self):
-        return (f"PairEvent(idler={self.idler_ps}, signal={self.signal_ps}, "
-                f"kind={self.kind.name})")
-
-
 class PairEvents:
     """Column store of emission events, sorted by idler time.
 
@@ -83,13 +70,6 @@ class PairEvents:
 
     def __len__(self):
         return int(self.idler_ps.size)
-
-    def __getitem__(self, i) -> PairEvent:
-        return PairEvent(self.idler_ps[i], self.signal_ps[i], PairKind(self.kind[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def select(self, mask) -> "PairEvents":
         return PairEvents(self.idler_ps[mask], self.signal_ps[mask], self.kind[mask])

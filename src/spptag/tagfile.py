@@ -78,7 +78,7 @@ def read_tags(path) -> TimeTagStream:
             raise TagFileUnsortedError(offset)
         if times[-1] > np.iinfo(np.int64).max:
             raise TagFileError("tag time overflows signed 64-bit range")
-        if channel_count and channels.max() >= channel_count:
+        if channels.max() >= channel_count:
             raise TagFileError(
                 f"channel {channels.max()} outside declared count {channel_count}")
         if times[-1] > duration_ps:

@@ -6,6 +6,8 @@ a Lorentzian characteristic function for the detuning profile.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import riemann_hom_coincidence
 from spptag import BiphotonAmplitude, FitError, RngSpec, Shape
@@ -75,6 +77,17 @@ class TestAgainstRiemannOracle:
         oracle = riemann_hom_coincidence(amp, mhz, delay)
         assert ours == pytest.approx(oracle, abs=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(Shape),
+           fwhm=st.floats(5.0, 200.0),
+           offset=st.floats(-50.0, 50.0),
+           delay=st.floats(-150.0, 250.0),
+           mhz=st.floats(0.0, 30.0))
+    def test_matches_midpoint_sum_any_width(self, shape, fwhm, offset, delay, mhz):
+        amp = BiphotonAmplitude(shape, fwhm, offset)
+        assert hom_coincidence(amp, mhz, delay) == pytest.approx(
+            riemann_hom_coincidence(amp, mhz, delay), abs=1e-6)
+
 
 class TestLimitsAndInvariants:
     @pytest.mark.parametrize("amp", [DEXP, GAUSS])
@@ -99,9 +112,12 @@ class TestLimitsAndInvariants:
     def test_probability_bounds(self):
         for amp in (DEXP, DECAY, GAUSS):
             for mhz in (0.0, 5.0, 20.0):
-                for delay in (-30.0, 0.0, 8.0, 42.5):
+                for delay in (-1e5, -30.0, 0.0, 8.0, 42.5):
                     pc = hom_coincidence(amp, mhz, delay)
                     assert 0.0 - 1e-12 <= pc <= 1.0
+        # far before the onset a one-sided packet cannot overlap at all
+        for mhz in (0.0, 5.0, 20.0):
+            assert hom_coincidence(DECAY, mhz, -1e5) == 0.5
 
     def test_offset_shifts_delay_axis(self):
         shifted = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0, offset_ns=20.0)

@@ -186,12 +186,6 @@ class TestTimeTagStream:
         with pytest.raises(ValueError):
             TimeTagStream([], [], 0)                     # empty duration
 
-    def test_iteration_yields_tags(self):
-        s = TimeTagStream([1, 2], [0, 1], 10)
-        tags = list(s)
-        assert tags[0].time_ps == 1 and tags[0].channel == 0
-        assert tags[1].time_ps == 2 and tags[1].channel == 1
-
     def test_equality(self):
         a = TimeTagStream([1, 2], [0, 1], 10)
         b = TimeTagStream([1, 2], [0, 1], 10)

@@ -138,9 +138,12 @@ class TestCorruption:
             read_tags(path)
         assert err.value.offset == HEADER_SIZE + RECORD_SIZE
 
-    def test_channel_above_declared_count(self, tmp_path):
+    @pytest.mark.parametrize("channels,channel_count", [([5], 3), ([5, 9], 0)],
+                             ids=["above_count", "zero_count"])
+    def test_channel_above_declared_count(self, tmp_path, channels, channel_count):
         path = tmp_path / "bad"
-        path.write_bytes(pack_file([1], [5], 10, channel_count=3))
+        path.write_bytes(pack_file([1] * len(channels), channels, 10,
+                                   channel_count=channel_count))
         with pytest.raises(TagFileError):
             read_tags(path)
 
