@@ -40,6 +40,7 @@ from .model import (
     evaluate_density,
 )
 from .optics import resolve_modulation, run_experiment
+from .source import segment_count
 from .spectrum import (
     ArrayGeometry,
     FanoParameters,
@@ -54,7 +55,6 @@ from .tagfile import read_tags, write_tags
 
 HERALD_CH = 0
 SIGNAL_CHS = (1, 2)
-SEGMENT_PS = 100 * 10**12  # simulation advances in 100 s chunks
 
 
 def _write_csv(path, header, columns):
@@ -83,8 +83,7 @@ def _read_csv_columns(path, names):
     return out
 
 
-def _segments_for(duration_ps: int) -> int:
-    return max(1, -(-duration_ps // SEGMENT_PS))
+_segments_for = segment_count  # the slices run_experiment streams by default
 
 
 def _load_run(args) -> RunConfig:
@@ -152,8 +151,7 @@ def cmd_simulate(args) -> int:
     if args.print_config:
         print(format_config(run), end="")
         return 0
-    stream = run_experiment(run.experiment, run.duration_ps, run.rng,
-                            segments=_segments_for(run.duration_ps))
+    stream = run_experiment(run.experiment, run.duration_ps, run.rng)
     write_tags(args.out, stream)
     per_channel = {ch: int(np.sum(stream.channels == ch)) for ch in range(3)}
     print(f"wrote {args.out}: {len(stream)} tags over "
@@ -347,9 +345,7 @@ def cmd_repro_table1(args) -> int:
     results = []
     for k, (label, modulated, converted) in enumerate(rows):
         run = _bench(modulated, converted)
-        stream = run_experiment(run.experiment, duration_ps,
-                                RngSpec(args.seed, k),
-                                segments=_segments_for(duration_ps))
+        stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, k))
         res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS,
                                window_ps=run.analysis.herald_window_ps)
         results.append((label, res))
@@ -370,8 +366,7 @@ def cmd_repro_table1(args) -> int:
 def cmd_repro_fig3(args) -> int:
     duration_ps = parse_duration(args.duration)
     run = _bench(modulated=False, converted=True)
-    stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, 0),
-                            segments=_segments_for(duration_ps))
+    stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, 0))
     res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, run.analysis.bin_ps,
                          int(-25 * PS_PER_NS), int(25 * PS_PER_NS),
                          RngSpec(args.seed, 1),
@@ -400,9 +395,7 @@ def cmd_repro_fig4(args) -> int:
     columns, names = [], []
     print(f"heralded waveforms, {duration_ps / 1e12:g} s per arrangement:")
     for k, (label, run) in enumerate(arrangements):
-        stream = run_experiment(run.experiment, duration_ps,
-                                RngSpec(args.seed, k),
-                                segments=_segments_for(duration_ps))
+        stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, k))
         wf = reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi)
         amp = run.experiment.source.amplitude
         mod = resolve_modulation(run.experiment.modulation, amp)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .model import PS_PER_NS, RngSpec, TemporalWaveform, TimeTagStream, as_generator
+from .model import BLOCK, PS_PER_NS, RngSpec, TemporalWaveform, TimeTagStream, as_generator
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +24,25 @@ def _counts_per_anchor(t_a: np.ndarray, t_b: np.ndarray,
     lo = np.searchsorted(t_b, t_a + lo_off, side="left")
     hi = np.searchsorted(t_b, t_a + hi_off, side="left")
     return lo, hi
+
+
+def _has_partner(t_a: np.ndarray, t_b: np.ndarray, window_ps: int) -> np.ndarray:
+    """Per a-tag: is there a b-tag inside [a - window, a + window)?
+
+    The first b-tag at or after a - window decides; a-tags go a block at a
+    time so long runs need little scratch memory.
+    """
+    out = np.zeros(t_a.size, dtype=bool)
+    if t_b.size == 0:
+        return out
+    for start in range(0, t_a.size, BLOCK):
+        edge = t_a[start:start + BLOCK] - window_ps
+        first = np.take(t_b, np.searchsorted(t_b, edge, side="left"), mode="clip")
+        inside = first >= edge
+        edge += 2 * window_ps
+        inside &= first < edge
+        out[start:start + inside.size] = inside
+    return out
 
 
 def _pair_delays(t_a: np.ndarray, t_b: np.ndarray,
@@ -69,13 +88,10 @@ class CorrelationHistogram:
 
 
 def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
-                          tau_min_ps: int, tau_max_ps: int,
-                          a_slice: slice | None = None) -> CorrelationHistogram:
+                          tau_min_ps: int, tau_max_ps: int) -> CorrelationHistogram:
     """Histogram of delays (t_b - t_a) over [tau_min, tau_max).
 
-    ch_b may be a tuple of channels, merged before pairing.  a_slice
-    restricts the anchor tags, which lets partial histograms over disjoint
-    anchor slices merge exactly into the full one.
+    ch_b may be a tuple of channels, merged before pairing.
     """
     bin_width_ps = int(bin_width_ps)
     tau_min_ps = int(tau_min_ps)
@@ -88,11 +104,9 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     set_b = {ch_b} if np.isscalar(ch_b) else set(ch_b)
     if set_a & set_b:
         raise AnalysisError("channel sets must be disjoint for pair counting")
-    t_a_full = stream.channel_times(ch_a)
-    n_a_full = t_a_full.size
-    t_a = t_a_full[a_slice] if a_slice is not None else t_a_full
+    t_a = stream.channel_times(ch_a)
     t_b = stream.channel_times(ch_b)
-    if n_a_full == 0 or t_b.size == 0:
+    if t_a.size == 0 or t_b.size == 0:
         log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
     n_bins = (tau_max_ps - tau_min_ps) // bin_width_ps
     delays = _pair_delays(t_a, t_b, tau_min_ps, tau_max_ps)
@@ -101,16 +115,6 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     return CorrelationHistogram(bin_width_ps, int(tau_min_ps), counts,
                                 int(t_a.size), int(t_b.size),
                                 stream.duration_ps)
-
-
-def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> CorrelationHistogram:
-    """Combine histograms over disjoint anchor slices of the same stream."""
-    if (a.bin_width_ps != b.bin_width_ps or a.tau_min_ps != b.tau_min_ps
-            or a.counts.size != b.counts.size or a.total_time_ps != b.total_time_ps
-            or a.n_b != b.n_b):
-        raise ValueError("histograms were not built with identical settings")
-    return CorrelationHistogram(a.bin_width_ps, a.tau_min_ps, a.counts + b.counts,
-                                a.n_a + b.n_a, a.n_b, a.total_time_ps)
 
 
 @dataclass
@@ -271,10 +275,8 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int = 0,
         raise AnalysisError("no heralds in stream")
     t_a = stream.channel_times(ch_a)
     t_b = stream.channel_times(ch_b)
-    lo_a, hi_a = _counts_per_anchor(heralds, t_a, -window_ps, window_ps)
-    lo_b, hi_b = _counts_per_anchor(heralds, t_b, -window_ps, window_ps)
-    has_a = hi_a > lo_a
-    has_b = hi_b > lo_b
+    has_a = _has_partner(heralds, t_a, window_ps)
+    has_b = _has_partner(heralds, t_b, window_ps)
     n_h = int(heralds.size)
     n_a = int(np.count_nonzero(has_a))
     n_b = int(np.count_nonzero(has_b))

@@ -17,6 +17,8 @@ import numpy as np
 from scipy import special
 
 PS_PER_NS = 1000.0
+U_CLIP = 1e-15  # uniforms are clipped to [U_CLIP, 1 - U_CLIP] before inverse CDFs
+BLOCK = 1 << 16  # items per block where long arrays are worked through in blocks
 
 
 class Shape(enum.Enum):
@@ -127,7 +129,20 @@ def sample_delay(amp: BiphotonAmplitude, rng: RngSpec | np.random.Generator,
     """
     gen = as_generator(rng)
     n = 1 if size is None else int(size)
-    u = np.clip(gen.random(n), 1e-15, 1.0 - 1e-15)
+    out = _delay_quantile(amp, np.clip(gen.random(n), U_CLIP, 1.0 - U_CLIP))
+    if size is None:
+        return float(out[0])
+    return out
+
+
+def delay_range(amp: BiphotonAmplitude) -> tuple[float, float]:
+    """Smallest and largest delay [ns] that sample_delay can return."""
+    lo, hi = _delay_quantile(amp, np.array([U_CLIP, 1.0 - U_CLIP]))
+    return float(lo), float(hi)
+
+
+def _delay_quantile(amp: BiphotonAmplitude, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the delay density [ns] at probabilities u in (0, 1)."""
     if amp.shape is Shape.DOUBLE_EXPONENTIAL:
         t0 = amp.tau0_ns
         # Laplace inverse CDF, branch at the median
@@ -138,10 +153,7 @@ def sample_delay(amp: BiphotonAmplitude, rng: RngSpec | np.random.Generator,
         out = -amp.tau0_ns * np.log1p(-u)
     else:
         out = amp.sigma_ns * special.ndtri(u)
-    out = out + amp.offset_ns
-    if size is None:
-        return float(out[0])
-    return out
+    return out + amp.offset_ns
 
 
 class TimeTagStream:
@@ -157,7 +169,7 @@ class TimeTagStream:
         chans = np.ascontiguousarray(channels, dtype=np.uint8)
         if times.shape != chans.shape or times.ndim != 1:
             raise ValueError("times and channels must be 1-d arrays of equal length")
-        if times.size and np.any(np.diff(times) < 0):
+        if np.any(times[1:] < times[:-1]):
             raise ValueError("tag times must be nondecreasing")
         duration_ps = int(duration_ps)
         if duration_ps <= 0:

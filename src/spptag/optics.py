@@ -4,20 +4,39 @@ Photon loss is modeled as Bernoulli thinning of event streams; nothing here
 evolves amplitudes.  The electro-optic modulator acts on the arrival time of
 a signal photon relative to its herald: survival probability is the squared
 amplitude transmission m(t_rel)^2.  Detectors add efficiency thinning, dark
-counts, Gaussian timestamp jitter, and a non-paralyzable dead time.
+counts, Gaussian timestamp jitter, and a non-paralyzable dead time.  The
+whole bench runs one 100 s slice at a time, so memory does not grow with
+the run beyond the tags it returns.
 """
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .model import PS_PER_NS, BiphotonAmplitude, RngSpec, Shape, TimeTagStream, as_generator, evaluate_density
-from .source import PairEvents, PairKind, SourceConfig, generate_pairs, poisson_times
+from .model import (
+    PS_PER_NS,
+    U_CLIP,
+    BiphotonAmplitude,
+    RngSpec,
+    Shape,
+    TimeTagStream,
+    as_generator,
+    evaluate_density,
+)
+from .source import (
+    PairEvents,
+    PairKind,
+    SourceConfig,
+    poisson_times,
+    segment_edges,
+    slice_lead_ps,
+    stream_pairs,
+)
 
 log = logging.getLogger(__name__)
 
@@ -34,10 +53,14 @@ class SignalEvents:
 
     @classmethod
     def from_pairs(cls, events: PairEvents) -> "SignalEvents":
-        mask = ((events.kind == PairKind.TRUE_PAIR)
-                | (events.kind == PairKind.MULTIPAIR_EXTRA)
-                | (events.kind == PairKind.BACKGROUND_SIGNAL))
+        mask = events.kind != PairKind.BACKGROUND_IDLER
         return cls(events.signal_ps[mask], events.idler_ps[mask], events.kind[mask])
+
+    @classmethod
+    def concatenate(cls, parts) -> "SignalEvents":
+        return cls(np.concatenate([p.times_ps for p in parts]),
+                   np.concatenate([p.herald_ps for p in parts]),
+                   np.concatenate([p.kind for p in parts]))
 
     def t_rel_ns(self) -> np.ndarray:
         """Arrival time relative to the gate trigger [ns]."""
@@ -193,12 +216,14 @@ def resolve_modulation(modulation: ModulationFunction,
 
 def apply_modulation(events: SignalEvents, modulation: ModulationFunction,
                      rng: RngSpec | np.random.Generator,
-                     source_amp: BiphotonAmplitude | None = None) -> SignalEvents:
+                     source_amp: BiphotonAmplitude | None = None, *,
+                     warn: bool = True) -> SignalEvents:
     """Bernoulli-thin signal photons with probability m(t_rel)^2.
 
     Identity passes the stream through untouched without consuming random
     numbers.  A gaussian-target modulation requires source_amp to derive the
-    actual drive.
+    actual drive.  warn=False leaves the outside-the-grid warning to the
+    caller (see outside_grid).
     """
     if modulation.kind is ModulationKind.IDENTITY:
         return events
@@ -207,13 +232,9 @@ def apply_modulation(events: SignalEvents, modulation: ModulationFunction,
             raise ValueError("gaussian modulation needs the source amplitude")
         modulation = resolve_modulation(modulation, source_amp)
     gen = as_generator(rng)
-    t_rel = events.t_rel_ns()
-    if modulation.kind is ModulationKind.TABULATED:
-        outside = ((t_rel < modulation.grid_ns[0]) | (t_rel > modulation.grid_ns[-1]))
-        n_out = int(np.count_nonzero(outside))
-        if n_out:
-            log.warning("%d events outside the modulation grid held at edge values", n_out)
-    p = modulation.amplitude(t_rel) ** 2
+    if warn:
+        _warn_outside_grid(outside_grid(modulation, events))
+    p = modulation.amplitude(events.t_rel_ns()) ** 2
     keep = gen.random(len(events)) < p
     return events.select(keep)
 
@@ -242,6 +263,19 @@ class SampleConfig:
             raise ValueError("overall_conversion must lie in [0, 1]")
         if not 0.0 <= self.background_suppression <= 1.0:
             raise ValueError("background_suppression must lie in [0, 1]")
+
+
+def outside_grid(modulation: ModulationFunction, events: SignalEvents) -> int:
+    """Events a tabulated drive holds at its edge values, being off its grid."""
+    if modulation.kind is not ModulationKind.TABULATED:
+        return 0
+    t_rel, grid = events.t_rel_ns(), modulation.grid_ns
+    return int(np.count_nonzero((t_rel < grid[0]) | (t_rel > grid[-1])))
+
+
+def _warn_outside_grid(n_out: int) -> None:
+    if n_out:
+        log.warning("%d events outside the modulation grid held at edge values", n_out)
 
 
 def apply_sample(events: SignalEvents, sample: SampleConfig,
@@ -291,33 +325,56 @@ class DetectorConfig:
             raise ValueError("detector parameters must be nonnegative")
 
 
+@dataclass
+class DetectorState:
+    """A detector's place in a run that is detected window by window.
+
+    start_ps      start of the next window; its dark counts are drawn from here
+    last_fire_ps  physical time of the last counted event (dead-time reference)
+    """
+
+    start_ps: int = 0
+    last_fire_ps: int | None = None
+
+
 def detect(times_ps: np.ndarray, detector: DetectorConfig, channel: int,
-           duration_ps: int, rng: RngSpec | np.random.Generator) -> TimeTagStream:
+           duration_ps: int, rng: RngSpec | np.random.Generator, *,
+           until_ps: int | None = None,
+           state: DetectorState | None = None) -> TimeTagStream:
     """Turn photon arrival times into detector tags on one channel.
 
     Acceptance and jitter variates are drawn for every input photon, so
     raising the efficiency with the same stream keeps every previously kept
     photon (coupled draws); dead time then acts on the surviving physical
     order.  Dark counts are Poisson on [0, duration] and share the dead time.
+
+    A run can be detected in consecutive windows: pass the same state and
+    live generator to each call, with the photons of [state.start_ps,
+    until_ps).  Dark counts are then drawn per window and the dead time
+    carries over; the call advances state to until_ps.
     """
     gen = as_generator(rng)
+    state = DetectorState() if state is None else state
+    end_ps = duration_ps if until_ps is None else min(until_ps, duration_ps)
     times = np.asarray(times_ps, dtype=np.int64)
-    if times.size and np.any(np.diff(times) < 0):
+    if np.any(times[1:] < times[:-1]):
         raise ValueError("input photon times must be sorted")
-    u_accept = gen.random(times.size)
-    u_jitter = gen.random(times.size)
-    kept = times[u_accept < detector.efficiency]
-    jitter = u_jitter[u_accept < detector.efficiency]
-    darks = poisson_times(detector.dark_rate, 0, duration_ps, gen)
-    physical = np.concatenate([kept, darks])
-    order = np.argsort(physical, kind="stable")
-    physical = physical[order]
-    jitter_u = np.concatenate([jitter, np.full(darks.size, 0.5)])[order]
-    alive = _dead_time_filter_mask(physical, detector.dead_time_ps)
+    accepted = gen.random(times.size) < detector.efficiency
+    jitter_u = gen.random(times.size)[accepted]
+    physical = times[accepted]
+    darks = poisson_times(detector.dark_rate, state.start_ps, end_ps, gen)
+    # darks go after photons at the same time; they carry no jitter
+    at = np.searchsorted(physical, darks, side="right")
+    physical = np.insert(physical, at, darks)
+    jitter_u = np.insert(jitter_u, at, 0.5)
+    alive = _dead_time_filter_mask(physical, detector.dead_time_ps, state.last_fire_ps)
     physical = physical[alive]
     jitter_u = jitter_u[alive]
+    state.start_ps = end_ps
+    if physical.size:
+        state.last_fire_ps = int(physical[-1])
     if detector.jitter_sigma_ps > 0:
-        u = np.clip(jitter_u, 1e-15, 1.0 - 1e-15)
+        u = np.clip(jitter_u, U_CLIP, 1.0 - U_CLIP)
         shift = np.rint(detector.jitter_sigma_ps * special.ndtri(u)).astype(np.int64)
         physical = physical + shift
     inside = (physical >= 0) & (physical <= duration_ps)
@@ -326,20 +383,27 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, channel: int,
                          duration_ps)
 
 
-def _dead_time_filter_mask(times: np.ndarray, dead_ps: int) -> np.ndarray:
-    """Boolean keep mask version of the dead-time filter."""
-    if dead_ps <= 0 or times.size <= 1:
+def _jitter_reach_ps(detector: DetectorConfig) -> int:
+    """Largest timestamp shift the detector's jitter can apply [ps]."""
+    return int(np.ceil(-detector.jitter_sigma_ps * special.ndtri(U_CLIP))) + 1
+
+
+def _dead_time_filter_mask(times: np.ndarray, dead_ps: int,
+                           last_fire_ps: int | None = None) -> np.ndarray:
+    """Boolean keep mask version of the dead-time filter.
+
+    last_fire_ps is a counted event before times[0], if there was one.
+    """
+    if dead_ps <= 0 or times.size == 0:
         return np.ones(times.size, dtype=bool)
-    gaps = np.diff(times)
-    keep = np.empty(times.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = gaps >= dead_ps
+    prev = times[0] - dead_ps if last_fire_ps is None else last_fire_ps
+    keep = np.diff(times, prepend=prev) >= dead_ps
     if keep.all():
         return keep
     contested = np.flatnonzero(~keep)
     runs = np.split(contested, np.flatnonzero(np.diff(contested) > 1) + 1)
     for run in runs:
-        last = times[run[0] - 1]
+        last = times[run[0] - 1] if run[0] else prev
         for i in run:
             if times[i] - last >= dead_ps:
                 keep[i] = True
@@ -366,23 +430,87 @@ class ExperimentConfig:
     split_ratio: float = 0.5
 
 
+class _Chain:
+    """The stages after the source, carried from slice to slice of one run.
+
+    Per detector it holds back photons until no later slice can bring an
+    earlier one, so the detector sees them in time order, and tags until no
+    later photon can be jittered before them, so every flush is final.
+    """
+
+    def __init__(self, config: ExperimentConfig, duration_ps: int, rng: RngSpec):
+        self.config = config
+        self.duration_ps = duration_ps
+        self.modulation = resolve_modulation(config.modulation, config.source.amplitude)
+        self.n_outside = 0
+        self.gen_mod, self.gen_sample, self.gen_split, *self.gen_det = (
+            rng.child(k).generator() for k in range(1, 7))
+        self.states = [DetectorState() for _ in config.detectors]
+        self.photons = [np.empty(0, dtype=np.int64) for _ in config.detectors]
+        self.tags = [np.empty(0, dtype=np.int64) for _ in config.detectors]
+
+    def run_slice(self, pairs: PairEvents, horizon_ps: int,
+                  flush_before_ps: int) -> TimeTagStream:
+        """Detect one slice's photons before horizon_ps; return tags before flush_before_ps."""
+        arrivals = [pairs.idler_arm_times()]
+        signal = SignalEvents.from_pairs(pairs)
+        del pairs  # hold one copy of the slice's events at a time
+        self.n_outside += outside_grid(self.modulation, signal)
+        signal = apply_modulation(signal, self.modulation, self.gen_mod, warn=False)
+        bg = signal.kind == PairKind.BACKGROUND_SIGNAL
+        signal = SignalEvents.concatenate(
+            [apply_sample(signal.select(~bg), self.config.sample, self.gen_sample),
+             signal.select(bg)])
+        arrivals += [arm.times_ps for arm in beamsplit(signal, self.config.split_ratio,
+                                                       self.gen_split)]
+        del signal
+        flushed = {}
+        for ch, detector in enumerate(self.config.detectors):
+            photons = np.sort(np.concatenate([self.photons[ch], arrivals[ch]]))
+            cut = np.searchsorted(photons, horizon_ps)
+            self.photons[ch] = photons[cut:]
+            new = detect(photons[:cut], detector, ch, self.duration_ps, self.gen_det[ch],
+                         until_ps=horizon_ps, state=self.states[ch])
+            tags = np.sort(np.concatenate([self.tags[ch], new.times_ps]), kind="stable")
+            cut = np.searchsorted(tags, flush_before_ps)
+            flushed[ch], self.tags[ch] = tags[:cut], tags[cut:]
+        return TimeTagStream.from_channel_times(flushed, self.duration_ps)
+
+
 def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
-                   segments: int = 1) -> TimeTagStream:
+                   segments: int | None = None) -> TimeTagStream:
     """Simulate the whole bench and return the merged three-channel stream.
 
-    Stages draw from fixed child streams of rng (generation, modulation,
-    sample, beamsplitter, one per detector), so any stage's draws are
-    unaffected by parameter changes upstream that keep event counts fixed.
+    The run is split into `segments` equal slices (by default one per
+    100 s), and each slice is generated, modulated, sampled, split and
+    detected before the next starts; only merged tags are kept.  Stages draw
+    from fixed child streams of rng (generation, modulation, sample,
+    beamsplitter, one per detector) that stay live across slices, so any
+    stage's draws are unaffected by parameter changes upstream that keep
+    event counts fixed.
+
+    Signal-arm background is drawn already thinned by the sample's
+    conversion and background suppression, and skips the sample stage:
+    thinning a Poisson process by a constant probability commutes with
+    every other independent thinning (Lewis & Shedler 1979).
     """
-    pairs = generate_pairs(config.source, duration_ps, rng.child(0), segments=segments)
-    signal = SignalEvents.from_pairs(pairs)
-    signal = apply_modulation(signal, config.modulation, rng.child(1),
-                              source_amp=config.source.amplitude)
-    signal = apply_sample(signal, config.sample, rng.child(2))
-    arm_a, arm_b = beamsplit(signal, config.split_ratio, rng.child(3))
-    herald_times = pairs.idler_arm_times()
-    s0 = detect(herald_times, config.detectors[0], 0, duration_ps, rng.child(4))
-    s1 = detect(np.sort(arm_a.times_ps), config.detectors[1], 1, duration_ps, rng.child(5))
-    s2 = detect(np.sort(arm_b.times_ps), config.detectors[2], 2, duration_ps, rng.child(6))
-    return TimeTagStream.from_channel_times(
-        {0: s0.times_ps, 1: s1.times_ps, 2: s2.times_ps}, duration_ps)
+    edges = segment_edges(duration_ps, segments)
+    duration_ps, segments = int(edges[-1]), edges.size - 1
+    src, sample = config.source, config.sample
+    source = replace(src, background_rate_signal=src.background_rate_signal
+                     * sample.overall_conversion * sample.background_suppression)
+    slices = stream_pairs(source, duration_ps, rng.child(0), segments)
+    chain = _Chain(config, duration_ps, rng)
+    lead = slice_lead_ps(source)
+    jitter = max(_jitter_reach_ps(det) for det in config.detectors)
+    times, channels = [], []
+    for k in range(segments):
+        last = k == segments - 1
+        # no photon of a later slice precedes the horizon, no later tag the flush
+        horizon = duration_ps + 1 if last else max(int(edges[k + 1]) - lead, 0)
+        flush_before = np.iinfo(np.int64).max if last else horizon - jitter
+        tags = chain.run_slice(next(slices), horizon, flush_before)
+        times.append(tags.times_ps)
+        channels.append(tags.channels)
+    _warn_outside_grid(chain.n_outside)
+    return TimeTagStream(np.concatenate(times), np.concatenate(channels), duration_ps)

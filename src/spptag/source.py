@@ -5,17 +5,22 @@ signal partner delayed by a draw from the biphoton delay density.  Two noise
 processes ride along: occasional second pairs within a coherence time of a
 primary (multipair contamination) and unpaired broadband photons in either
 arm.  Everything is generated from exponential-gap and inverse-CDF transforms
-of Philox uniforms so runs are reproducible bit for bit, including when the
-observation time is generated in independent segments.
+of Philox uniforms so runs are reproducible bit for bit.  The observation
+time is drawn in 100 s slices from independent child streams, and a run can
+be consumed slice by slice (stream_pairs) so its memory stays bounded.
 """
 from __future__ import annotations
 
+import collections
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PS_PER_NS, BiphotonAmplitude, RngSpec, sample_delay
+from .model import PS_PER_NS, BiphotonAmplitude, RngSpec, delay_range, sample_delay
+
+SEGMENT_PS = 100 * 10**12  # runs are drawn in 100 s slices
 
 
 class PairKind(enum.IntEnum):
@@ -52,13 +57,15 @@ class SourceConfig:
 
 
 class PairEvents:
-    """Column store of emission events, sorted by idler time.
+    """Column store of emission events, in draw order.
 
-    For pair kinds both times are physical.  BACKGROUND_SIGNAL events have no
-    idler partner; their idler_ps holds the nearest idler-arm emission time
-    (the modulation trigger reference), or 0 when none exists.
-    BACKGROUND_IDLER events have no signal partner; signal_ps mirrors
-    idler_ps and is never used downstream.
+    Each slice holds its true pairs, multipair extras, signal-arm background
+    and idler-arm background, in that order; only the true pairs are sorted
+    by idler time.  For pair kinds both times are physical.
+    BACKGROUND_SIGNAL events have no idler partner; their idler_ps holds the
+    nearest idler-arm emission time (the modulation trigger reference), or 0
+    when none exists.  BACKGROUND_IDLER events have no signal partner;
+    signal_ps mirrors idler_ps and is never used downstream.
     """
 
     def __init__(self, idler_ps, signal_ps, kind):
@@ -67,6 +74,13 @@ class PairEvents:
         self.kind = np.ascontiguousarray(kind, dtype=np.uint8)
         if not (self.idler_ps.shape == self.signal_ps.shape == self.kind.shape):
             raise ValueError("column length mismatch")
+
+    @classmethod
+    def concatenate(cls, parts) -> "PairEvents":
+        parts = list(parts)
+        return cls(np.concatenate([p.idler_ps for p in parts]),
+                   np.concatenate([p.signal_ps for p in parts]),
+                   np.concatenate([p.kind for p in parts]))
 
     def __len__(self):
         return int(self.idler_ps.size)
@@ -79,10 +93,7 @@ class PairEvents:
 
     def idler_arm_times(self) -> np.ndarray:
         """Emission times of photons physically present in the idler arm [ps]."""
-        mask = ((self.kind == PairKind.TRUE_PAIR)
-                | (self.kind == PairKind.MULTIPAIR_EXTRA)
-                | (self.kind == PairKind.BACKGROUND_IDLER))
-        return np.sort(self.idler_ps[mask])
+        return np.sort(self.idler_ps[self.kind != PairKind.BACKGROUND_SIGNAL])
 
     def __eq__(self, other):
         return (isinstance(other, PairEvents)
@@ -93,33 +104,80 @@ class PairEvents:
 
 def poisson_times(rate_per_s: float, t0_ps: float, t1_ps: float,
                   gen: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson arrivals on [t0, t1) as int64 ps, via exponential gaps."""
+    """Homogeneous Poisson arrivals on [t0, t1) as int64 ps, via exponential gaps.
+
+    Gaps accumulate as float offsets from t0 that are rounded before t0 is
+    added in integer arithmetic, so the same draw on a shifted window is
+    shifted exactly, however late in a run the window starts.
+    """
     if rate_per_s <= 0.0 or t1_ps <= t0_ps:
         return np.empty(0, dtype=np.int64)
     rate_per_ps = rate_per_s * 1e-12
-    span = float(t1_ps - t0_ps)
+    span = t1_ps - t0_ps
     expected = span * rate_per_ps
     chunk = max(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, 64)
-    t = float(t0_ps)
+    offset = 0.0
     out = []
     while True:
-        u = gen.random(chunk)
-        gaps = -np.log1p(-u) / rate_per_ps
-        times = t + np.cumsum(gaps)
-        inside = times < t1_ps
-        out.append(times[inside])
+        offsets = offset + np.cumsum(-np.log1p(-gen.random(chunk)) / rate_per_ps)
+        offset = float(offsets[-1])
+        rounded = np.rint(offsets)
+        inside = rounded < span
+        out.append(rounded[inside])
         if not inside.all():
             break
-        t = float(times[-1])
-    arr = np.concatenate(out)
-    return np.rint(arr).astype(np.int64)
+    return np.concatenate(out).astype(np.int64) + np.int64(t0_ps)
 
 
-def _generate_segment(config: SourceConfig, t0_ps: int, t1_ps: int,
-                      duration_ps: int, stream: RngSpec):
-    """Raw event columns for one time segment; references not yet assigned.
+def segment_count(duration_ps: int) -> int:
+    """Number of 100 s slices that cover [0, duration]."""
+    return max(1, -(-int(duration_ps) // SEGMENT_PS))
 
-    Draw order inside the segment stream is fixed: idler arrivals, pair
+
+def segment_edges(duration_ps: int, segments: int | None = None) -> np.ndarray:
+    """Boundaries of `segments` equal slices of [0, duration] [ps].
+
+    By default there is one slice per 100 s.
+    """
+    duration_ps = int(duration_ps)
+    if duration_ps <= 0:
+        raise ValueError("duration must be positive")
+    segments = segment_count(duration_ps) if segments is None else int(segments)
+    if segments < 1:
+        raise ValueError("segments must be >= 1")
+    return np.linspace(0, duration_ps, segments + 1).astype(np.int64)
+
+
+def slice_lead_ps(config: SourceConfig) -> int:
+    """How far before its slice start a photon of the slice can be emitted [ps].
+
+    Multipair extras sit up to one FWHM before their primary, and a signal
+    photon may precede its idler by the most negative delay; 2 ps cover
+    rounding both to whole picoseconds.
+    """
+    earliest_delay_ns = min(delay_range(config.amplitude)[0], 0.0)
+    return int(np.ceil((config.amplitude.fwhm_ns - earliest_delay_ns) * PS_PER_NS)) + 2
+
+
+def herald_references(times_ps: np.ndarray, heralds_ps: np.ndarray) -> np.ndarray:
+    """Nearest herald to each time, the earlier one on a tie; 0 with no heralds.
+
+    heralds_ps must be sorted.
+    """
+    if heralds_ps.size == 0:
+        return np.zeros(times_ps.size, dtype=np.int64)
+    right = np.searchsorted(heralds_ps, times_ps)
+    left = np.clip(right - 1, 0, heralds_ps.size - 1)
+    np.clip(right, 0, heralds_ps.size - 1, out=right)
+    left, right = heralds_ps[left], heralds_ps[right]
+    return np.where(np.abs(right - times_ps) < np.abs(times_ps - left), right, left)
+
+
+def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
+                duration_ps: int, stream: RngSpec) -> PairEvents:
+    """Events of one slice, background references not yet assigned.
+
+    Draw order inside the slice stream is fixed: idler arrivals, pair
     delays, multipair flags, multipair offsets, multipair delays, signal-arm
     background, idler-arm background.
     """
@@ -152,62 +210,75 @@ def _generate_segment(config: SourceConfig, t0_ps: int, t1_ps: int,
                 & (extra_idlers >= 0) & (extra_idlers <= duration_ps))
     extra_idlers, extra_signals = extra_idlers[extra_ok], extra_signals[extra_ok]
 
-    idler_col = np.concatenate([idlers, extra_idlers, bg_sig, bg_idl])
-    signal_col = np.concatenate([signals, extra_signals, bg_sig, bg_idl])
     kind_col = np.concatenate([
         np.full(idlers.size, PairKind.TRUE_PAIR, dtype=np.uint8),
         np.full(extra_idlers.size, PairKind.MULTIPAIR_EXTRA, dtype=np.uint8),
         np.full(bg_sig.size, PairKind.BACKGROUND_SIGNAL, dtype=np.uint8),
         np.full(bg_idl.size, PairKind.BACKGROUND_IDLER, dtype=np.uint8),
     ])
-    return idler_col, signal_col, kind_col
+    return PairEvents(np.concatenate([idlers, extra_idlers, bg_sig, bg_idl]),
+                      np.concatenate([signals, extra_signals, bg_sig, bg_idl]),
+                      kind_col)
 
 
-def _finalize(idler_col, signal_col, kind_col) -> PairEvents:
-    """Assign background trigger references, then sort by idler time."""
-    is_bg_sig = kind_col == PairKind.BACKGROUND_SIGNAL
-    arm_mask = ((kind_col == PairKind.TRUE_PAIR)
-                | (kind_col == PairKind.MULTIPAIR_EXTRA)
-                | (kind_col == PairKind.BACKGROUND_IDLER))
-    herald_times = np.sort(idler_col[arm_mask])
-    if is_bg_sig.any():
-        t = signal_col[is_bg_sig]
-        if herald_times.size == 0:
-            refs = np.zeros(t.size, dtype=np.int64)
-        else:
-            # nearest idler-arm emission: the gate is triggered per herald
-            right = np.searchsorted(herald_times, t)
-            left = np.clip(right - 1, 0, herald_times.size - 1)
-            right = np.clip(right, 0, herald_times.size - 1)
-            d_left = np.abs(t - herald_times[left])
-            d_right = np.abs(herald_times[right] - t)
-            refs = np.where(d_right < d_left, herald_times[right], herald_times[left])
-        idler_col = idler_col.copy()
-        idler_col[is_bg_sig] = refs
-    order = np.lexsort((kind_col, signal_col, idler_col))
-    return PairEvents(idler_col[order], signal_col[order], kind_col[order])
+def _with_references(events: PairEvents, heralds_ps: np.ndarray) -> PairEvents:
+    """Set each background photon's reference in place to its nearest herald."""
+    bg = events.kind == PairKind.BACKGROUND_SIGNAL
+    events.idler_ps[bg] = herald_references(events.signal_ps[bg], heralds_ps)
+    return events
 
 
-def generate_pairs(config: SourceConfig, duration_ps: int,
-                   rng: RngSpec, segments: int = 1) -> PairEvents:
+def generate_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
+                   segments: int | None = None, *,
+                   segment: int | None = None) -> PairEvents:
     """Simulate source emission over [0, duration].
 
-    With segments > 1 the observation time is split into equal slices drawn
-    from independent child streams; the result is identical to generating the
-    slices separately and concatenating, which is the hook for parallel
-    generation.
+    The observation time is split into `segments` equal slices (by default
+    one per 100 s), slice k drawn from rng.child(k).  The result is the
+    slices of stream_pairs concatenated in order.  With segment=k only slice
+    k is drawn; its BACKGROUND_SIGNAL events then still hold their own time
+    as idler_ps, since their references may lie in neighbouring slices.
     """
-    duration_ps = int(duration_ps)
-    if duration_ps <= 0:
-        raise ValueError("duration must be positive")
-    if segments < 1:
-        raise ValueError("segments must be >= 1")
-    cols = []
-    edges = np.linspace(0, duration_ps, segments + 1).astype(np.int64)
+    edges = segment_edges(duration_ps, segments)
+    if segment is None:
+        return PairEvents.concatenate(stream_pairs(config, duration_ps, rng, segments))
+    if not 0 <= segment < edges.size - 1:
+        raise ValueError("segment must lie in [0, segments)")
+    return _draw_slice(config, int(edges[segment]), int(edges[segment + 1]),
+                       int(duration_ps), rng.child(segment))
+
+
+def stream_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
+                 segments: int | None = None) -> Iterator[PairEvents]:
+    """The slices of generate_pairs one at a time, references assigned.
+
+    A background reference is the nearest idler-arm emission over the whole
+    run.  Slices are drawn ahead of the one yielded until no undrawn slice
+    can hold a nearer herald, which is normally one slice of look-ahead; of
+    the heralds before the next slice only the latest is kept.
+    """
+    edges = segment_edges(duration_ps, segments)
+    segments = edges.size - 1
+    lead = slice_lead_ps(config)
+    heralds_possible = config.pair_rate > 0 or config.background_rate_idler > 0
+    drawn = collections.deque()
+    heralds = np.empty(0, dtype=np.int64)
+
+    def settled(events: PairEvents, undrawn_from_ps: int) -> bool:
+        """Every background photon has a herald at or after it that no undrawn one beats."""
+        bg = events.signal_ps[events.kind == PairKind.BACKGROUND_SIGNAL]
+        if bg.size == 0 or not heralds_possible:
+            return True
+        right = np.searchsorted(heralds, bg.max())
+        return right < heralds.size and heralds[right] <= undrawn_from_ps
+
     for k in range(segments):
-        cols.append(_generate_segment(config, int(edges[k]), int(edges[k + 1]),
-                                      duration_ps, rng.child(k)))
-    idler_col = np.concatenate([c[0] for c in cols])
-    signal_col = np.concatenate([c[1] for c in cols])
-    kind_col = np.concatenate([c[2] for c in cols])
-    return _finalize(idler_col, signal_col, kind_col)
+        while k + len(drawn) < segments and (
+                not drawn or not settled(drawn[0], edges[k + len(drawn)] - lead)):
+            drawn.append(generate_pairs(config, duration_ps, rng, segments,
+                                        segment=k + len(drawn)))
+            heralds = np.concatenate([heralds, drawn[-1].idler_arm_times()])
+            heralds.sort()
+        # no local name: the consumer alone holds the slice it is working on
+        yield _with_references(drawn.popleft(), heralds)
+        heralds = heralds[max(int(np.searchsorted(heralds, edges[k + 1])) - 1, 0):]

@@ -27,7 +27,7 @@ from .errors import (
     TagFileUnsortedError,
     TagFileVersionError,
 )
-from .model import TimeTagStream
+from .model import BLOCK, TimeTagStream
 
 MAGIC = b"SPPTAG01"
 VERSION = 1
@@ -39,16 +39,22 @@ _RECORD_DTYPE = np.dtype([("time", "<u8"), ("channel", "u1"), ("pad", "V7")])
 
 
 def write_tags(path, stream: TimeTagStream) -> None:
-    """Write a tag stream; channel count in the header is max channel + 1."""
+    """Write a tag stream; channel count in the header is max channel + 1.
+
+    Records are built and written a block at a time, so writing needs
+    little memory beyond the stream itself.
+    """
     channel_count = int(stream.channels.max()) + 1 if len(stream) else 0
     header = HEADER.pack(MAGIC, VERSION, 1, channel_count, 0,
                          stream.duration_ps)
-    records = np.zeros(len(stream), dtype=_RECORD_DTYPE)
-    records["time"] = stream.times_ps
-    records["channel"] = stream.channels
+    records = np.zeros(min(len(stream), BLOCK), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        for start in range(0, len(stream), BLOCK):
+            block = records[:min(BLOCK, len(stream) - start)]
+            block["time"] = stream.times_ps[start:start + block.size]
+            block["channel"] = stream.channels[start:start + block.size]
+            block.tofile(fh)
 
 
 def read_tags(path) -> TimeTagStream:

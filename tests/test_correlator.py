@@ -15,7 +15,6 @@ from spptag.correlator import (
     cosine_similarity,
     expected_waveform,
     heralded_g2_zero,
-    merge_histograms,
     normalize,
     reconstruct_waveform,
     split_channel,
@@ -75,15 +74,6 @@ class TestCoincidenceHistogram:
         t_b = np.sort(np.concatenate([s.channel_times(1), s.channel_times(2)]))
         expected = brute_histogram(s.channel_times(0), t_b, 2000, -40_000, 40_000)
         np.testing.assert_array_equal(hist.counts, expected)
-
-    def test_anchor_slice_merge_is_exact(self):
-        s = random_stream(RngSpec(112))
-        full = coincidence_histogram(s, 0, 1, 1000, -50_000, 50_000)
-        h1 = coincidence_histogram(s, 0, 1, 1000, -50_000, 50_000, a_slice=slice(0, 137))
-        h2 = coincidence_histogram(s, 0, 1, 1000, -50_000, 50_000, a_slice=slice(137, None))
-        merged = merge_histograms(h1, h2)
-        np.testing.assert_array_equal(merged.counts, full.counts)
-        assert merged.n_a == full.n_a
 
     def test_window_validation(self):
         s = random_stream(RngSpec(113))
@@ -180,6 +170,20 @@ class TestHeraldedG2:
             s.channel_times(0), s.channel_times(1), s.channel_times(2), 100_000)
         assert (res.n_a, res.n_b, res.n_ab) == (n_a, n_b, n_ab)
         assert res.value == pytest.approx(n_ab * 150 / (n_a * n_b))
+
+    def test_counts_match_window_search_across_blocks(self):
+        # more heralds than one scratch block of heralded_g2_zero
+        s = random_stream(RngSpec(169), n_per_channel=150_000, duration=10**11)
+        w = 300_000
+        res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+        h = s.channel_times(0)
+
+        def has(t):
+            return np.searchsorted(t, h + w) > np.searchsorted(t, h - w)
+
+        has_a, has_b = has(s.channel_times(1)), has(s.channel_times(2))
+        assert 0 < has_a.sum() < h.size
+        assert (res.n_a, res.n_b, res.n_ab) == (has_a.sum(), has_b.sum(), (has_a & has_b).sum())
 
     def test_ideal_heralded_photon_gives_zero(self):
         # one signal per herald, alternately routed: no window sees both

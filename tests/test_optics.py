@@ -1,8 +1,13 @@
 """Optics-chain tests: modulation, sample, beamsplitter, detector.
 
 Oracles: pure-python greedy dead-time filter, KS tests of survivor delay
-distributions against target analytic CDFs, binomial bounds on thinning.
+distributions against target analytic CDFs, binomial bounds on thinning,
+and a closed-form thinning and dead-time model of the streamed bench.
 """
+import hashlib
+import math
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +15,11 @@ import pytest
 from scipy import stats
 
 from spptag import BiphotonAmplitude, DomainError, RngSpec, Shape
+from spptag.config import default_config
 from spptag.model import sample_delay
 from spptag.optics import (
     DetectorConfig,
+    DetectorState,
     ExperimentConfig,
     ModulationFunction,
     ModulationKind,
@@ -28,6 +35,7 @@ from spptag.optics import (
     _dead_time_filter_mask,
 )
 from spptag.source import PairKind, SourceConfig
+from spptag.tagfile import write_tags
 
 AMP = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
 SECOND = 10**12
@@ -223,6 +231,18 @@ class TestDetect:
             mask = _dead_time_filter_mask(times, dead)
             np.testing.assert_array_equal(times[mask], _greedy_dead_time(times, dead))
 
+    def test_dead_time_carries_across_windows(self):
+        gen = RngSpec(98).generator()
+        times = np.sort((gen.random(3000) * 1e6).astype(np.int64))
+        cfg = DetectorConfig(efficiency=1.0, dark_rate=0.0, jitter_sigma_ps=0.0,
+                             dead_time_ps=1000)
+        state, tags = DetectorState(), []
+        cuts = [0, *np.sort(gen.integers(0, 10**6, 6)).tolist(), 10**6 + 1]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            window = times[(times >= lo) & (times < hi)]
+            tags.append(detect(window, cfg, 0, 10**6, gen, until_ps=hi, state=state).times_ps)
+        np.testing.assert_array_equal(np.concatenate(tags), _greedy_dead_time(times, 1000))
+
     def test_efficiency_thinning(self):
         times = np.arange(1, 40001, dtype=np.int64) * 1_000_000
         cfg = DetectorConfig(efficiency=0.5, dark_rate=0.0, jitter_sigma_ps=0.0,
@@ -313,3 +333,78 @@ class TestRunExperiment:
         survivors = apply_modulation(SE.from_pairs(pairs), cfg.modulation, rng.child(1))
         assert survivors.t_rel_ns().min() >= 0.0
         assert len(survivors) > 0
+
+
+def _desk_rates(exp: ExperimentConfig) -> dict[int, float]:
+    """Tag rate per channel [1/s] of the desk bench with a step at the delay centre.
+
+    Poisson streams thinned independently stay Poisson: each rate is a
+    product of pass probabilities, then the non-paralyzable dead-time
+    correction r / (1 + r tau).  The step passes half of the pairs (the
+    delay density is symmetric) and half of the background (its herald
+    reference is as often before it as after it).  A multipair extra lands
+    inside the ideal herald detector's dead time of its primary.
+    """
+    src, sample, dets = exp.source, exp.sample, exp.detectors
+    assert dets[0].efficiency == 1.0 and dets[0].dark_rate == 0.0
+
+    def dead(rate, det):
+        return rate / (1.0 + rate * det.dead_time_ps * 1e-12)
+
+    signal = (src.pair_rate * (1.0 + src.multipair_prob) * 0.5 * sample.overall_conversion
+              + src.background_rate_signal * 0.5 * sample.overall_conversion
+              * sample.background_suppression)
+    rates = {0: dead(src.pair_rate + src.background_rate_idler, dets[0])}
+    for ch, share in ((1, exp.split_ratio), (2, 1.0 - exp.split_ratio)):
+        rates[ch] = dead(signal * share * dets[ch].efficiency + dets[ch].dark_rate, dets[ch])
+    return rates
+
+
+class TestStreamedRun:
+    DESK = replace(default_config().experiment,
+                   modulation=ModulationFunction.heaviside(0.0))
+
+    def test_channel_counts_match_thinning_model(self):
+        duration = 200 * SECOND
+        stream = run_experiment(self.DESK, duration, RngSpec(104), segments=2)
+        for ch, rate in _desk_rates(self.DESK).items():
+            want = rate * duration * 1e-12
+            assert abs(stream.count(ch) - want) < 5 * math.sqrt(want), (ch, stream.count(ch), want)
+
+    @pytest.mark.parametrize("jitter_ps", [(1e6, 2e6, 0.0), (0.0, 0.0, 0.0)])
+    def test_sorted_across_slice_edges(self, jitter_ps):
+        # microsecond delays (and jitter) at MHz rates over 200 us slices:
+        # each slice edge sees photons and tags of the next slice land before it
+        cfg = ExperimentConfig(
+            source=SourceConfig(pair_rate=1e6, multipair_prob=0.1,
+                                amplitude=BiphotonAmplitude(Shape.GAUSSIAN, 5000.0),
+                                background_rate_signal=1e6),
+            detectors=tuple(DetectorConfig(eff, dark, sigma, 1000) for eff, dark, sigma
+                            in zip((1.0, 0.5, 0.5), (0.0, 1e4, 1e4), jitter_ps)))
+        stream = run_experiment(cfg, 5 * SECOND // 1000, RngSpec(105), segments=25)
+        assert len(stream) > 5000
+        assert not np.any(np.diff(stream.times_ps) < 0)
+
+    def test_outside_grid_warned_once_per_run(self, caplog):
+        exp = replace(self.DESK, modulation=ModulationFunction.gaussian_target(40.0))
+        with caplog.at_level("WARNING", logger="spptag.optics"):
+            run_experiment(exp, 3 * SECOND, RngSpec(107), segments=3)
+        warned = [r for r in caplog.records if "outside the modulation grid" in r.getMessage()]
+        assert len(warned) == 1
+
+    def test_memory_stays_flat_as_the_run_grows(self):
+        peaks = []
+        for seconds in (100, 400):
+            tracemalloc.start()
+            run_experiment(self.DESK, seconds * SECOND, RngSpec(106))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 2.5 * peaks[0], peaks
+
+    def test_golden_tag_file(self, tmp_path):
+        # byte output is fixed per (seed, stream, version): a change here
+        # means a change in what every seeded run produces
+        stream = run_experiment(self.DESK, 3 * SECOND, RngSpec(2026, 7), segments=3)
+        write_tags(tmp_path / "golden.spptag", stream)
+        digest = hashlib.sha256((tmp_path / "golden.spptag").read_bytes()).hexdigest()
+        assert digest == "045d5ff535ada70b479c96795eb262f34b05b59375ee778c6514eb358e6c327a"

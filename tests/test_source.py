@@ -1,7 +1,8 @@
 """Pair-source generation tests.
 
 Oracles: exponential-gap KS against the analytic CDF, Laplace-delay KS, and
-a brute-force nearest-neighbor check for background trigger references.
+a brute-force nearest-neighbor check for background trigger references,
+also across the slices of a streamed run.
 """
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from spptag.source import (
     PairEvents,
     PairKind,
     SourceConfig,
-    _finalize,
-    _generate_segment,
     generate_pairs,
+    herald_references,
     poisson_times,
 )
 
@@ -52,6 +52,13 @@ class TestPoissonTimes:
         gen = RngSpec(34, 0).generator()
         assert poisson_times(0.0, 0, SECOND, gen).size == 0
 
+    @pytest.mark.parametrize("t0", [10**15, 10**17])
+    def test_late_window_is_an_exact_shift(self, t0):
+        span = 10 * SECOND
+        late = poisson_times(5e4, t0, t0 + span, RngSpec(35).generator())
+        early = poisson_times(5e4, 0, span, RngSpec(35).generator())
+        np.testing.assert_array_equal(late - t0, early)
+
 
 class TestGeneratePairs:
     def test_rate_sanity(self):
@@ -85,11 +92,12 @@ class TestGeneratePairs:
         assert abs(nb_s - 5000) < 4.5 * np.sqrt(5000)
         assert abs(nb_i - 3000) < 4.5 * np.sqrt(3000)
 
-    def test_sorted_by_idler(self):
+    def test_true_pairs_in_idler_order(self):
         ev = generate_pairs(_cfg(multipair_prob=0.02,
                                  background_rate_signal=1000.0),
-                            2 * SECOND, RngSpec(45))
-        assert np.all(np.diff(ev.idler_ps) >= 0)
+                            2 * SECOND, RngSpec(45), segments=2)
+        idlers = ev.idler_ps[ev.kind == PairKind.TRUE_PAIR]
+        assert np.all(np.diff(idlers) >= 0)
 
     def test_times_within_observation(self):
         ev = generate_pairs(_cfg(), 1 * SECOND, RngSpec(46))
@@ -111,13 +119,12 @@ class TestGeneratePairs:
                    background_rate_idler=200.0)
         rng = RngSpec(48, 9)
         combined = generate_pairs(cfg, 3 * SECOND, rng, segments=3)
-        edges = np.linspace(0, 3 * SECOND, 4).astype(np.int64)
-        cols = [_generate_segment(cfg, int(edges[k]), int(edges[k + 1]),
-                                  3 * SECOND, rng.child(k)) for k in range(3)]
-        manual = _finalize(np.concatenate([c[0] for c in cols]),
-                           np.concatenate([c[1] for c in cols]),
-                           np.concatenate([c[2] for c in cols]))
-        assert combined == manual
+        manual = PairEvents.concatenate(
+            generate_pairs(cfg, 3 * SECOND, rng, segments=3, segment=k) for k in range(3))
+        bg = manual.kind == PairKind.BACKGROUND_SIGNAL
+        manual.idler_ps[bg] = herald_references(manual.signal_ps[bg],
+                                                manual.idler_arm_times())
+        assert bg.any() and combined == manual
 
     def test_empty_source(self):
         ev = generate_pairs(_cfg(pair_rate=0.0), SECOND, RngSpec(49))
@@ -134,6 +141,24 @@ class TestBackgroundReferences:
         for t, ref in zip(ev.signal_ps[mask], ev.idler_ps[mask]):
             best = arm[np.argmin(np.abs(arm - t))]
             assert abs(ref - t) == abs(best - t)
+
+    @pytest.mark.parametrize("rates, duration, segments", [
+        ((50_000.0, 20_000.0, 5_000.0), SECOND // 20, 3),
+        # slices without heralds: references reach past the next slice
+        ((2.0, 100.0, 0.0), 3 * SECOND, 12),
+    ])
+    def test_nearest_over_the_whole_run_across_slices(self, rates, duration, segments):
+        pair_rate, bg_signal, bg_idler = rates
+        cfg = _cfg(pair_rate=pair_rate, multipair_prob=0.05,
+                   background_rate_signal=bg_signal, background_rate_idler=bg_idler)
+        ev = generate_pairs(cfg, duration, RngSpec(53), segments=segments)
+        arm = ev.idler_arm_times()
+        mask = ev.kind == PairKind.BACKGROUND_SIGNAL
+        bg, refs = ev.signal_ps[mask], ev.idler_ps[mask]
+        assert arm.size and bg.size < 5000 and arm.size < 5000
+        # brute force: full distance matrix, earliest herald on a tie
+        dist = np.abs(arm[None, :] - bg[:, None])
+        np.testing.assert_array_equal(refs, arm[np.argmin(dist, axis=1)])
 
     def test_no_heralds_gives_zero_reference(self):
         cfg = _cfg(pair_rate=0.0, background_rate_signal=100.0)
