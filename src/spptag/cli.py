@@ -6,6 +6,7 @@ file format problem, 4 analysis undefined on the given data, 5 fit failure.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .model import (
     Shape,
     evaluate_density,
 )
-from .optics import resolve_modulation, run_experiment
+from .optics import ModulationFunction, SampleConfig, resolve_modulation, run_experiment
 from .source import segment_count
 from .spectrum import (
     ArrayGeometry,
@@ -316,10 +317,6 @@ def cmd_spectrum_fit(args) -> int:
 
 def _bench(modulated: bool, converted: bool) -> RunConfig:
     """Desk-scale bench in one of the four standard arrangements."""
-    from dataclasses import replace
-
-    from .optics import ModulationFunction, SampleConfig
-
     run = default_config()
     exp = run.experiment
     modulation = (ModulationFunction.heaviside(0.0) if modulated
@@ -395,10 +392,11 @@ def cmd_repro_fig4(args) -> int:
     columns, names = [], []
     print(f"heralded waveforms, {duration_ps / 1e12:g} s per arrangement:")
     for k, (label, run) in enumerate(arrangements):
-        stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, k))
-        wf = reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi)
         amp = run.experiment.source.amplitude
         mod = resolve_modulation(run.experiment.modulation, amp)
+        stream = run_experiment(replace(run.experiment, modulation=mod), duration_ps,
+                                RngSpec(args.seed, k))
+        wf = reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi)
 
         def density(t, amp=amp, mod=mod):
             return evaluate_density(amp, t) * mod.amplitude(t) ** 2

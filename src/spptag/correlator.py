@@ -1,9 +1,22 @@
 """Time-tag correlation analysis.
 
-All pair counting is exact (every tag pair inside the requested delay window
-is counted once) and vectorized through searchsorted; normalization follows
-the accidental-rate convention g(tau) = counts / (r_a * r_b * bin * T), with
-no accidental subtraction anywhere.
+Every analysis counts the tag pairs, anchor a on one channel set and partner
+b on a disjoint one, with t_b - t_a in a window [lo, hi) of integer ps; each
+pair counts exactly once.  One primitive, _windows, serves them all on the
+merged, time-ordered stream, with no per-channel copies.  A partner lies
+within reach = max(|lo|, |hi - 1|), so the anchor's stream neighbour on that
+side does too: one np.diff drops the anchors with both neighbours farther
+(exact; about 4 in 5 heralds on the desk bench at 150 ns).  Two
+searchsorted calls give each remaining anchor its stream index range, and a
+running count of partner tags turns ranges into pair counts; histograms
+keep the delays of the partner tags inside.  Cost: O(n) over n tags,
+O(k log n) for the k anchors kept, O(m) for the m tags in histogram windows.
+
+Window edges: coincidence_histogram, reconstruct_waveform and the cross-
+correlation of cauchy_schwarz count [tau_min, tau_max); auto_g2_zero (g_ii
+and g_rr of cauchy_schwarz) counts [-W, +W); heralded_g2_zero counts
+[-W, +W], both edges included.  Normalization is accidental-rate only,
+g(tau) = counts / (r_a * r_b * bin * T); nothing is subtracted.
 """
 from __future__ import annotations
 
@@ -13,50 +26,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .model import BLOCK, PS_PER_NS, RngSpec, TemporalWaveform, TimeTagStream, as_generator
+from .model import PS_PER_NS, RngSpec, TemporalWaveform, TimeTagStream, as_generator
 
 log = logging.getLogger(__name__)
 
 
-def _counts_per_anchor(t_a: np.ndarray, t_b: np.ndarray,
-                       lo_off: int, hi_off: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index ranges of b-tags inside [a + lo_off, a + hi_off) per a-tag."""
-    lo = np.searchsorted(t_b, t_a + lo_off, side="left")
-    hi = np.searchsorted(t_b, t_a + hi_off, side="left")
-    return lo, hi
+def _member(stream: TimeTagStream, channels) -> np.ndarray:
+    """Mask of the stream's tags on one channel or any of several."""
+    mask = np.zeros(len(stream), dtype=bool)
+    for ch in np.atleast_1d(channels):
+        mask |= stream.channels == ch
+    return mask
 
 
-def _has_partner(t_a: np.ndarray, t_b: np.ndarray, window_ps: int) -> np.ndarray:
-    """Per a-tag: is there a b-tag inside [a - window, a + window)?
+def _windows(stream: TimeTagStream, ch_a, ch_b,
+             lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Count the ch_a tags and find the windows of those that can pair.
 
-    The first b-tag at or after a - window decides; a-tags go a block at a
-    time so long runs need little scratch memory.
+    Returns (n_a, t_a, first, last): for each ch_a tag with a neighbour
+    within reach, its time and the stream index range [first, last) of the
+    tags with t_a + lo <= t < t_a + hi.
     """
-    out = np.zeros(t_a.size, dtype=bool)
-    if t_b.size == 0:
-        return out
-    for start in range(0, t_a.size, BLOCK):
-        edge = t_a[start:start + BLOCK] - window_ps
-        first = np.take(t_b, np.searchsorted(t_b, edge, side="left"), mode="clip")
-        inside = first >= edge
-        edge += 2 * window_ps
-        inside &= first < edge
-        out[start:start + inside.size] = inside
-    return out
+    if np.intersect1d(ch_a, ch_b).size:
+        raise AnalysisError("channel sets must be disjoint for pair counting")
+    t = stream.times_ps
+    is_a = _member(stream, ch_a)
+    near = np.concatenate(([False], np.diff(t) <= max(abs(lo), abs(hi - 1)), [False]))
+    t_a = t[is_a & (near[:-1] | near[1:])]  # gap to the previous or the next tag
+    return (int(np.count_nonzero(is_a)), t_a,
+            np.searchsorted(t, t_a + lo), np.searchsorted(t, t_a + hi))
 
 
-def _pair_delays(t_a: np.ndarray, t_b: np.ndarray,
-                 lo_off: int, hi_off: int) -> np.ndarray:
-    """Delays t_b - t_a of every pair within the window, unsorted [ps]."""
-    lo, hi = _counts_per_anchor(t_a, t_b, lo_off, hi_off)
-    lens = hi - lo
-    m = int(lens.sum())
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    start = np.repeat(lo, lens)
-    grp = np.repeat(np.cumsum(lens) - lens, lens)
-    b_idx = start + (np.arange(m) - grp)
-    return t_b[b_idx] - np.repeat(t_a, lens)
+def _partners(is_b: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per window [first, last) of stream indices: how many tags it has in is_b."""
+    running = np.zeros(is_b.size + 1, dtype=np.min_scalar_type(is_b.size))
+    np.cumsum(is_b, dtype=running.dtype, out=running[1:])
+    return running[last] - running[first]
 
 
 @dataclass
@@ -100,21 +105,19 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
         raise ValueError("bin width must be positive")
     if (tau_max_ps - tau_min_ps) % bin_width_ps or tau_max_ps <= tau_min_ps:
         raise ValueError("window must span a positive whole number of bins")
-    set_a = {ch_a} if np.isscalar(ch_a) else set(ch_a)
-    set_b = {ch_b} if np.isscalar(ch_b) else set(ch_b)
-    if set_a & set_b:
-        raise AnalysisError("channel sets must be disjoint for pair counting")
-    t_a = stream.channel_times(ch_a)
-    t_b = stream.channel_times(ch_b)
-    if t_a.size == 0 or t_b.size == 0:
+    n_a, t_a, first, last = _windows(stream, ch_a, ch_b, tau_min_ps, tau_max_ps)
+    is_b = _member(stream, ch_b)
+    n_b = int(np.count_nonzero(is_b))
+    if n_a == 0 or n_b == 0:
         log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
+    lens = last - first
+    idx = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    keep = is_b[idx]
+    delays = stream.times_ps[idx[keep]] - np.repeat(t_a, lens)[keep]
     n_bins = (tau_max_ps - tau_min_ps) // bin_width_ps
-    delays = _pair_delays(t_a, t_b, tau_min_ps, tau_max_ps)
-    k = (delays - tau_min_ps) // bin_width_ps
-    counts = np.bincount(k, minlength=n_bins).astype(np.int64)
-    return CorrelationHistogram(bin_width_ps, int(tau_min_ps), counts,
-                                int(t_a.size), int(t_b.size),
-                                stream.duration_ps)
+    counts = np.bincount((delays - tau_min_ps) // bin_width_ps, minlength=n_bins)
+    return CorrelationHistogram(bin_width_ps, tau_min_ps, counts.astype(np.int64),
+                                n_a, n_b, stream.duration_ps)
 
 
 @dataclass
@@ -161,20 +164,20 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
                  window_ps: int) -> ZeroDelayG2:
     """g(0) between two detector channels of one split field.
 
-    Counts every pair with |t_b - t_a| inside the window (half-open on the
-    right) and normalizes by the accidental rate over 2*window.
+    Counts every pair with t_b - t_a in [-window, +window) and normalizes
+    by the accidental rate over 2*window.
     """
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    t_a = stream.channel_times(ch_a)
-    t_b = stream.channel_times(ch_b)
-    if t_a.size == 0 or t_b.size == 0:
+    n_a, _, first, last = _windows(stream, ch_a, ch_b, -window_ps, window_ps)
+    is_b = _member(stream, ch_b)
+    n_b = int(np.count_nonzero(is_b))
+    if n_a == 0 or n_b == 0:
         raise AnalysisError("zero-delay g2 undefined: empty channel")
-    lo, hi = _counts_per_anchor(t_a, t_b, -window_ps, window_ps)
-    pairs = int((hi - lo).sum())
+    pairs = int(_partners(is_b, first, last).sum())
     t_s = stream.duration_ps * 1e-12
-    denom = (t_a.size / t_s) * (t_b.size / t_s) * (2 * window_ps * 1e-12) * t_s
+    denom = (n_a / t_s) * (n_b / t_s) * (2 * window_ps * 1e-12) * t_s
     return ZeroDelayG2(pairs / denom, np.sqrt(max(pairs, 1)) / denom, pairs)
 
 
@@ -192,9 +195,10 @@ def split_channel(stream: TimeTagStream, channel: int,
     if t.size == 0:
         raise AnalysisError(f"channel {channel} is empty, nothing to split")
     to_a = gen.random(t.size) < 0.5
-    return TimeTagStream.from_channel_times(
-        {out_channels[0]: t[to_a], out_channels[1]: t[~to_a]},
-        stream.duration_ps)
+    chans = np.where(to_a, *out_channels)
+    if np.any(t[1:] == t[:-1]):  # ties in time go in channel order
+        chans = chans[np.lexsort((chans, t))]
+    return TimeTagStream(t, chans, stream.duration_ps)
 
 
 @dataclass
@@ -261,26 +265,23 @@ class HeraldedG2:
 def heralded_g2_zero(stream: TimeTagStream, herald_ch: int = 0,
                      ch_a: int = 1, ch_b: int = 2,
                      window_ps: int = 150_000) -> HeraldedG2:
-    """Three-detector conditional g2(0) with a +-window around each herald.
+    """Three-detector conditional g2(0) over [-W, +W] around each herald.
 
-    Counts heralds accompanied by a tag on a, on b, and on both; the
-    conditional normalization cancels the herald rate, so an ideal heralded
-    single photon gives exactly zero (no herald ever sees both halves).
+    Both window edges are included.  Counts heralds accompanied by a tag on
+    a, on b, and on both; the conditional normalization cancels the herald
+    rate, so an ideal heralded single photon gives exactly zero (no herald
+    ever sees both halves).
     """
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    heralds = stream.channel_times(herald_ch)
-    if heralds.size == 0:
+    n_h, _, first, last = _windows(stream, herald_ch, (ch_a, ch_b),
+                                   -window_ps, window_ps + 1)
+    if n_h == 0:
         raise AnalysisError("no heralds in stream")
-    t_a = stream.channel_times(ch_a)
-    t_b = stream.channel_times(ch_b)
-    has_a = _has_partner(heralds, t_a, window_ps)
-    has_b = _has_partner(heralds, t_b, window_ps)
-    n_h = int(heralds.size)
-    n_a = int(np.count_nonzero(has_a))
-    n_b = int(np.count_nonzero(has_b))
-    n_ab = int(np.count_nonzero(has_a & has_b))
+    has_a = _partners(stream.channels == ch_a, first, last) > 0
+    has_b = _partners(stream.channels == ch_b, first, last) > 0
+    n_a, n_b, n_ab = (int(np.count_nonzero(x)) for x in (has_a, has_b, has_a & has_b))
     if n_a == 0 or n_b == 0:
         raise AnalysisError("a signal channel never fired inside the window")
     value = n_ab * n_h / (n_a * n_b)

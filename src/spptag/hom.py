@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import FitError
 from .model import BiphotonAmplitude, Shape
@@ -112,8 +111,9 @@ def fit_coherence_time(delays_ns, visibilities, shape: Shape,
         amp = BiphotonAmplitude(shape, fwhm)
         return np.array([hom_visibility(amp, x) for x in np.atleast_1d(d)])
 
+    from scipy.optimize import curve_fit
     try:
-        popt, pcov = optimize.curve_fit(
+        popt, pcov = curve_fit(
             model, delays, vis, p0=[initial_fwhm_ns], sigma=errors,
             absolute_sigma=errors is not None, maxfev=200)
     except (RuntimeError, ValueError) as exc:

@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 PS_PER_NS = 1000.0
 U_CLIP = 1e-15  # uniforms are clipped to [U_CLIP, 1 - U_CLIP] before inverse CDFs
@@ -152,7 +151,8 @@ def _delay_quantile(amp: BiphotonAmplitude, u: np.ndarray) -> np.ndarray:
     elif amp.shape is Shape.EXPONENTIAL_DECAY:
         out = -amp.tau0_ns * np.log1p(-u)
     else:
-        out = amp.sigma_ns * special.ndtri(u)
+        from scipy.special import ndtri
+        out = amp.sigma_ns * ndtri(u)
     return out + amp.offset_ns
 
 

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .model import (
@@ -374,8 +373,9 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, channel: int,
     if physical.size:
         state.last_fire_ps = int(physical[-1])
     if detector.jitter_sigma_ps > 0:
+        from scipy.special import ndtri
         u = np.clip(jitter_u, U_CLIP, 1.0 - U_CLIP)
-        shift = np.rint(detector.jitter_sigma_ps * special.ndtri(u)).astype(np.int64)
+        shift = np.rint(detector.jitter_sigma_ps * ndtri(u)).astype(np.int64)
         physical = physical + shift
     inside = (physical >= 0) & (physical <= duration_ps)
     reported = np.sort(physical[inside])
@@ -385,7 +385,8 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, channel: int,
 
 def _jitter_reach_ps(detector: DetectorConfig) -> int:
     """Largest timestamp shift the detector's jitter can apply [ps]."""
-    return int(np.ceil(-detector.jitter_sigma_ps * special.ndtri(U_CLIP))) + 1
+    from scipy.special import ndtri
+    return int(np.ceil(-detector.jitter_sigma_ps * ndtri(U_CLIP))) + 1
 
 
 def _dead_time_filter_mask(times: np.ndarray, dead_ps: int,

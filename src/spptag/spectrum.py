@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.optimize
 
 from . import _gold
 from .errors import DomainError, FitError
@@ -352,8 +351,9 @@ def fit_fano(wavelength_nm, transmittance, geometry: ArrayGeometry,
           initial.peak_transmittance]
     lo = [wl[0] - (wl[-1] - wl[0]), 1e-3, 0.05, 1e-6]
     hi = [wl[-1] + (wl[-1] - wl[0]), 10 * (wl[-1] - wl[0]), 1e4, 1.0]
+    from scipy.optimize import curve_fit
     try:
-        popt, pcov = scipy.optimize.curve_fit(
+        popt, pcov = curve_fit(
             model, wl, t, p0=p0, bounds=(lo, hi), maxfev=20000)
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"Fano fit failed: {exc}") from exc

@@ -70,11 +70,11 @@ def read_tags(path) -> TimeTagStream:
         raise TagFileVersionError(f"unsupported format version {version}")
     if resolution != 1:
         raise TagFileVersionError(f"unsupported time resolution {resolution} ps")
-    body = data[HEADER_SIZE:]
-    if len(body) % RECORD_SIZE:
+    body_size = len(data) - HEADER_SIZE
+    if body_size % RECORD_SIZE:
         raise TagFileTruncatedError(
-            f"body of {len(body)} bytes is not a whole number of records")
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+            f"body of {body_size} bytes is not a whole number of records")
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE, offset=HEADER_SIZE)
     times = records["time"]
     channels = records["channel"]
     if times.size:

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spptag
 from spptag.cli import main
 from spptag.config import default_config, parse_config
 from spptag.hom import hom_visibility
@@ -119,6 +124,25 @@ class TestAnalyze:
         path = tmp_path / "empty.spptag"
         write_tags(path, TimeTagStream([], [], 10**9))
         assert main(["analyze", "g2", "--tags", str(path)]) == 4
+
+
+class TestImports:
+    def test_import_and_analysis_leave_scipy_unloaded(self, tmp_path):
+        from spptag.model import TimeTagStream
+        from spptag.tagfile import write_tags
+        gen = np.random.default_rng(4)
+        per = {ch: np.sort(gen.integers(0, 10**9, 2000)) for ch in range(3)}
+        path = tmp_path / "small.spptag"
+        write_tags(path, TimeTagStream.from_channel_times(per, 10**9))
+        code = ("import sys; import spptag.cli as cli; "
+                "print('scipy' in sys.modules); "
+                f"print(cli.main(['analyze', 'cs', '--tags', {str(path)!r}])); "
+                "print('scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spptag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split("\n")
+        assert [out[0], out[-3], out[-2]] == ["False", "0", "False"]
 
 
 class TestHom:

@@ -6,6 +6,8 @@ on Poisson and correlated synthetic data.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spptag import AnalysisError, BiphotonAmplitude, RngSpec, Shape, TemporalWaveform, TimeTagStream
 from spptag.correlator import (
@@ -42,8 +44,8 @@ def brute_pairs_within(t_a, t_b, w):
 def brute_heralded_counts(h, t_a, t_b, w):
     n_a = n_b = n_ab = 0
     for x in h:
-        a = any(x - w <= t < x + w for t in t_a)
-        b = any(x - w <= t < x + w for t in t_b)
+        a = any(x - w <= t <= x + w for t in t_a)
+        b = any(x - w <= t <= x + w for t in t_b)
         n_a += a
         n_b += b
         n_ab += a and b
@@ -172,18 +174,34 @@ class TestHeraldedG2:
         assert res.value == pytest.approx(n_ab * 150 / (n_a * n_b))
 
     def test_counts_match_window_search_across_blocks(self):
-        # more heralds than one scratch block of heralded_g2_zero
+        # a long stream (150k heralds) against a per-channel window search
         s = random_stream(RngSpec(169), n_per_channel=150_000, duration=10**11)
         w = 300_000
         res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
         h = s.channel_times(0)
 
         def has(t):
-            return np.searchsorted(t, h + w) > np.searchsorted(t, h - w)
+            return np.searchsorted(t, h + w, side="right") > np.searchsorted(t, h - w)
 
         has_a, has_b = has(s.channel_times(1)), has(s.channel_times(2))
         assert 0 < has_a.sum() < h.size
         assert (res.n_a, res.n_b, res.n_ab) == (has_a.sum(), has_b.sum(), (has_a & has_b).sum())
+
+    @pytest.mark.parametrize("edge", [1, -1], ids=["plus_w", "minus_w"])
+    def test_tags_exactly_on_the_window_edge_count(self, edge):
+        w, h = 1000, 1_000_000
+        s = TimeTagStream.from_channel_times(
+            {0: [h], 1: [h + edge * w], 2: [h + edge * w]}, 2 * h)
+        res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+        assert (res.n_a, res.n_b, res.n_ab) == (1, 1, 1)
+
+    @pytest.mark.parametrize("edge", [1, -1], ids=["plus_w", "minus_w"])
+    def test_tags_one_ps_outside_the_window_do_not_count(self, edge):
+        w, h = 1000, 1_000_000
+        s = TimeTagStream.from_channel_times(
+            {0: [h], 1: [h + edge * (w + 1)], 2: [h]}, 2 * h)
+        with pytest.raises(AnalysisError):
+            heralded_g2_zero(s, 0, 1, 2, window_ps=w)
 
     def test_ideal_heralded_photon_gives_zero(self):
         # one signal per herald, alternately routed: no window sees both
@@ -269,6 +287,76 @@ class TestCauchySchwarz:
             res = cauchy_schwarz(s, 0, (1, 2), 1000, -100_000, 100_000, RngSpec(167, seed))
             peak = np.argmax(res.c_values)
             assert res.c_values[peak] <= 1.0 + 5.0 * res.c_errors[peak]
+
+
+@st.composite
+def tie_streams(draw):
+    """Small streams on channels 0-3 over 120 ps: many equal times, often an
+    empty channel, and many tag pairs exactly a window edge apart."""
+    n = draw(st.integers(0, 40))
+    times = sorted(draw(st.lists(st.integers(0, 120), min_size=n, max_size=n)))
+    chans = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return TimeTagStream(times, chans, 200)
+
+
+@st.composite
+def windows(draw):
+    """(bin, lo, hi) with hi - lo a whole number of bins; 0 need not be inside."""
+    bin_w = draw(st.integers(1, 12))
+    lo = draw(st.integers(-60, 60))
+    return bin_w, lo, lo + bin_w * draw(st.integers(1, 6))
+
+
+class TestPropertiesAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(s=tie_streams(), win=windows(), merged=st.booleans())
+    def test_histogram(self, s, win, merged):
+        bin_w, lo, hi = win
+        ch_b = (1, 2) if merged else 1
+        hist = coincidence_histogram(s, 0, ch_b, bin_w, lo, hi)
+        expected = brute_histogram(s.channel_times(0), s.channel_times(ch_b), bin_w, lo, hi)
+        np.testing.assert_array_equal(hist.counts, expected)
+        assert (hist.n_a, hist.n_b) == (s.count(0), s.count(ch_b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=tie_streams(), w=st.integers(1, 40))
+    def test_auto_g2_pairs(self, s, w):
+        t_a, t_b = s.channel_times(1), s.channel_times(2)
+        if t_a.size == 0 or t_b.size == 0:
+            with pytest.raises(AnalysisError):
+                auto_g2_zero(s, 1, 2, w)
+            return
+        assert auto_g2_zero(s, 1, 2, w).n_pairs == brute_pairs_within(t_a, t_b, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=tie_streams(), w=st.integers(1, 40))
+    def test_heralded_counts(self, s, w):
+        h, t_a, t_b = (s.channel_times(ch) for ch in (0, 1, 2))
+        n_a, n_b, n_ab = brute_heralded_counts(h, t_a, t_b, w)
+        if h.size == 0 or n_a == 0 or n_b == 0:
+            with pytest.raises(AnalysisError):
+                heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+            return
+        res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+        assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (h.size, n_a, n_b, n_ab)
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=tie_streams(), w=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def test_split_and_cauchy_schwarz_pairs(self, s, w, seed):
+        h = s.channel_times(0)
+        to_a = RngSpec(seed).generator().random(h.size) < 0.5
+        if h.size:
+            # the same stream from_channel_times builds: ties go in channel order
+            assert split_channel(s, 0, RngSpec(seed)) == TimeTagStream.from_channel_times(
+                {0: h[to_a], 1: h[~to_a]}, s.duration_ps)
+        g_ii = brute_pairs_within(h[to_a], h[~to_a], w)
+        g_rr = brute_pairs_within(s.channel_times(1), s.channel_times(2), w)
+        try:
+            res = cauchy_schwarz(s, 0, (1, 2), 10, -50, 50, RngSpec(seed), auto_window_ps=w)
+        except AnalysisError:
+            assert 0 in (to_a.sum(), (~to_a).sum(), s.count(1), s.count(2), g_ii, g_rr)
+            return
+        assert (res.g_ii0.n_pairs, res.g_rr0.n_pairs) == (g_ii, g_rr)
 
 
 class TestWaveform:

@@ -1,5 +1,6 @@
 """Binary tag file format: exact round trips and corruption detection."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ class TestRoundTrip:
         path = tmp_path / "t.spptag"
         write_tags(path, stream)
         assert path.read_bytes() == pack_file(times, channels, 100)
+
+
+class TestMemory:
+    def test_read_peak_below_twice_the_file(self, tmp_path):
+        # the file bytes plus the int64 times and the channels: about 1.6x
+        path = tmp_path / "big.spptag"
+        write_tags(path, random_stream(8, n=200_000, duration_ps=10**12))
+        tracemalloc.start()
+        try:
+            read_tags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * path.stat().st_size
 
 
 class TestHeader:
