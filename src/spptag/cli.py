@@ -6,7 +6,7 @@ file format problem, 4 analysis undefined on the given data, 5 fit failure.
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .model import (
     evaluate_density,
 )
 from .optics import ModulationFunction, SampleConfig, resolve_modulation, run_experiment
-from .source import segment_count
 from .spectrum import (
     ArrayGeometry,
     FanoParameters,
@@ -84,9 +83,6 @@ def _read_csv_columns(path, names):
     return out
 
 
-_segments_for = segment_count  # the slices run_experiment streams by default
-
-
 def _load_run(args) -> RunConfig:
     run = load_config(args.config) if args.config else default_config()
     duration_ps = parse_duration(args.duration) if args.duration else run.duration_ps
@@ -113,36 +109,14 @@ def _shape_arg(value: str) -> Shape:
             f"{[s.value for s in Shape]}") from None
 
 
-def _geometry_from(args) -> ArrayGeometry:
-    return ArrayGeometry(
-        pitch_nm=args.pitch_nm,
-        hole_diameter_nm=args.hole_diameter_nm,
-        film_thickness_nm=args.film_thickness_nm,
-        taper_angle_deg=args.taper_angle_deg,
-    )
+def _add_field_flags(parser, cls):
+    """One --flag per field of cls, defaulting to the field's default."""
+    for f in fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
 
-def _add_geometry_flags(parser):
-    parser.add_argument("--pitch-nm", type=float, default=430.0)
-    parser.add_argument("--hole-diameter-nm", type=float, default=200.0)
-    parser.add_argument("--film-thickness-nm", type=float, default=100.0)
-    parser.add_argument("--taper-angle-deg", type=float, default=17.0)
-
-
-def _fano_from(args) -> FanoParameters:
-    return FanoParameters(
-        resonance_nm=args.resonance_nm,
-        fwhm_nm=args.fwhm_nm,
-        q=args.q,
-        peak_transmittance=args.peak_transmittance,
-    )
-
-
-def _add_fano_flags(parser):
-    parser.add_argument("--resonance-nm", type=float, default=806.0)
-    parser.add_argument("--fwhm-nm", type=float, default=96.0)
-    parser.add_argument("--q", type=float, default=20.0)
-    parser.add_argument("--peak-transmittance", type=float, default=0.36)
+def _from_flags(args, cls):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------- simulate
@@ -255,7 +229,7 @@ def cmd_hom_fit(args) -> int:
 # ---------------------------------------------------------------- spectrum
 
 def cmd_spectrum_bethe(args) -> int:
-    geom = _geometry_from(args)
+    geom = _from_flags(args, ArrayGeometry)
     hole = bethe_hole_transmittance(geom, args.wavelength_nm)
     array = bethe_transmittance(geom, args.wavelength_nm)
     print(f"bethe at {args.wavelength_nm:g} nm: hole {hole:.6f}, "
@@ -264,7 +238,7 @@ def cmd_spectrum_bethe(args) -> int:
 
 
 def cmd_spectrum_resonance(args) -> int:
-    geom = _geometry_from(args)
+    geom = _from_flags(args, ArrayGeometry)
     try:
         orders = [tuple(int(v) for v in pair.split(","))
                   for pair in args.orders.split(";")]
@@ -282,8 +256,8 @@ def cmd_spectrum_resonance(args) -> int:
 
 
 def cmd_spectrum_fano(args) -> int:
-    geom = _geometry_from(args)
-    params = _fano_from(args)
+    geom = _from_flags(args, ArrayGeometry)
+    params = _from_flags(args, FanoParameters)
     grid = np.linspace(args.lo_nm, args.hi_nm, args.points)
     spec = fano_spectrum(geom, grid, params)
     i = int(np.argmax(spec.total))
@@ -301,7 +275,7 @@ def cmd_spectrum_fano(args) -> int:
 
 
 def cmd_spectrum_fit(args) -> int:
-    geom = _geometry_from(args)
+    geom = _from_flags(args, ArrayGeometry)
     wl, t = _read_csv_columns(args.input, ["wavelength_nm", "transmittance"])
     fit = fit_fano(wl, t, geom)
     p = fit.params
@@ -517,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bethe = ssub.add_parser("bethe", help="small-hole direct transmittance")
     bethe.add_argument("--wavelength-nm", type=float, default=795.0)
-    _add_geometry_flags(bethe)
+    _add_field_flags(bethe, ArrayGeometry)
     bethe.set_defaults(func=cmd_spectrum_bethe)
 
     reson = ssub.add_parser("resonance", help="grating-coupling wavelengths")
@@ -527,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="glass")
     reson.add_argument("--theta-deg", type=float, default=0.0)
     reson.add_argument("--polarization", choices=("tm", "te"), default="tm")
-    _add_geometry_flags(reson)
+    _add_field_flags(reson, ArrayGeometry)
     reson.set_defaults(func=cmd_spectrum_resonance)
 
     fano = ssub.add_parser("fano", help="resonant plus direct spectrum")
@@ -537,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     fano.add_argument("--at-nm", type=float,
                       help="also print the transmittance here")
     fano.add_argument("--csv")
-    _add_geometry_flags(fano)
-    _add_fano_flags(fano)
+    _add_field_flags(fano, ArrayGeometry)
+    _add_field_flags(fano, FanoParameters)
     fano.set_defaults(func=cmd_spectrum_fano)
 
     sfit = ssub.add_parser("fit", help="fit a measured spectrum")
     sfit.add_argument("--input", required=True,
                       help="CSV with columns wavelength_nm, transmittance")
-    _add_geometry_flags(sfit)
+    _add_field_flags(sfit, ArrayGeometry)
     sfit.set_defaults(func=cmd_spectrum_fit)
 
     repro = sub.add_parser("repro", help="regenerate the headline results")

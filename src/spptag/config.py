@@ -11,13 +11,14 @@ section is optional as a whole; giving any of its keys attaches a hole-array
 transmission spectrum to the sample stage, which then validates the photon
 wavelength against the characterized band.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from decimal import Decimal
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import BiphotonAmplitude, RngSpec, Shape
+from .model import BiphotonAmplitude, RngSpec, Shape, check_finite
 from .optics import (
     DetectorConfig,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from .source import SourceConfig
 from .spectrum import ArrayGeometry, FanoParameters, fano_spectrum
 
 PS_PER_SECOND = 1_000_000_000_000
+MAX_DURATION_PS = 2**63 - 1  # tag times are int64 picoseconds
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,7 @@ class SpectrumConfig:
     grid_points: int = 1024
 
     def __post_init__(self):
+        check_finite(self, "grid_lo_nm", "grid_hi_nm")
         if not self.grid_lo_nm < self.grid_hi_nm:
             raise ValueError("need grid_lo_nm < grid_hi_nm")
         if self.grid_points < 2:
@@ -174,24 +177,39 @@ def _mod_kind(value: str) -> str:
     return value
 
 
-def _duration(value: str) -> int:
-    return parse_duration(value)
+def _take_fields(entries: _Entries, section: str, cls, **given):
+    """Build cls from the keys `section.<field>` of the fields not given.
+
+    Each key is read as the type of its field's default, which it defaults to.
+    """
+    taken = {f.name: entries.take(f"{section}.{f.name}", type(f.default), f.default)
+             for f in fields(cls) if f.name not in given}
+    return cls(**given, **taken)
 
 
 def parse_duration(text: str) -> int:
-    """Duration with unit suffix (ps, ns, us, ms, s) to picoseconds."""
+    """Duration with unit suffix (ps, ns, us, ms, s) to whole picoseconds.
+
+    The number is read as an exact decimal, so every int64 picosecond count
+    written by format_duration reads back unchanged.
+    """
     scales = {"ps": 1, "ns": 1000, "us": 10**6, "ms": 10**9, "s": 10**12}
     stripped = text.strip()
     for suffix in ("ps", "ns", "us", "ms", "s"):
         if stripped.endswith(suffix):
             number = stripped[: -len(suffix)].strip()
             try:
-                ps = float(number) * scales[suffix]
-            except ValueError:
+                exact = Decimal(number) * scales[suffix]
+            except ArithmeticError:  # not a number, or beyond Decimal's range
                 raise ValueError(f"bad duration {text!r}") from None
+            if not exact.is_finite():
+                raise ValueError(f"duration {text!r} must be finite")
+            if exact > MAX_DURATION_PS:
+                raise ValueError(f"duration {text!r} exceeds {MAX_DURATION_PS} ps")
+            ps = int(exact.to_integral_value())
             if ps <= 0:
                 raise ValueError("duration must be positive")
-            return int(round(ps))
+            return ps
     raise ValueError(f"duration {text!r} needs a unit suffix (ps, ns, us, ms, s)")
 
 
@@ -208,18 +226,21 @@ def parse_config(text: str) -> RunConfig:
     base = default_config()
     entries = _Entries(text)
 
-    duration_ps = entries.take("run.duration", _duration, base.duration_ps)
+    duration_ps = entries.take("run.duration", parse_duration, base.duration_ps)
     rng = RngSpec(
         seed=entries.take("rng.seed", _uint, base.rng.seed),
         stream_id=entries.take("rng.stream", _uint, base.rng.stream_id),
     )
 
     src = base.experiment.source
-    amplitude = BiphotonAmplitude(
-        shape=entries.take("amplitude.shape", _shape, src.amplitude.shape),
-        fwhm_ns=entries.take("amplitude.fwhm_ns", float, src.amplitude.fwhm_ns),
-        offset_ns=entries.take("amplitude.offset_ns", float, src.amplitude.offset_ns),
-    )
+    try:
+        amplitude = BiphotonAmplitude(
+            shape=entries.take("amplitude.shape", _shape, src.amplitude.shape),
+            fwhm_ns=entries.take("amplitude.fwhm_ns", float, src.amplitude.fwhm_ns),
+            offset_ns=entries.take("amplitude.offset_ns", float, src.amplitude.offset_ns),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"amplitude: {exc}") from exc
     try:
         source = SourceConfig(
             pair_rate=entries.take("source.pair_rate", float, src.pair_rate),
@@ -252,29 +273,10 @@ def parse_config(text: str) -> RunConfig:
     spectrum_cfg = None
     if entries.section_present("spectrum"):
         try:
-            geometry = ArrayGeometry(
-                pitch_nm=entries.take("spectrum.pitch_nm", float, 430.0),
-                hole_diameter_nm=entries.take("spectrum.hole_diameter_nm",
-                                              float, 200.0),
-                film_thickness_nm=entries.take("spectrum.film_thickness_nm",
-                                               float, 100.0),
-                taper_angle_deg=entries.take("spectrum.taper_angle_deg",
-                                             float, 17.0),
-            )
-            fano = FanoParameters(
-                resonance_nm=entries.take("spectrum.resonance_nm", float, 806.0),
-                fwhm_nm=entries.take("spectrum.fwhm_nm", float, 96.0),
-                q=entries.take("spectrum.q", float, 20.0),
-                peak_transmittance=entries.take("spectrum.peak_transmittance",
-                                                float, 0.36),
-            )
-            spectrum_cfg = SpectrumConfig(
-                geometry=geometry,
-                fano=fano,
-                grid_lo_nm=entries.take("spectrum.grid_lo_nm", float, 420.0),
-                grid_hi_nm=entries.take("spectrum.grid_hi_nm", float, 1200.0),
-                grid_points=entries.take("spectrum.grid_points", int, 1024),
-            )
+            geometry = _take_fields(entries, "spectrum", ArrayGeometry)
+            fano = _take_fields(entries, "spectrum", FanoParameters)
+            spectrum_cfg = _take_fields(entries, "spectrum", SpectrumConfig,
+                                        geometry=geometry, fano=fano)
         except ValueError as exc:
             raise ConfigError(f"spectrum: {exc}") from exc
 
@@ -379,21 +381,10 @@ def format_config(run: RunConfig) -> str:
     lines.append(
         f"sample.background_suppression = {exp.sample.background_suppression!r}")
     if run.spectrum is not None:
-        sc = run.spectrum
-        lines += [
-            "",
-            f"spectrum.pitch_nm = {sc.geometry.pitch_nm!r}",
-            f"spectrum.hole_diameter_nm = {sc.geometry.hole_diameter_nm!r}",
-            f"spectrum.film_thickness_nm = {sc.geometry.film_thickness_nm!r}",
-            f"spectrum.taper_angle_deg = {sc.geometry.taper_angle_deg!r}",
-            f"spectrum.resonance_nm = {sc.fano.resonance_nm!r}",
-            f"spectrum.fwhm_nm = {sc.fano.fwhm_nm!r}",
-            f"spectrum.q = {sc.fano.q!r}",
-            f"spectrum.peak_transmittance = {sc.fano.peak_transmittance!r}",
-            f"spectrum.grid_lo_nm = {sc.grid_lo_nm!r}",
-            f"spectrum.grid_hi_nm = {sc.grid_hi_nm!r}",
-            f"spectrum.grid_points = {sc.grid_points}",
-        ]
+        lines.append("")
+        for part in (run.spectrum.geometry, run.spectrum.fano, run.spectrum):
+            lines += [f"spectrum.{f.name} = {getattr(part, f.name)!r}" for f in fields(part)
+                      if not is_dataclass(getattr(part, f.name))]
     lines.append("")
     lines.append(f"beamsplitter.split_ratio = {exp.split_ratio!r}")
     for ch in range(3):

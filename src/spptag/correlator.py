@@ -31,14 +31,6 @@ from .model import PS_PER_NS, RngSpec, TemporalWaveform, TimeTagStream, as_gener
 log = logging.getLogger(__name__)
 
 
-def _member(stream: TimeTagStream, channels) -> np.ndarray:
-    """Mask of the stream's tags on one channel or any of several."""
-    mask = np.zeros(len(stream), dtype=bool)
-    for ch in np.atleast_1d(channels):
-        mask |= stream.channels == ch
-    return mask
-
-
 def _windows(stream: TimeTagStream, ch_a, ch_b,
              lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Count the ch_a tags and find the windows of those that can pair.
@@ -50,7 +42,7 @@ def _windows(stream: TimeTagStream, ch_a, ch_b,
     if np.intersect1d(ch_a, ch_b).size:
         raise AnalysisError("channel sets must be disjoint for pair counting")
     t = stream.times_ps
-    is_a = _member(stream, ch_a)
+    is_a = stream.channel_mask(ch_a)
     near = np.concatenate(([False], np.diff(t) <= max(abs(lo), abs(hi - 1)), [False]))
     t_a = t[is_a & (near[:-1] | near[1:])]  # gap to the previous or the next tag
     return (int(np.count_nonzero(is_a)), t_a,
@@ -106,7 +98,7 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     if (tau_max_ps - tau_min_ps) % bin_width_ps or tau_max_ps <= tau_min_ps:
         raise ValueError("window must span a positive whole number of bins")
     n_a, t_a, first, last = _windows(stream, ch_a, ch_b, tau_min_ps, tau_max_ps)
-    is_b = _member(stream, ch_b)
+    is_b = stream.channel_mask(ch_b)
     n_b = int(np.count_nonzero(is_b))
     if n_a == 0 or n_b == 0:
         log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
@@ -171,7 +163,7 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     if window_ps <= 0:
         raise ValueError("window must be positive")
     n_a, _, first, last = _windows(stream, ch_a, ch_b, -window_ps, window_ps)
-    is_b = _member(stream, ch_b)
+    is_b = stream.channel_mask(ch_b)
     n_b = int(np.count_nonzero(is_b))
     if n_a == 0 or n_b == 0:
         raise AnalysisError("zero-delay g2 undefined: empty channel")

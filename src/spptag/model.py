@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,13 @@ class RngSpec:
         return RngSpec(self.seed, (self.stream_id * 65536 + k) % 2**64)
 
 
+def check_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of obj's fields that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 def as_generator(rng: RngSpec | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngSpec):
         return rng.generator()
@@ -75,6 +83,7 @@ class BiphotonAmplitude:
     offset_ns: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "fwhm_ns", "offset_ns")
         if not self.fwhm_ns > 0:
             raise ValueError("fwhm_ns must be positive")
 
@@ -207,13 +216,20 @@ class TimeTagStream:
     def __len__(self) -> int:
         return int(self.times_ps.size)
 
+    def channel_mask(self, channel: int | tuple[int, ...]) -> np.ndarray:
+        """Mask of the tags on one channel or any of several.
+
+        An OR of equality tests: an order of magnitude faster than np.isin
+        on the few channels a stream has.
+        """
+        mask = np.zeros(len(self), dtype=bool)
+        for ch in np.fromiter(channel, np.int64) if np.iterable(channel) else [channel]:
+            mask |= self.channels == ch
+        return mask
+
     def channel_times(self, channel: int | tuple[int, ...]) -> np.ndarray:
         """Sorted tag times [ps] on one channel (or merged over several)."""
-        if isinstance(channel, (tuple, list, set, frozenset)):
-            mask = np.isin(self.channels, np.fromiter(channel, dtype=np.uint8))
-        else:
-            mask = self.channels == channel
-        return self.times_ps[mask]
+        return self.times_ps[self.channel_mask(channel)]
 
     def count(self, channel) -> int:
         return int(self.channel_times(channel).size)

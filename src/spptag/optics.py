@@ -1,12 +1,16 @@
 """Signal-arm optics chain: waveform imprinting, sample, split, detection.
 
-Photon loss is modeled as Bernoulli thinning of event streams; nothing here
-evolves amplitudes.  The electro-optic modulator acts on the arrival time of
-a signal photon relative to its herald: survival probability is the squared
-amplitude transmission m(t_rel)^2.  Detectors add efficiency thinning, dark
-counts, Gaussian timestamp jitter, and a non-paralyzable dead time.  The
-whole bench runs one 100 s slice at a time, so memory does not grow with
-the run beyond the tags it returns.
+Photon loss is modeled as Bernoulli thinning of the source's event table
+(PairEvents): each stage takes the signal arm's events and returns the
+survivors, with signal_ps as the photon time and idler_ps as its herald
+reference; nothing here evolves amplitudes.  The electro-optic modulator
+acts on the arrival time of a signal photon relative to its herald: survival
+probability is the squared amplitude transmission m(t_rel)^2.  Detectors
+turn photon times into tag times with efficiency thinning, dark counts,
+Gaussian timestamp jitter, and a non-paralyzable dead time; the three
+detectors' tags are labelled with their channels once, where they are
+merged.  The whole bench runs one 100 s slice at a time, so memory does not
+grow with the run beyond the tags it returns.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ from .model import (
     Shape,
     TimeTagStream,
     as_generator,
+    check_finite,
     evaluate_density,
 )
 from .source import (
@@ -38,44 +43,6 @@ from .source import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class SignalEvents:
-    """Signal-arm photons with their herald (gate trigger) references."""
-
-    def __init__(self, times_ps, herald_ps, kind):
-        self.times_ps = np.ascontiguousarray(times_ps, dtype=np.int64)
-        self.herald_ps = np.ascontiguousarray(herald_ps, dtype=np.int64)
-        self.kind = np.ascontiguousarray(kind, dtype=np.uint8)
-        if not (self.times_ps.shape == self.herald_ps.shape == self.kind.shape):
-            raise ValueError("column length mismatch")
-
-    @classmethod
-    def from_pairs(cls, events: PairEvents) -> "SignalEvents":
-        mask = events.kind != PairKind.BACKGROUND_IDLER
-        return cls(events.signal_ps[mask], events.idler_ps[mask], events.kind[mask])
-
-    @classmethod
-    def concatenate(cls, parts) -> "SignalEvents":
-        return cls(np.concatenate([p.times_ps for p in parts]),
-                   np.concatenate([p.herald_ps for p in parts]),
-                   np.concatenate([p.kind for p in parts]))
-
-    def t_rel_ns(self) -> np.ndarray:
-        """Arrival time relative to the gate trigger [ns]."""
-        return (self.times_ps - self.herald_ps) / PS_PER_NS
-
-    def select(self, mask) -> "SignalEvents":
-        return SignalEvents(self.times_ps[mask], self.herald_ps[mask], self.kind[mask])
-
-    def __len__(self):
-        return int(self.times_ps.size)
-
-    def __eq__(self, other):
-        return (isinstance(other, SignalEvents)
-                and np.array_equal(self.times_ps, other.times_ps)
-                and np.array_equal(self.herald_ps, other.herald_ps)
-                and np.array_equal(self.kind, other.kind))
 
 
 class ModulationKind(enum.Enum):
@@ -107,6 +74,7 @@ class ModulationFunction:
         self.grid_ns = None if grid_ns is None else np.asarray(grid_ns, dtype=float)
         self.values = None if values is None else np.asarray(values, dtype=float)
         self.clipped_mass = float(clipped_mass)
+        check_finite(self, "edge_ns", "target_fwhm_ns", "target_center_ns")
         if kind is ModulationKind.GAUSSIAN and target_fwhm_ns <= 0:
             raise ValueError("gaussian modulation needs a positive target fwhm")
         if kind is ModulationKind.TABULATED:
@@ -213,10 +181,10 @@ def resolve_modulation(modulation: ModulationFunction,
     return derive_modulation_for_target(source_amp, target, grid)
 
 
-def apply_modulation(events: SignalEvents, modulation: ModulationFunction,
+def apply_modulation(events: PairEvents, modulation: ModulationFunction,
                      rng: RngSpec | np.random.Generator,
                      source_amp: BiphotonAmplitude | None = None, *,
-                     warn: bool = True) -> SignalEvents:
+                     warn: bool = True) -> PairEvents:
     """Bernoulli-thin signal photons with probability m(t_rel)^2.
 
     Identity passes the stream through untouched without consuming random
@@ -256,6 +224,8 @@ class SampleConfig:
     spectrum: object | None = None
 
     def __post_init__(self):
+        check_finite(self, "photon_wavelength_nm", "overall_conversion",
+                     "background_suppression")
         if self.photon_wavelength_nm <= 0:
             raise ValueError("wavelength must be positive")
         if not 0.0 <= self.overall_conversion <= 1.0:
@@ -264,7 +234,7 @@ class SampleConfig:
             raise ValueError("background_suppression must lie in [0, 1]")
 
 
-def outside_grid(modulation: ModulationFunction, events: SignalEvents) -> int:
+def outside_grid(modulation: ModulationFunction, events: PairEvents) -> int:
     """Events a tabulated drive holds at its edge values, being off its grid."""
     if modulation.kind is not ModulationKind.TABULATED:
         return 0
@@ -277,8 +247,8 @@ def _warn_outside_grid(n_out: int) -> None:
         log.warning("%d events outside the modulation grid held at edge values", n_out)
 
 
-def apply_sample(events: SignalEvents, sample: SampleConfig,
-                 rng: RngSpec | np.random.Generator) -> SignalEvents:
+def apply_sample(events: PairEvents, sample: SampleConfig,
+                 rng: RngSpec | np.random.Generator) -> PairEvents:
     """Thin the stream through the sample.
 
     Pair photons survive with overall_conversion; broadband background gets
@@ -298,8 +268,8 @@ def apply_sample(events: SignalEvents, sample: SampleConfig,
     return events.select(keep)
 
 
-def beamsplit(events: SignalEvents, ratio: float,
-              rng: RngSpec | np.random.Generator) -> tuple[SignalEvents, SignalEvents]:
+def beamsplit(events: PairEvents, ratio: float,
+              rng: RngSpec | np.random.Generator) -> tuple[PairEvents, PairEvents]:
     """Split a stream on a beamsplitter; ratio is the probability of arm A."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("split ratio must lie in [0, 1]")
@@ -318,6 +288,7 @@ class DetectorConfig:
     dead_time_ps: int = 50_000
 
     def __post_init__(self):
+        check_finite(self, "efficiency", "dark_rate", "jitter_sigma_ps", "dead_time_ps")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.dark_rate < 0 or self.jitter_sigma_ps < 0 or self.dead_time_ps < 0:
@@ -336,11 +307,10 @@ class DetectorState:
     last_fire_ps: int | None = None
 
 
-def detect(times_ps: np.ndarray, detector: DetectorConfig, channel: int,
-           duration_ps: int, rng: RngSpec | np.random.Generator, *,
-           until_ps: int | None = None,
-           state: DetectorState | None = None) -> TimeTagStream:
-    """Turn photon arrival times into detector tags on one channel.
+def detect(times_ps: np.ndarray, detector: DetectorConfig, duration_ps: int,
+           rng: RngSpec | np.random.Generator, *, until_ps: int | None = None,
+           state: DetectorState | None = None) -> np.ndarray:
+    """Turn photon arrival times into one detector's sorted tag times [ps].
 
     Acceptance and jitter variates are drawn for every input photon, so
     raising the efficiency with the same stream keeps every previously kept
@@ -378,9 +348,7 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, channel: int,
         shift = np.rint(detector.jitter_sigma_ps * ndtri(u)).astype(np.int64)
         physical = physical + shift
     inside = (physical >= 0) & (physical <= duration_ps)
-    reported = np.sort(physical[inside])
-    return TimeTagStream(reported, np.full(reported.size, channel, dtype=np.uint8),
-                         duration_ps)
+    return np.sort(physical[inside])
 
 
 def _jitter_reach_ps(detector: DetectorConfig) -> int:
@@ -452,27 +420,33 @@ class _Chain:
 
     def run_slice(self, pairs: PairEvents, horizon_ps: int,
                   flush_before_ps: int) -> TimeTagStream:
-        """Detect one slice's photons before horizon_ps; return tags before flush_before_ps."""
+        """Detect one slice's photons before horizon_ps; return tags before flush_before_ps.
+
+        Within a slice the kind column is in draw order (true pairs, extras,
+        signal background, idler background), so the signal arm and, after
+        modulation, its pair photons and background are contiguous runs.
+        """
         arrivals = [pairs.idler_arm_times()]
-        signal = SignalEvents.from_pairs(pairs)
-        del pairs  # hold one copy of the slice's events at a time
+        signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
+        del pairs  # signal views the slice's columns: free them once a stage copies
         self.n_outside += outside_grid(self.modulation, signal)
         signal = apply_modulation(signal, self.modulation, self.gen_mod, warn=False)
-        bg = signal.kind == PairKind.BACKGROUND_SIGNAL
-        signal = SignalEvents.concatenate(
-            [apply_sample(signal.select(~bg), self.config.sample, self.gen_sample),
-             signal.select(bg)])
-        arrivals += [arm.times_ps for arm in beamsplit(signal, self.config.split_ratio,
-                                                       self.gen_split)]
+        bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
+        # the background was drawn already thinned by the sample
+        signal = PairEvents.concatenate(
+            [apply_sample(signal.select(slice(bg)), self.config.sample, self.gen_sample),
+             signal.select(slice(bg, None))])
+        arrivals += [arm.signal_ps for arm in beamsplit(signal, self.config.split_ratio,
+                                                        self.gen_split)]
         del signal
         flushed = {}
         for ch, detector in enumerate(self.config.detectors):
             photons = np.sort(np.concatenate([self.photons[ch], arrivals[ch]]))
             cut = np.searchsorted(photons, horizon_ps)
             self.photons[ch] = photons[cut:]
-            new = detect(photons[:cut], detector, ch, self.duration_ps, self.gen_det[ch],
+            new = detect(photons[:cut], detector, self.duration_ps, self.gen_det[ch],
                          until_ps=horizon_ps, state=self.states[ch])
-            tags = np.sort(np.concatenate([self.tags[ch], new.times_ps]), kind="stable")
+            tags = np.sort(np.concatenate([self.tags[ch], new]), kind="stable")
             cut = np.searchsorted(tags, flush_before_ps)
             flushed[ch], self.tags[ch] = tags[:cut], tags[cut:]
         return TimeTagStream.from_channel_times(flushed, self.duration_ps)

@@ -8,6 +8,10 @@ arm.  Everything is generated from exponential-gap and inverse-CDF transforms
 of Philox uniforms so runs are reproducible bit for bit.  The observation
 time is drawn in 100 s slices from independent child streams, and a run can
 be consumed slice by slice (stream_pairs) so its memory stays bounded.
+
+PairEvents is the one event table of the bench: the optics stages take and
+return it, with signal_ps as the photon time and idler_ps as its herald
+reference.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PS_PER_NS, BiphotonAmplitude, RngSpec, delay_range, sample_delay
+from .model import (PS_PER_NS, BiphotonAmplitude, RngSpec, check_finite, delay_range,
+                    sample_delay)
 
 SEGMENT_PS = 100 * 10**12  # runs are drawn in 100 s slices
 
@@ -48,6 +53,8 @@ class SourceConfig:
     background_rate_idler: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "pair_rate", "multipair_prob", "background_rate_signal",
+                     "background_rate_idler")
         if self.pair_rate < 0:
             raise ValueError("pair_rate must be nonnegative")
         if not 0.0 <= self.multipair_prob < 1.0:
@@ -60,12 +67,14 @@ class PairEvents:
     """Column store of emission events, in draw order.
 
     Each slice holds its true pairs, multipair extras, signal-arm background
-    and idler-arm background, in that order; only the true pairs are sorted
-    by idler time.  For pair kinds both times are physical.
-    BACKGROUND_SIGNAL events have no idler partner; their idler_ps holds the
-    nearest idler-arm emission time (the modulation trigger reference), or 0
-    when none exists.  BACKGROUND_IDLER events have no signal partner;
-    signal_ps mirrors idler_ps and is never used downstream.
+    and idler-arm background, in that order, so within a slice the kind
+    column is nondecreasing; only the true pairs are sorted by idler time.
+    signal_ps is the signal photon's time and idler_ps its herald
+    reference.  For pair kinds both times are physical.  BACKGROUND_SIGNAL
+    events have no idler partner; their idler_ps holds the nearest idler-arm
+    emission time (the modulation trigger reference), or 0 when none exists.
+    BACKGROUND_IDLER events have no signal partner; signal_ps mirrors
+    idler_ps and is never used downstream.
     """
 
     def __init__(self, idler_ps, signal_ps, kind):
@@ -87,6 +96,10 @@ class PairEvents:
 
     def select(self, mask) -> "PairEvents":
         return PairEvents(self.idler_ps[mask], self.signal_ps[mask], self.kind[mask])
+
+    def t_rel_ns(self) -> np.ndarray:
+        """Signal arrival time relative to its herald reference [ns]."""
+        return (self.signal_ps - self.idler_ps) / PS_PER_NS
 
     def count_kind(self, kind: PairKind) -> int:
         return int(np.count_nonzero(self.kind == kind))

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _gold
 from .errors import DomainError, FitError
+from .model import check_finite
 
 EPSILON_AIR = 1.0
 EPSILON_GLASS = 2.25
@@ -81,6 +82,8 @@ class ArrayGeometry:
     taper_angle_deg: float = 17.0
 
     def __post_init__(self):
+        check_finite(self, "pitch_nm", "hole_diameter_nm", "film_thickness_nm",
+                     "taper_angle_deg")
         if not 0 < self.hole_diameter_nm < self.pitch_nm:
             raise ValueError("need 0 < hole diameter < pitch")
         if self.film_thickness_nm <= 0:
@@ -266,6 +269,7 @@ class FanoParameters:
     peak_transmittance: float = 0.36
 
     def __post_init__(self):
+        check_finite(self, "resonance_nm", "fwhm_nm", "q", "peak_transmittance")
         if self.fwhm_nm <= 0:
             raise ValueError("fwhm must be positive")
         if self.q <= 0:

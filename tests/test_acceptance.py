@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import riemann_hom_coincidence
-from spptag.cli import _bench, _segments_for, main
+from spptag.cli import _bench, main
 from spptag.config import default_config, format_config, parse_config
 from spptag.correlator import (
     cauchy_schwarz,
@@ -35,12 +35,12 @@ from spptag.optics import (
     DetectorConfig,
     ModulationFunction,
     SampleConfig,
-    SignalEvents,
     apply_modulation,
     resolve_modulation,
     run_experiment,
 )
-from spptag.source import generate_pairs, poisson_times
+from spptag.source import PairKind, generate_pairs, poisson_times
+from spptag.source import segment_count as _segments_for
 from spptag.spectrum import (
     ArrayGeometry,
     FanoParameters,
@@ -197,10 +197,10 @@ class TestWaveformImprinting:
         # stage-level exactness: no survivor precedes the programmed edge
         src = default_config().experiment.source
         pairs = generate_pairs(src, 60 * SECOND_PS, RngSpec(88, 0))
-        signal = SignalEvents.from_pairs(pairs)
+        signal = pairs.select(pairs.kind != PairKind.BACKGROUND_IDLER)
         out = apply_modulation(signal, ModulationFunction.heaviside(0.0),
                                RngSpec(88, 1), source_amp=src.amplitude)
-        assert out.times_ps.size > 0
+        assert out.signal_ps.size > 0
         assert np.all(out.t_rel_ns() >= 0.0)
 
     def test_gaussian_target_reshapes_wavepacket(self):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import spptag
-from spptag.cli import main
-from spptag.config import default_config, parse_config
+from spptag.cli import build_parser, main
+from spptag.config import SpectrumConfig, default_config, parse_config
 from spptag.hom import hom_visibility
 from spptag.model import BiphotonAmplitude, Shape
 from spptag.spectrum import ArrayGeometry, FanoParameters, fano_transmittance
@@ -72,6 +73,31 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "t")])
         assert rc == 3
+
+    @pytest.mark.parametrize("given, key", [
+        ("--duration=inf s", "duration"),
+        ("--duration=1e400s", "duration"),
+        ("source.pair_rate = inf", "source.pair_rate"),
+        ("amplitude.fwhm_ns = inf", "amplitude.fwhm_ns"),
+        ("amplitude.offset_ns = nan", "amplitude.offset_ns"),
+        ("detector1.jitter_sigma_ps = nan", "detector1.jitter_sigma_ps"),
+        ("spectrum.pitch_nm = inf", "spectrum.pitch_nm"),
+        ("modulation.kind = heaviside\nmodulation.edge_ns = nan", "modulation.edge_ns"),
+    ])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, given, key):
+        out = tmp_path / "t.spptag"
+        argv = ["simulate", "--out", str(out)]
+        if given.startswith("--"):
+            argv.append(given)
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(given + "\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(part in err for part in key.split(".")), err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +211,13 @@ class TestHom:
 
 
 class TestSpectrum:
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert parse_config("spectrum.q = 20.0\n").spectrum == SpectrumConfig()
+        args = vars(build_parser().parse_args(["spectrum", "fano"]))
+        for default in (ArrayGeometry(), FanoParameters()):
+            flags = {key: args[key] for key in dataclasses.asdict(default)}
+            assert flags == dataclasses.asdict(default)
+
     def test_bethe(self, capsys):
         assert main(["spectrum", "bethe", "--wavelength-nm", "795"]) == 0
         out = capsys.readouterr().out

@@ -3,9 +3,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from spptag.config import (
     AnalysisConfig,
+    RunConfig,
     SpectrumConfig,
     default_config,
     format_config,
@@ -14,9 +17,67 @@ from spptag.config import (
     parse_duration,
 )
 from spptag.errors import ConfigError
-from spptag.model import Shape
-from spptag.optics import ModulationFunction, ModulationKind, SampleConfig
+from spptag.model import BiphotonAmplitude, RngSpec, Shape
+from spptag.optics import (
+    DetectorConfig,
+    ExperimentConfig,
+    ModulationFunction,
+    ModulationKind,
+    SampleConfig,
+)
+from spptag.source import SourceConfig
 from spptag.spectrum import ArrayGeometry, FanoParameters
+
+
+def floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def spectra(draw):
+    """Hole-array spectra whose lineshape stays physical (build succeeds)."""
+    pitch = draw(floats(300.0, 700.0))
+    geometry = ArrayGeometry(pitch, draw(floats(20.0, 0.9 * pitch)),
+                             draw(floats(1.0, 500.0)), draw(floats(0.0, 44.0)))
+    fano = FanoParameters(draw(floats(600.0, 1000.0)), draw(floats(5.0, 300.0)),
+                          draw(floats(0.5, 50.0)), draw(floats(0.01, 1.0)))
+    lo = draw(floats(200.0, 800.0))
+    spec = SpectrumConfig(geometry, fano, lo, lo + draw(floats(1.0, 1000.0)),
+                          draw(st.integers(2, 64)))
+    try:
+        spec.build()
+    except ValueError:
+        reject()
+    return spec
+
+
+@st.composite
+def run_configs(draw):
+    """Random finite run configurations over each field's valid range."""
+    amplitude = BiphotonAmplitude(draw(st.sampled_from(Shape)), draw(floats(1e-6, 1e6)),
+                                  draw(floats(-1e6, 1e6)))
+    source = SourceConfig(draw(floats(0.0, 1e9)), amplitude,
+                          draw(floats(0.0, 1.0, exclude_max=True)),
+                          draw(floats(0.0, 1e9)), draw(floats(0.0, 1e9)))
+    modulation = draw(st.one_of(
+        st.just(ModulationFunction.identity()),
+        st.builds(ModulationFunction.heaviside, floats(-1e6, 1e6)),
+        st.builds(ModulationFunction.gaussian_target, floats(1e-6, 1e6), floats(-1e6, 1e6))))
+    spectrum = draw(st.none() | spectra())
+    sample = SampleConfig(draw(floats(1e-3, 1e5)), draw(floats(0.0, 1.0)),
+                          draw(floats(0.0, 1.0)),
+                          spectrum=None if spectrum is None else spectrum.build())
+    detectors = tuple(DetectorConfig(draw(floats(0.0, 1.0)), draw(floats(0.0, 1e9)),
+                                     draw(floats(0.0, 1e9)), draw(st.integers(0, 2**62)))
+                      for _ in range(3))
+    experiment = ExperimentConfig(source, modulation, sample, detectors,
+                                  draw(floats(0.0, 1.0)))
+    positive = st.integers(1, 2**62)
+    return RunConfig(experiment, RngSpec(draw(st.integers(0, 2**64 - 1)),
+                                         draw(st.integers(0, 2**64 - 1))),
+                     draw(st.integers(1, 2**63 - 1)),
+                     AnalysisConfig(draw(positive), draw(positive), draw(positive)),
+                     spectrum)
 
 
 class TestDuration:
@@ -46,9 +107,15 @@ class TestDuration:
             parse_duration("-5 ns")
 
     @pytest.mark.parametrize("ps", [1, 999, 1000, 1500, 10**6, 3 * 10**9,
-                                    7 * 10**12, 86400 * 10**12])
+                                    7 * 10**12, 86400 * 10**12, 2**53 + 1, 2**63 - 1])
     def test_format_round_trip(self, ps):
         assert parse_duration(format_duration(ps)) == ps
+
+    @pytest.mark.parametrize("text", ["inf s", "1e400s", "nan ms", "2**63 ps",
+                                      "9223372036854775808 ps"])
+    def test_reject_non_finite_and_out_of_range(self, text):
+        with pytest.raises(ValueError):
+            parse_duration(text)
 
     def test_format_uses_largest_exact_unit(self):
         assert format_duration(10 * 10**12) == "10 s"
@@ -128,6 +195,12 @@ class TestRoundTrip:
         assert back == run
         assert back.experiment.sample.spectrum is not None
         assert back.experiment.sample.spectrum.wavelength_nm[0] == 500.0
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=run_configs())
+    def test_random_finite_configs_round_trip(self, run):
+        assert parse_config(format_config(run)) == run
 
 
 class TestOverrides:

@@ -165,6 +165,7 @@ class TestTimeTagStream:
         assert len(s) == 4
         np.testing.assert_array_equal(s.channel_times(0), [10, 20])
         np.testing.assert_array_equal(s.channel_times((1, 2)), [20, 35])
+        np.testing.assert_array_equal(s.channel_times({1, 2}), [20, 35])
         assert s.count(2) == 1
         assert s.rate(0) == pytest.approx(2 / 100e-12)
 

@@ -24,7 +24,6 @@ from spptag.optics import (
     ModulationFunction,
     ModulationKind,
     SampleConfig,
-    SignalEvents,
     apply_modulation,
     apply_sample,
     beamsplit,
@@ -34,7 +33,7 @@ from spptag.optics import (
     run_experiment,
     _dead_time_filter_mask,
 )
-from spptag.source import PairKind, SourceConfig
+from spptag.source import PairEvents, PairKind, SourceConfig
 from spptag.tagfile import write_tags
 
 AMP = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
@@ -46,7 +45,7 @@ def synthetic_events(n, rng_spec, spacing_ps=500_000, kind=PairKind.TRUE_PAIR):
     heralds = (np.arange(n, dtype=np.int64) + 1) * spacing_ps
     delays = sample_delay(AMP, rng_spec, size=n)
     times = heralds + np.rint(delays * 1000.0).astype(np.int64)
-    return SignalEvents(times, heralds, np.full(n, kind, dtype=np.uint8))
+    return PairEvents(heralds, times, np.full(n, kind, dtype=np.uint8))
 
 
 class TestModulation:
@@ -66,9 +65,9 @@ class TestModulation:
     def test_heaviside_inclusive_at_edge(self):
         heralds = np.array([1_000_000, 2_000_000], dtype=np.int64)
         times = heralds + np.array([5_000, 4_999])
-        ev = SignalEvents(times, heralds, np.zeros(2, dtype=np.uint8))
+        ev = PairEvents(heralds, times, np.zeros(2, dtype=np.uint8))
         out = apply_modulation(ev, ModulationFunction.heaviside(5.0), RngSpec(1))
-        assert len(out) == 1 and out.times_ps[0] == 1_005_000
+        assert len(out) == 1 and out.signal_ps[0] == 1_005_000
 
     def test_constant_tabulated_survival_fraction(self):
         ev = synthetic_events(40000, RngSpec(64))
@@ -154,7 +153,7 @@ class TestSample:
         heralds = (np.arange(n, dtype=np.int64) + 1) * 500_000
         kinds = np.zeros(n, dtype=np.uint8)
         kinds[n // 2:] = PairKind.BACKGROUND_SIGNAL
-        ev = SignalEvents(heralds + 100, heralds, kinds)
+        ev = PairEvents(heralds, heralds + 100, kinds)
         out = apply_sample(ev, SampleConfig(795.0, 1.0, background_suppression=0.3),
                            RngSpec(72))
         n_pair = int(np.count_nonzero(out.kind == PairKind.TRUE_PAIR))
@@ -196,8 +195,8 @@ class TestBeamsplit:
         ev = synthetic_events(5000, RngSpec(80))
         a, b = beamsplit(ev, 0.5, RngSpec(81))
         assert len(a) + len(b) == len(ev)
-        merged = np.sort(np.concatenate([a.times_ps, b.times_ps]))
-        np.testing.assert_array_equal(merged, np.sort(ev.times_ps))
+        merged = np.sort(np.concatenate([a.signal_ps, b.signal_ps]))
+        np.testing.assert_array_equal(merged, np.sort(ev.signal_ps))
 
     def test_ratio_fraction(self):
         ev = synthetic_events(40000, RngSpec(82))
@@ -240,52 +239,51 @@ class TestDetect:
         cuts = [0, *np.sort(gen.integers(0, 10**6, 6)).tolist(), 10**6 + 1]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             window = times[(times >= lo) & (times < hi)]
-            tags.append(detect(window, cfg, 0, 10**6, gen, until_ps=hi, state=state).times_ps)
+            tags.append(detect(window, cfg, 10**6, gen, until_ps=hi, state=state))
         np.testing.assert_array_equal(np.concatenate(tags), _greedy_dead_time(times, 1000))
 
     def test_efficiency_thinning(self):
         times = np.arange(1, 40001, dtype=np.int64) * 1_000_000
         cfg = DetectorConfig(efficiency=0.5, dark_rate=0.0, jitter_sigma_ps=0.0,
                              dead_time_ps=0)
-        out = detect(times, cfg, 0, times[-1] + 1_000_000, RngSpec(91))
+        out = detect(times, cfg, times[-1] + 1_000_000, RngSpec(91))
         assert abs(len(out) - 20000) < 4.5 * np.sqrt(10000)
 
     def test_dark_counts_only(self):
         cfg = DetectorConfig(efficiency=1.0, dark_rate=500.0, jitter_sigma_ps=0.0,
                              dead_time_ps=0)
-        out = detect(np.empty(0, dtype=np.int64), cfg, 0, 10 * SECOND, RngSpec(92))
+        out = detect(np.empty(0, dtype=np.int64), cfg, 10 * SECOND, RngSpec(92))
         assert abs(len(out) - 5000) < 4.5 * np.sqrt(5000)
 
     def test_jitter_distribution(self):
         times = np.arange(1, 100_001, dtype=np.int64) * 1_000_000
         cfg = DetectorConfig(efficiency=1.0, dark_rate=0.0, jitter_sigma_ps=350.0,
                              dead_time_ps=0)
-        out = detect(times, cfg, 0, times[-1] + 10_000_000, RngSpec(93))
+        out = detect(times, cfg, times[-1] + 10_000_000, RngSpec(93))
         assert len(out) == times.size
-        shifts = np.sort(out.times_ps) - times  # both sorted, grid spacing >> jitter
+        shifts = np.sort(out) - times  # both sorted, grid spacing >> jitter
         res = stats.kstest(shifts, stats.norm(scale=350.0).cdf)
         assert res.pvalue > 0.01
 
     def test_coupled_draws_efficiency_monotone(self):
         times = np.arange(1, 20001, dtype=np.int64) * 1_000_000
         base = dict(dark_rate=0.0, jitter_sigma_ps=350.0, dead_time_ps=0)
-        lo = detect(times, DetectorConfig(efficiency=0.3, **base), 0,
+        lo = detect(times, DetectorConfig(efficiency=0.3, **base),
                     times[-1] + 10_000_000, RngSpec(94))
-        hi = detect(times, DetectorConfig(efficiency=0.6, **base), 0,
+        hi = detect(times, DetectorConfig(efficiency=0.6, **base),
                     times[-1] + 10_000_000, RngSpec(94))
-        assert np.isin(lo.times_ps, hi.times_ps).all()
+        assert np.isin(lo, hi).all()
 
     def test_output_sorted_and_bounded(self):
         gen = RngSpec(95).generator()
         times = np.sort((gen.random(5000) * SECOND).astype(np.int64))
-        out = detect(times, DetectorConfig(), 1, SECOND, RngSpec(96))
-        assert np.all(np.diff(out.times_ps) >= 0)
-        assert out.times_ps.min() >= 0 and out.times_ps.max() <= SECOND
+        out = detect(times, DetectorConfig(), SECOND, RngSpec(96))
+        assert out.dtype == np.int64 and np.all(np.diff(out) >= 0)
+        assert out.min() >= 0 and out.max() <= SECOND
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
-            detect(np.array([5, 1], dtype=np.int64), DetectorConfig(), 0,
-                   SECOND, RngSpec(97))
+            detect(np.array([5, 1], dtype=np.int64), DetectorConfig(), SECOND, RngSpec(97))
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
@@ -327,10 +325,10 @@ class TestRunExperiment:
             source=SourceConfig(pair_rate=2000.0, amplitude=AMP),
             modulation=ModulationFunction.heaviside(0.0))
         from spptag.source import generate_pairs
-        from spptag.optics import SignalEvents as SE
         rng = RngSpec(103)
         pairs = generate_pairs(cfg.source, SECOND, rng.child(0))
-        survivors = apply_modulation(SE.from_pairs(pairs), cfg.modulation, rng.child(1))
+        signal = pairs.select(pairs.kind != PairKind.BACKGROUND_IDLER)
+        survivors = apply_modulation(signal, cfg.modulation, rng.child(1))
         assert survivors.t_rel_ns().min() >= 0.0
         assert len(survivors) > 0
 

@@ -16,6 +16,7 @@ from spptag.source import (
     generate_pairs,
     herald_references,
     poisson_times,
+    stream_pairs,
 )
 
 AMP = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
@@ -98,6 +99,14 @@ class TestGeneratePairs:
                             2 * SECOND, RngSpec(45), segments=2)
         idlers = ev.idler_ps[ev.kind == PairKind.TRUE_PAIR]
         assert np.all(np.diff(idlers) >= 0)
+
+    def test_kinds_in_draw_order_within_each_slice(self):
+        # the optics chain finds the signal arm and its background by position
+        cfg = _cfg(multipair_prob=0.05, background_rate_signal=800.0,
+                   background_rate_idler=300.0)
+        for ev in stream_pairs(cfg, 3 * SECOND, RngSpec(50), segments=3):
+            assert set(np.unique(ev.kind)) == set(PairKind)
+            assert np.all(np.diff(ev.kind.astype(int)) >= 0)
 
     def test_times_within_observation(self):
         ev = generate_pairs(_cfg(), 1 * SECOND, RngSpec(46))

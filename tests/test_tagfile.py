@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spptag.errors import (
     TagFileError,
@@ -27,6 +29,22 @@ def random_stream(seed: int, n: int = 500, duration_ps: int = 10**9):
     times = np.sort(rng.integers(0, duration_ps, n))
     channels = rng.integers(0, 3, n).astype(np.uint8)
     return TimeTagStream(times, channels, duration_ps)
+
+
+@st.composite
+def tag_streams(draw):
+    """Sorted streams with many equal times and channels that stay empty."""
+    duration = draw(st.integers(1, 2**63 - 1))
+    top = draw(st.sampled_from([min(duration, 30), duration]))
+    times = sorted(draw(st.lists(st.integers(0, top), max_size=40)))
+    channels = draw(st.lists(st.sampled_from([0, 1, 2, 7, 255]),
+                             min_size=len(times), max_size=len(times)))
+    return TimeTagStream(times, channels, duration)
+
+
+# one file per example, overwritten by the next
+PER_EXAMPLE_FILE = settings(max_examples=200, deadline=None,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def pack_file(times, channels, duration_ps, channel_count=None,
@@ -65,6 +83,13 @@ class TestRoundTrip:
         assert path.stat().st_size == HEADER_SIZE
         back = read_tags(path)
         assert len(back) == 0 and back.duration_ps == 10**6
+
+    @PER_EXAMPLE_FILE
+    @given(stream=tag_streams())
+    def test_write_read_is_identity(self, tmp_path, stream):
+        path = tmp_path / "t.spptag"
+        write_tags(path, stream)
+        assert read_tags(path) == stream
 
     def test_matches_hand_packed_bytes(self, tmp_path):
         times = [5, 10, 10, 99]
@@ -179,6 +204,21 @@ class TestCorruption:
         path.write_bytes(pack_file([], [], 0))
         with pytest.raises(TagFileError):
             read_tags(path)
+
+    @PER_EXAMPLE_FILE
+    @given(stream=tag_streams(), data=st.data())
+    def test_mutations_read_back_or_raise_tag_file_error(self, tmp_path, stream, data):
+        path = tmp_path / "t.spptag"
+        write_tags(path, stream)
+        raw = bytearray(path.read_bytes())
+        for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                     st.integers(1, 255)), max_size=4)):
+            raw[at] ^= mask
+        path.write_bytes(raw[:data.draw(st.just(len(raw)) | st.integers(0, len(raw)))])
+        try:
+            read_tags(path)
+        except TagFileError:
+            pass
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
