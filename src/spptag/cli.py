@@ -90,8 +90,7 @@ def _load_run(args) -> RunConfig:
         seed=args.seed if args.seed is not None else run.rng.seed,
         stream_id=args.stream if args.stream is not None else run.rng.stream_id,
     )
-    return RunConfig(experiment=run.experiment, rng=rng, duration_ps=duration_ps,
-                     analysis=run.analysis, spectrum=run.spectrum)
+    return replace(run, rng=rng, duration_ps=duration_ps)
 
 
 def _analysis_defaults(args) -> AnalysisConfig:

@@ -5,15 +5,28 @@ key is optional; unspecified keys take the desk-scale defaults below, so an
 empty file is a complete configuration.  Unknown keys are rejected with
 their line number.
 
-Sections: run, rng, source, amplitude, modulation, sample, spectrum,
-beamsplitter, detector0, detector1, detector2, analysis.  The spectrum
-section is optional as a whole; giving any of its keys attaches a hole-array
-transmission spectrum to the sample stage, which then validates the photon
-wavelength against the characterized band.
+Most sections map to a dataclass, whose field names are the keys and whose
+annotations give the value types (enums by value):
+
+    amplitude     BiphotonAmplitude
+    source        SourceConfig, with the amplitude section
+    sample        SampleConfig, with the spectrum section built
+    detector0-2   DetectorConfig
+    beamsplitter  ExperimentConfig.split_ratio
+    analysis      AnalysisConfig
+    spectrum      ArrayGeometry, FanoParameters and SpectrumConfig
+
+The rest are run.duration (with a unit suffix), rng.seed, rng.stream and
+the modulation section, whose kind decides which other modulation keys it
+takes; a key the kind does not take is rejected like an unknown key.  The
+spectrum section is optional as a whole; giving any of its keys attaches a
+hole-array transmission spectrum to the sample stage, which then validates
+the photon wavelength against the characterized band.
 """
-from dataclasses import dataclass, fields, is_dataclass
+import enum
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -112,8 +125,12 @@ def default_config() -> RunConfig:
     )
 
 
-_SHAPES = {s.value: s for s in Shape}
-_MOD_KINDS = {"identity", "heaviside", "gaussian"}
+# modulation kind -> the keys it takes, with their defaults, in text order
+_MODULATIONS = {
+    ModulationKind.IDENTITY: {},
+    ModulationKind.HEAVISIDE: {"edge_ns": 0.0},
+    ModulationKind.GAUSSIAN: {"target_fwhm_ns": 40.0, "target_center_ns": 0.0},
+}
 
 
 class _Entries:
@@ -165,26 +182,52 @@ def _uint(value: str) -> int:
     return out
 
 
-def _shape(value: str) -> Shape:
-    if value not in _SHAPES:
-        raise ValueError(f"expected one of {sorted(_SHAPES)}")
-    return _SHAPES[value]
+def _member(members) -> Callable:
+    """Converter from the value of one of the enum members to that member."""
+    by_value = {m.value: m for m in members}
+
+    def conv(value: str):
+        if value not in by_value:
+            raise ValueError(f"expected one of {sorted(by_value)}")
+        return by_value[value]
+    return conv
 
 
-def _mod_kind(value: str) -> str:
-    if value not in _MOD_KINDS:
-        raise ValueError(f"expected one of {sorted(_MOD_KINDS)}")
-    return value
+def _take_fields(entries: _Entries, section: str, default, **given):
+    """Copy of default with the fields given and the others read from their
+    keys `section.<field>`, where present.
 
-
-def _take_fields(entries: _Entries, section: str, cls, **given):
-    """Build cls from the keys `section.<field>` of the fields not given.
-
-    Each key is read as the type of its field's default, which it defaults to.
+    A key is read as its field's annotated type, an enum by value.  A
+    ValueError from the dataclass is reported against the section.
     """
-    taken = {f.name: entries.take(f"{section}.{f.name}", type(f.default), f.default)
-             for f in fields(cls) if f.name not in given}
-    return cls(**given, **taken)
+    types = get_type_hints(type(default))
+    taken = {}
+    for f in fields(default):
+        if f.name not in given:
+            conv = types[f.name]
+            if isinstance(conv, enum.EnumMeta):
+                conv = _member(conv)
+            taken[f.name] = entries.take(f"{section}.{f.name}", conv,
+                                         getattr(default, f.name))
+    try:
+        return replace(default, **given, **taken)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _field_lines(section: str, obj, *skip: str) -> list:
+    """`section.<field> = value` for each field of obj not skipped.
+
+    Enums are written by value, everything else with repr, which round-trips
+    floats bit for bit.
+    """
+    lines = []
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            text = value.value if isinstance(value, enum.Enum) else repr(value)
+            lines.append(f"{section}.{f.name} = {text}")
+    return lines
 
 
 def parse_duration(text: str) -> int:
@@ -224,118 +267,42 @@ def format_duration(duration_ps: int) -> str:
 def parse_config(text: str) -> RunConfig:
     """Build a run configuration from flat `section.key = value` text."""
     base = default_config()
+    exp = base.experiment
     entries = _Entries(text)
 
     duration_ps = entries.take("run.duration", parse_duration, base.duration_ps)
-    rng = RngSpec(
-        seed=entries.take("rng.seed", _uint, base.rng.seed),
-        stream_id=entries.take("rng.stream", _uint, base.rng.stream_id),
-    )
+    rng = RngSpec(seed=entries.take("rng.seed", _uint, base.rng.seed),
+                  stream_id=entries.take("rng.stream", _uint, base.rng.stream_id))
+    amplitude = _take_fields(entries, "amplitude", exp.source.amplitude)
+    source = _take_fields(entries, "source", exp.source, amplitude=amplitude)
 
-    src = base.experiment.source
+    kind = entries.take("modulation.kind", _member(_MODULATIONS), exp.modulation.kind)
+    params = {key: entries.take(f"modulation.{key}", float, value)
+              for key, value in _MODULATIONS[kind].items()}
     try:
-        amplitude = BiphotonAmplitude(
-            shape=entries.take("amplitude.shape", _shape, src.amplitude.shape),
-            fwhm_ns=entries.take("amplitude.fwhm_ns", float, src.amplitude.fwhm_ns),
-            offset_ns=entries.take("amplitude.offset_ns", float, src.amplitude.offset_ns),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"amplitude: {exc}") from exc
-    try:
-        source = SourceConfig(
-            pair_rate=entries.take("source.pair_rate", float, src.pair_rate),
-            amplitude=amplitude,
-            multipair_prob=entries.take("source.multipair_prob", float,
-                                        src.multipair_prob),
-            background_rate_signal=entries.take("source.background_rate_signal",
-                                                float, src.background_rate_signal),
-            background_rate_idler=entries.take("source.background_rate_idler",
-                                               float, src.background_rate_idler),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from exc
-
-    kind = entries.take("modulation.kind", _mod_kind, "identity")
-    edge_ns = entries.take("modulation.edge_ns", float, 0.0)
-    target_fwhm_ns = entries.take("modulation.target_fwhm_ns", float, 40.0)
-    target_center_ns = entries.take("modulation.target_center_ns", float, 0.0)
-    try:
-        if kind == "identity":
-            modulation = ModulationFunction.identity()
-        elif kind == "heaviside":
-            modulation = ModulationFunction.heaviside(edge_ns)
-        else:
-            modulation = ModulationFunction.gaussian_target(target_fwhm_ns,
-                                                            target_center_ns)
+        modulation = ModulationFunction(kind, **params)
     except ValueError as exc:
         raise ConfigError(f"modulation: {exc}") from exc
 
-    spectrum_cfg = None
+    spectrum_cfg = spectrum = None
     if entries.section_present("spectrum"):
+        default = SpectrumConfig()
+        spectrum_cfg = _take_fields(
+            entries, "spectrum", default,
+            geometry=_take_fields(entries, "spectrum", default.geometry),
+            fano=_take_fields(entries, "spectrum", default.fano))
         try:
-            geometry = _take_fields(entries, "spectrum", ArrayGeometry)
-            fano = _take_fields(entries, "spectrum", FanoParameters)
-            spectrum_cfg = _take_fields(entries, "spectrum", SpectrumConfig,
-                                        geometry=geometry, fano=fano)
+            spectrum = spectrum_cfg.build()
         except ValueError as exc:
             raise ConfigError(f"spectrum: {exc}") from exc
 
-    smp = base.experiment.sample
-    try:
-        sample = SampleConfig(
-            photon_wavelength_nm=entries.take("sample.photon_wavelength_nm",
-                                              float, smp.photon_wavelength_nm),
-            overall_conversion=entries.take("sample.overall_conversion", float,
-                                            smp.overall_conversion),
-            background_suppression=entries.take("sample.background_suppression",
-                                                float, smp.background_suppression),
-            spectrum=spectrum_cfg.build() if spectrum_cfg is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sample: {exc}") from exc
-
-    detectors = []
-    for ch in range(3):
-        d = base.experiment.detectors[ch]
-        section = f"detector{ch}"
-        try:
-            detectors.append(DetectorConfig(
-                efficiency=entries.take(f"{section}.efficiency", float,
-                                        d.efficiency),
-                dark_rate=entries.take(f"{section}.dark_rate", float, d.dark_rate),
-                jitter_sigma_ps=entries.take(f"{section}.jitter_sigma_ps", float,
-                                             d.jitter_sigma_ps),
-                dead_time_ps=entries.take(f"{section}.dead_time_ps", int,
-                                          d.dead_time_ps),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-
-    split_ratio = entries.take("beamsplitter.split_ratio", float,
-                               base.experiment.split_ratio)
-    if not 0.0 <= split_ratio <= 1.0:
-        raise ConfigError("beamsplitter.split_ratio must lie in [0, 1]")
-
-    try:
-        analysis = AnalysisConfig(
-            bin_ps=entries.take("analysis.bin_ps", int, base.analysis.bin_ps),
-            herald_window_ps=entries.take("analysis.herald_window_ps", int,
-                                          base.analysis.herald_window_ps),
-            cs_window_ps=entries.take("analysis.cs_window_ps", int,
-                                      base.analysis.cs_window_ps),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"analysis: {exc}") from exc
-
+    sample = _take_fields(entries, "sample", exp.sample, spectrum=spectrum)
+    detectors = tuple(_take_fields(entries, f"detector{ch}", d)
+                      for ch, d in enumerate(exp.detectors))
+    experiment = _take_fields(entries, "beamsplitter", exp, source=source,
+                              modulation=modulation, sample=sample, detectors=detectors)
+    analysis = _take_fields(entries, "analysis", base.analysis)
     entries.finish()
-
-    experiment = ExperimentConfig(
-        source=source,
-        modulation=modulation,
-        sample=sample,
-        detectors=tuple(detectors),
-        split_ratio=split_ratio,
-    )
     return RunConfig(experiment=experiment, rng=rng, duration_ps=duration_ps,
                      analysis=analysis, spectrum=spectrum_cfg)
 
@@ -343,65 +310,36 @@ def parse_config(text: str) -> RunConfig:
 def format_config(run: RunConfig) -> str:
     """Serialize a run configuration; parse_config inverts this exactly.
 
-    Floats use repr, which round-trips bit for bit.  Tabulated modulations
-    are runtime objects derived from the source amplitude and cannot be
-    written out.
+    Tabulated modulations are runtime objects derived from the source
+    amplitude and cannot be written out.
     """
     exp = run.experiment
+    mod = exp.modulation
+    if mod.kind not in _MODULATIONS:
+        raise ValueError("tabulated modulations have no text form")
     lines = [
         "# simulation run",
         f"run.duration = {format_duration(run.duration_ps)}",
         f"rng.seed = {run.rng.seed}",
         f"rng.stream = {run.rng.stream_id}",
         "",
-        f"source.pair_rate = {exp.source.pair_rate!r}",
-        f"source.multipair_prob = {exp.source.multipair_prob!r}",
-        f"source.background_rate_signal = {exp.source.background_rate_signal!r}",
-        f"source.background_rate_idler = {exp.source.background_rate_idler!r}",
-        f"amplitude.shape = {exp.source.amplitude.shape.value}",
-        f"amplitude.fwhm_ns = {exp.source.amplitude.fwhm_ns!r}",
-        f"amplitude.offset_ns = {exp.source.amplitude.offset_ns!r}",
+        *_field_lines("source", exp.source, "amplitude"),
+        *_field_lines("amplitude", exp.source.amplitude),
         "",
+        f"modulation.kind = {mod.kind.value}",
+        *(f"modulation.{key} = {getattr(mod, key)!r}" for key in _MODULATIONS[mod.kind]),
+        "",
+        *_field_lines("sample", exp.sample, "spectrum"),
     ]
-    mod = exp.modulation
-    if mod.kind is ModulationKind.IDENTITY:
-        lines.append("modulation.kind = identity")
-    elif mod.kind is ModulationKind.HEAVISIDE:
-        lines.append("modulation.kind = heaviside")
-        lines.append(f"modulation.edge_ns = {mod.edge_ns!r}")
-    elif mod.kind is ModulationKind.GAUSSIAN:
-        lines.append("modulation.kind = gaussian")
-        lines.append(f"modulation.target_fwhm_ns = {mod.target_fwhm_ns!r}")
-        lines.append(f"modulation.target_center_ns = {mod.target_center_ns!r}")
-    else:
-        raise ValueError("tabulated modulations have no text form")
-    lines.append("")
-    lines.append(f"sample.photon_wavelength_nm = {exp.sample.photon_wavelength_nm!r}")
-    lines.append(f"sample.overall_conversion = {exp.sample.overall_conversion!r}")
-    lines.append(
-        f"sample.background_suppression = {exp.sample.background_suppression!r}")
     if run.spectrum is not None:
-        lines.append("")
-        for part in (run.spectrum.geometry, run.spectrum.fano, run.spectrum):
-            lines += [f"spectrum.{f.name} = {getattr(part, f.name)!r}" for f in fields(part)
-                      if not is_dataclass(getattr(part, f.name))]
-    lines.append("")
-    lines.append(f"beamsplitter.split_ratio = {exp.split_ratio!r}")
-    for ch in range(3):
-        d = exp.detectors[ch]
-        lines += [
-            f"detector{ch}.efficiency = {d.efficiency!r}",
-            f"detector{ch}.dark_rate = {d.dark_rate!r}",
-            f"detector{ch}.jitter_sigma_ps = {d.jitter_sigma_ps!r}",
-            f"detector{ch}.dead_time_ps = {d.dead_time_ps}",
-        ]
-    lines += [
-        "",
-        f"analysis.bin_ps = {run.analysis.bin_ps}",
-        f"analysis.herald_window_ps = {run.analysis.herald_window_ps}",
-        f"analysis.cs_window_ps = {run.analysis.cs_window_ps}",
-        "",
-    ]
+        lines += ["", *_field_lines("spectrum", run.spectrum.geometry),
+                  *_field_lines("spectrum", run.spectrum.fano),
+                  *_field_lines("spectrum", run.spectrum, "geometry", "fano")]
+    lines += ["", *_field_lines("beamsplitter", exp, "source", "modulation", "sample",
+                                "detectors")]
+    for ch, d in enumerate(exp.detectors):
+        lines += _field_lines(f"detector{ch}", d)
+    lines += ["", *_field_lines("analysis", run.analysis), ""]
     return "\n".join(lines)
 
 

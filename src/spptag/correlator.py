@@ -68,10 +68,6 @@ class CorrelationHistogram:
     total_time_ps: int
 
     @property
-    def tau_max_ps(self) -> int:
-        return self.tau_min_ps + self.bin_width_ps * self.counts.size
-
-    @property
     def rate_a(self) -> float:
         return self.n_a / (self.total_time_ps * 1e-12)
 

@@ -81,17 +81,6 @@ def hom_curve(amp: BiphotonAmplitude, detunings_mhz,
     return HomCurve(det, pc, float(delay_ns))
 
 
-def hom_similarity(a: HomCurve, b: HomCurve) -> float:
-    """Cosine similarity of two coincidence curves on one detuning grid."""
-    if a.detunings_mhz.shape != b.detunings_mhz.shape or \
-            not np.allclose(a.detunings_mhz, b.detunings_mhz):
-        raise ValueError("curves live on different detuning grids")
-    norm = np.linalg.norm(a.coincidence) * np.linalg.norm(b.coincidence)
-    if norm == 0:
-        raise ValueError("cosine similarity undefined for a zero curve")
-    return float(np.dot(a.coincidence, b.coincidence) / norm)
-
-
 def fit_coherence_time(delays_ns, visibilities, shape: Shape,
                        errors=None, initial_fwhm_ns: float | None = None
                        ) -> tuple[float, float]:

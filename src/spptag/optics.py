@@ -398,6 +398,10 @@ class ExperimentConfig:
     )
     split_ratio: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 <= self.split_ratio <= 1.0:
+            raise ValueError("split_ratio must lie in [0, 1]")
+
 
 class _Chain:
     """The stages after the source, carried from slice to slice of one run.

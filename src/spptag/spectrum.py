@@ -245,14 +245,6 @@ class TransmissionSpectrum:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "wavelength_nm", wl)
 
-    def transmittance_at(self, wavelength_nm):
-        wl = np.asarray(wavelength_nm, dtype=float)
-        lo, hi = self.wavelength_nm[0], self.wavelength_nm[-1]
-        if np.any(wl < lo) or np.any(wl > hi):
-            raise DomainError(f"wavelength outside spectrum [{lo:.1f}, {hi:.1f}] nm")
-        out = np.interp(wl, self.wavelength_nm, self.total)
-        return float(out) if np.isscalar(wavelength_nm) else out
-
 
 @dataclass(frozen=True)
 class FanoParameters:

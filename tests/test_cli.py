@@ -69,6 +69,20 @@ class TestSimulate:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given, part", [
+        ("spectrum.peak_transmittance = 0.0001", "spectrum:"),
+        ("modulation.kind = identity\nmodulation.edge_ns = nan", "line 2"),
+    ], ids=["unbuildable_spectrum", "modulation_key_of_another_kind"])
+    def test_config_problem_exits_2_on_one_line(self, tmp_path, capsys, given, part):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(given + "\n")
+        out = tmp_path / "t.spptag"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert part in err, err
+        assert not out.exists()
+
     def test_missing_config_exits_3(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "t")])

@@ -1,11 +1,13 @@
 """Flat-text run configuration: parsing, defaults, exact round trips."""
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from spptag.cli import main
 from spptag.config import (
     AnalysisConfig,
     RunConfig,
@@ -27,6 +29,8 @@ from spptag.optics import (
 )
 from spptag.source import SourceConfig
 from spptag.spectrum import ArrayGeometry, FanoParameters
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def floats(lo, hi, **kw):
@@ -203,6 +207,23 @@ class TestRoundTrip:
         assert parse_config(format_config(run)) == run
 
 
+class TestPrintConfig:
+    GIVEN = {  # golden/print_config_<name>.txt -> the config file printed
+        "default": "",
+        "heaviside": "modulation.kind = heaviside\nmodulation.edge_ns = -3.25\n",
+        "gaussian": "modulation.kind = gaussian\nmodulation.target_fwhm_ns = 12.5\n",
+        "spectrum": "spectrum.pitch_nm = 420.0\nspectrum.resonance_nm = 800.0\n"
+                    "spectrum.q = 18.0\nspectrum.grid_points = 256\n",
+    }
+
+    @pytest.mark.parametrize("name", GIVEN)
+    def test_text_is_pinned(self, tmp_path, capsys, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.GIVEN[name])
+        assert main(["simulate", "--config", str(cfg), "--print-config"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"print_config_{name}.txt").read_text()
+
+
 class TestOverrides:
     def test_scalar_overrides(self):
         run = parse_config("\n".join([
@@ -278,8 +299,21 @@ class TestErrors:
             parse_config("modulation.kind = sine\n")
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             parse_config("rng.seed = -1\n")
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("kind, key", [
+        ("identity", "edge_ns = nan"),
+        ("identity", "target_fwhm_ns = 40.0"),
+        ("heaviside", "target_center_ns = 0.0"),
+        ("gaussian", "edge_ns = 1.0"),
+    ])
+    def test_modulation_key_of_another_kind(self, kind, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"modulation.kind = {kind}\nmodulation.{key}\n")
+        assert err.value.line_no == 2
+        assert key.split()[0] in str(err.value)
 
     def test_bad_duration(self):
         with pytest.raises(ConfigError) as err:

@@ -15,7 +15,6 @@ from spptag.hom import (
     fit_coherence_time,
     hom_coincidence,
     hom_curve,
-    hom_similarity,
     hom_visibility,
 )
 
@@ -126,18 +125,12 @@ class TestLimitsAndInvariants:
 
 
 class TestHomCurve:
-    def test_curve_and_similarity(self):
+    def test_curve_is_repeatable_with_one_point_per_detuning(self):
         det = np.linspace(-30.0, 30.0, 21)
         a = hom_curve(DEXP, det, 8.0)
         b = hom_curve(DEXP, det, 8.0)
-        assert hom_similarity(a, b) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(a.coincidence, b.coincidence)
         assert a.coincidence.shape == det.shape
-
-    def test_grid_mismatch_raises(self):
-        a = hom_curve(DEXP, [0.0, 5.0], 8.0)
-        b = hom_curve(DEXP, [0.0, 6.0], 8.0)
-        with pytest.raises(ValueError):
-            hom_similarity(a, b)
 
 
 class TestFitCoherenceTime:

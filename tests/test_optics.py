@@ -210,6 +210,11 @@ class TestBeamsplit:
         with pytest.raises(ValueError):
             beamsplit(ev, 1.5, RngSpec(86))
 
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5, math.nan])
+    def test_experiment_rejects_ratio_outside_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="split_ratio"):
+            ExperimentConfig(SourceConfig(1000.0, AMP), split_ratio=ratio)
+
 
 def _greedy_dead_time(times, dead):
     kept = []

@@ -220,17 +220,6 @@ class TestFano:
         spec = fano_spectrum(GEOM, wl)
         assert np.all(np.abs(spec.total - spec.direct) / spec.direct < 0.10)
 
-    def test_interpolation_close_to_direct_evaluation(self):
-        wl = np.linspace(700.0, 900.0, 2001)
-        spec = fano_spectrum(GEOM, wl)
-        assert spec.transmittance_at(795.3) == pytest.approx(
-            fano_transmittance(GEOM, 795.3), abs=1e-5)
-
-    def test_spectrum_domain_error(self):
-        spec = fano_spectrum(GEOM, np.linspace(700.0, 900.0, 11))
-        with pytest.raises(DomainError):
-            spec.transmittance_at(1000.0)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             FanoParameters(fwhm_nm=0.0)
