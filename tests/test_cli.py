@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, file outputs, determinism."""
+import contextlib
 import csv
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -17,12 +19,79 @@ from spptag.hom import hom_visibility
 from spptag.model import BiphotonAmplitude, Shape
 from spptag.spectrum import ArrayGeometry, FanoParameters, fano_transmittance
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (command, CSV files it writes); stdout is pinned by golden/cli_<name>.txt
+# and each CSV by golden/cli_<name>_<file>. "{tags}" is the 2 s, seed 7 tag file.
+PINNED = {
+    "simulate": ("simulate --duration 2s --seed 7 --out run.spptag", ()),
+    "simulate_stream3": ("simulate --duration 2s --seed 7 --stream 3 --out run.spptag", ()),
+    "analyze_g2": ("analyze g2 --tags {tags}", ()),
+    "analyze_cs": ("analyze cs --tags {tags} --csv cs.csv", ("cs.csv",)),
+    "analyze_waveform": ("analyze waveform --tags {tags} --csv wf.csv", ("wf.csv",)),
+    "hom_curve": ("hom curve --csv hom.csv", ("hom.csv",)),
+    "hom_fit": ("hom fit --input vis.csv", ()),
+    "spectrum_bethe": ("spectrum bethe", ()),
+    "spectrum_resonance": ("spectrum resonance", ()),
+    "spectrum_fano": ("spectrum fano --at-nm 795 --csv fano.csv", ("fano.csv",)),
+    "spectrum_fit": ("spectrum fit --input spec.csv", ()),
+    "repro_fig5": ("repro fig5", ("fig5.csv",)),
+    "repro_table1": ("repro table1 --duration 2s", ()),
+    "repro_fig3": ("repro fig3 --duration 2s", ("fig3.csv",)),
+    "repro_fig4": ("repro fig4 --duration 2s", ("fig4.csv",)),
+}
+
+
+def _write_fit_inputs():
+    """vis.csv and spec.csv in the working directory: model values with 1% noise."""
+    noise = np.random.default_rng(0).standard_normal(50)
+    delays = np.linspace(0.0, 60.0, 9)
+    amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
+    vis = [hom_visibility(amp, d) + 0.01 * e for d, e in zip(delays, noise)]
+    wl = np.linspace(650.0, 1000.0, 50)
+    t = fano_transmittance(ArrayGeometry(), wl, FanoParameters(801.0, 90.0, 18.0, 0.35))
+    for path, header, rows in (("vis.csv", ["delay_ns", "visibility"], zip(delays, vis)),
+                               ("spec.csv", ["wavelength_nm", "transmittance"],
+                                zip(wl, t * (1.0 + 0.01 * noise)))):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([float(v) for v in row] for row in rows)
+
+
+def run_pinned(name, tags):
+    """Exit code, stdout and written CSV bytes of one pinned command, run in the cwd."""
+    command, written = PINNED[name]
+    _write_fit_inputs()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main([str(tags) if a == "{tags}" else a for a in command.split()])
+    return rc, out.getvalue(), {f: Path(f).read_bytes() for f in written}
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     return reader.fieldnames, rows
+
+
+@pytest.fixture(scope="module")
+def pinned_tags(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pinned") / "run.spptag"
+    assert main(["simulate", "--duration", "2s", "--seed", "7", "--out", str(out)]) == 0
+    return out
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_stdout_and_csv_match_golden(self, name, pinned_tags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, files = run_pinned(name, pinned_tags)
+        assert rc == 0
+        assert out == (GOLDEN / f"cli_{name}.txt").read_text(encoding="utf-8")
+        for file, data in files.items():
+            assert data == (GOLDEN / f"cli_{name}_{file}").read_bytes(), file
 
 
 class TestSimulate:
