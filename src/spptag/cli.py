@@ -1,17 +1,21 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 file I/O or tag
-file format problem, 4 analysis undefined on the given data, 5 fit failure.
+file format problem, 4 analysis undefined on the given data, 5 fit failure;
+_EXIT_CODES maps each error class to its code.  A flag whose dest is a
+dataclass field overrides that field when given (_override), so the
+dataclass validates it like a config-file value.  Float flags and CSV
+inputs must be finite (_finite).
 """
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import (
-    AnalysisConfig,
     RunConfig,
     default_config,
     format_config,
@@ -40,7 +44,7 @@ from .model import (
     Shape,
     evaluate_density,
 )
-from .optics import ModulationFunction, SampleConfig, resolve_modulation, run_experiment
+from .optics import ModulationFunction, SampleConfig, run_experiment
 from .spectrum import (
     ArrayGeometry,
     FanoParameters,
@@ -56,14 +60,50 @@ from .tagfile import read_tags, write_tags
 HERALD_CH = 0
 SIGNAL_CHS = (1, 2)
 
+# the first class an error is an instance of gives the exit code
+_EXIT_CODES = {ConfigError: 2, TagFileError: 3, OSError: 3, AnalysisError: 4,
+               DomainError: 4, FitError: 5, ValueError: 2, OverflowError: 2}
+
+
+def _finite(text) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _duration(text: str) -> int:
+    """argparse type for --duration.
+
+    Raises ConfigError, which argparse passes on, so a bad duration leaves
+    main as one error line naming it, like a bad config value.
+    """
+    try:
+        return parse_duration(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _override(obj, args):
+    """obj with each field whose flag was given (is not None) set from args."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(obj)}
+    return replace(obj, **{name: v for name, v in given.items() if v is not None})
+
+
+def _config(args) -> RunConfig:
+    return load_config(args.config) if args.config else default_config()
+
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+    print(f"wrote {path}")
 
 
 def _read_csv_columns(path, names):
@@ -77,26 +117,10 @@ def _read_csv_columns(path, names):
     out = []
     for name in names:
         try:
-            out.append(np.array([float(r[name]) for r in rows]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad value in column {name!r}") from exc
+            out.append(np.array([_finite(r[name]) for r in rows]))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{path}: bad value in column {name!r}: {exc}") from None
     return out
-
-
-def _load_run(args) -> RunConfig:
-    run = load_config(args.config) if args.config else default_config()
-    duration_ps = parse_duration(args.duration) if args.duration else run.duration_ps
-    rng = RngSpec(
-        seed=args.seed if args.seed is not None else run.rng.seed,
-        stream_id=args.stream if args.stream is not None else run.rng.stream_id,
-    )
-    return replace(run, rng=rng, duration_ps=duration_ps)
-
-
-def _analysis_defaults(args) -> AnalysisConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config).analysis
-    return AnalysisConfig()
 
 
 def _shape_arg(value: str) -> Shape:
@@ -111,17 +135,14 @@ def _shape_arg(value: str) -> Shape:
 def _add_field_flags(parser, cls):
     """One --flag per field of cls, defaulting to the field's default."""
     for f in fields(cls):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
-
-
-def _from_flags(args, cls):
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_finite, default=f.default)
 
 
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    run = _load_run(args)
+    run = _override(_config(args), args)
+    run = replace(run, rng=_override(run.rng, args))
     if args.print_config:
         print(format_config(run), end="")
         return 0
@@ -137,8 +158,7 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- analyze
 
 def cmd_analyze_g2(args) -> int:
-    defaults = _analysis_defaults(args)
-    window_ps = args.window_ps if args.window_ps else defaults.herald_window_ps
+    window_ps = _override(_config(args).analysis, args).herald_window_ps
     stream = read_tags(args.tags)
     res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS, window_ps=window_ps)
     print(f"heralded g2(0) = {res.value:.4f} +/- {res.error:.4f}  "
@@ -148,14 +168,12 @@ def cmd_analyze_g2(args) -> int:
 
 
 def cmd_analyze_cs(args) -> int:
-    defaults = _analysis_defaults(args)
-    bin_ps = args.bin_ps if args.bin_ps else defaults.bin_ps
-    auto_ps = args.auto_window_ps if args.auto_window_ps else defaults.cs_window_ps
+    analysis = _override(_config(args).analysis, args)
     stream = read_tags(args.tags)
     lo = int(round(args.tau_min_ns * PS_PER_NS))
     hi = int(round(args.tau_max_ns * PS_PER_NS))
-    res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi,
-                         RngSpec(args.seed, 0), auto_window_ps=auto_ps)
+    res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, analysis.bin_ps, lo, hi,
+                         RngSpec(args.seed, 0), auto_window_ps=analysis.cs_window_ps)
     peak = int(np.argmax(res.c_values))
     print(f"C(tau): peak {res.c_values[peak]:.1f} +/- {res.c_errors[peak]:.1f} "
           f"at {res.tau_ns[peak]:.2f} ns; "
@@ -165,15 +183,12 @@ def cmd_analyze_cs(args) -> int:
           f"{int(np.sum(classical))}/{classical.size}")
     if args.csv:
         _write_csv(args.csv, ["tau_ns", "c", "c_error", "low_stats"],
-                   [res.tau_ns.tolist(), res.c_values.tolist(),
-                    res.c_errors.tolist(), res.low_stats.astype(int).tolist()])
-        print(f"wrote {args.csv}")
+                   [res.tau_ns, res.c_values, res.c_errors, res.low_stats.astype(int)])
     return 0
 
 
 def cmd_analyze_waveform(args) -> int:
-    defaults = _analysis_defaults(args)
-    bin_ps = args.bin_ps if args.bin_ps else defaults.bin_ps
+    bin_ps = _override(_config(args).analysis, args).bin_ps
     stream = read_tags(args.tags)
     lo = int(round(args.tau_min_ns * PS_PER_NS))
     hi = int(round(args.tau_max_ns * PS_PER_NS))
@@ -184,35 +199,23 @@ def cmd_analyze_waveform(args) -> int:
           f"{wf.counts.size} bins of {bin_ps / 1000:g} ns")
     if args.csv:
         _write_csv(args.csv, ["tau_ns", "counts", "error"],
-                   [wf.centers_ns().tolist(), wf.counts.tolist(),
-                    wf.errors.tolist()])
-        print(f"wrote {args.csv}")
+                   [wf.centers_ns(), wf.counts, wf.errors])
     return 0
 
 
 # --------------------------------------------------------------------- hom
 
-def _detunings_from(args) -> np.ndarray:
-    if args.detunings_mhz:
-        try:
-            return np.array([float(v) for v in args.detunings_mhz.split(",")])
-        except ValueError:
-            raise ConfigError(
-                f"bad --detunings-mhz {args.detunings_mhz!r}") from None
-    lo, hi, n = args.range_lo_mhz, args.range_hi_mhz, args.range_points
-    return np.linspace(lo, hi, n)
-
-
 def cmd_hom_curve(args) -> int:
     amp = BiphotonAmplitude(args.shape, args.fwhm_ns)
-    curve = hom_curve(amp, _detunings_from(args), args.delay_ns)
+    detunings = args.detunings_mhz
+    if detunings is None:
+        detunings = np.linspace(args.range_lo_mhz, args.range_hi_mhz, args.range_points)
+    curve = hom_curve(amp, detunings, args.delay_ns)
     det, pc = curve.detunings_mhz, curve.coincidence
     for d, p in zip(det, pc):
         print(f"detuning {d:10.3f} MHz  coincidence {p:.6f}")
     if args.csv:
-        _write_csv(args.csv, ["detuning_mhz", "coincidence"],
-                   [det.tolist(), pc.tolist()])
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, ["detuning_mhz", "coincidence"], [det, pc])
     return 0
 
 
@@ -228,7 +231,7 @@ def cmd_hom_fit(args) -> int:
 # ---------------------------------------------------------------- spectrum
 
 def cmd_spectrum_bethe(args) -> int:
-    geom = _from_flags(args, ArrayGeometry)
+    geom = _override(ArrayGeometry(), args)
     hole = bethe_hole_transmittance(geom, args.wavelength_nm)
     array = bethe_transmittance(geom, args.wavelength_nm)
     print(f"bethe at {args.wavelength_nm:g} nm: hole {hole:.6f}, "
@@ -237,7 +240,7 @@ def cmd_spectrum_bethe(args) -> int:
 
 
 def cmd_spectrum_resonance(args) -> int:
-    geom = _from_flags(args, ArrayGeometry)
+    geom = _override(ArrayGeometry(), args)
     try:
         orders = [tuple(int(v) for v in pair.split(","))
                   for pair in args.orders.split(";")]
@@ -255,8 +258,8 @@ def cmd_spectrum_resonance(args) -> int:
 
 
 def cmd_spectrum_fano(args) -> int:
-    geom = _from_flags(args, ArrayGeometry)
-    params = _from_flags(args, FanoParameters)
+    geom = _override(ArrayGeometry(), args)
+    params = _override(FanoParameters(), args)
     grid = np.linspace(args.lo_nm, args.hi_nm, args.points)
     spec = fano_spectrum(geom, grid, params)
     i = int(np.argmax(spec.total))
@@ -267,14 +270,12 @@ def cmd_spectrum_fano(args) -> int:
               f"{fano_transmittance(geom, args.at_nm, params):.4f}")
     if args.csv:
         _write_csv(args.csv, ["wavelength_nm", "total", "resonant", "direct"],
-                   [spec.wavelength_nm.tolist(), spec.total.tolist(),
-                    spec.resonant.tolist(), spec.direct.tolist()])
-        print(f"wrote {args.csv}")
+                   [spec.wavelength_nm, spec.total, spec.resonant, spec.direct])
     return 0
 
 
 def cmd_spectrum_fit(args) -> int:
-    geom = _from_flags(args, ArrayGeometry)
+    geom = _override(ArrayGeometry(), args)
     wl, t = _read_csv_columns(args.input, ["wavelength_nm", "transmittance"])
     fit = fit_fano(wl, t, geom)
     p = fit.params
@@ -303,72 +304,59 @@ def _bench(modulated: bool, converted: bool) -> RunConfig:
 
 
 def cmd_repro_table1(args) -> int:
-    duration_ps = parse_duration(args.duration)
-    rows = [
+    arrangements = [
         ("unshaped incident", False, False),
         ("shaped incident", True, False),
         ("unshaped reemitted", False, True),
         ("shaped reemitted", True, True),
     ]
-    print(f"heralded g2(0), {duration_ps / 1e12:g} s per arrangement, "
+    print(f"heralded g2(0), {args.duration_ps / 1e12:g} s per arrangement, "
           f"seed {args.seed}")
-    results = []
-    for k, (label, modulated, converted) in enumerate(rows):
+    rows = []
+    for k, (label, modulated, converted) in enumerate(arrangements):
         run = _bench(modulated, converted)
-        stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, k))
+        stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, k))
         res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS,
                                window_ps=run.analysis.herald_window_ps)
-        results.append((label, res))
+        rows.append((label, res.value, res.error, res.n_heralds, res.n_ab))
         print(f"  {label:20s} {res.value:.4f} +/- {res.error:.4f} "
               f"(doubles {res.n_ab})")
     if args.csv:
-        _write_csv(args.csv,
-                   ["arrangement", "g2", "error", "n_heralds", "n_doubles"],
-                   [[r[0] for r in results],
-                    [r[1].value for r in results],
-                    [r[1].error for r in results],
-                    [r[1].n_heralds for r in results],
-                    [r[1].n_ab for r in results]])
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, ["arrangement", "g2", "error", "n_heralds", "n_doubles"],
+                   zip(*rows))
     return 0
 
 
 def cmd_repro_fig3(args) -> int:
-    duration_ps = parse_duration(args.duration)
     run = _bench(modulated=False, converted=True)
-    stream = run_experiment(run.experiment, duration_ps, RngSpec(args.seed, 0))
+    stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, 0))
     res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, run.analysis.bin_ps,
                          int(-25 * PS_PER_NS), int(25 * PS_PER_NS),
                          RngSpec(args.seed, 1),
                          auto_window_ps=run.analysis.cs_window_ps)
     peak = int(np.argmax(res.c_values))
-    print(f"time-resolved classical-bound test, {duration_ps / 1e12:g} s:")
+    print(f"time-resolved classical-bound test, {args.duration_ps / 1e12:g} s:")
     print(f"  peak C = {res.c_values[peak]:.0f} +/- {res.c_errors[peak]:.0f} "
           f"at {res.tau_ns[peak]:.2f} ns (classical light: C <= 1)")
     violating = res.c_values - 5 * res.c_errors > 1
     print(f"  bins above the bound at 5 sigma: "
           f"{int(np.sum(violating))}/{violating.size}")
-    _write_csv(args.csv, ["tau_ns", "c", "c_error"],
-               [res.tau_ns.tolist(), res.c_values.tolist(),
-                res.c_errors.tolist()])
-    print(f"wrote {args.csv}")
+    _write_csv(args.csv, ["tau_ns", "c", "c_error"], [res.tau_ns, res.c_values, res.c_errors])
     return 0
 
 
 def cmd_repro_fig4(args) -> int:
-    duration_ps = parse_duration(args.duration)
     bin_ps, lo_ns, hi_ns = 1000, -75.0, 75.0
     lo, hi = int(lo_ns * PS_PER_NS), int(hi_ns * PS_PER_NS)
     n_bins = (hi - lo) // bin_ps
     arrangements = [("unshaped", _bench(False, True)),
                     ("shaped", _bench(True, True))]
-    columns, names = [], []
-    print(f"heralded waveforms, {duration_ps / 1e12:g} s per arrangement:")
+    columns, names = [], ["tau_ns"]
+    print(f"heralded waveforms, {args.duration_ps / 1e12:g} s per arrangement:")
     for k, (label, run) in enumerate(arrangements):
         amp = run.experiment.source.amplitude
-        mod = resolve_modulation(run.experiment.modulation, amp)
-        stream = run_experiment(replace(run.experiment, modulation=mod), duration_ps,
-                                RngSpec(args.seed, k))
+        mod = run.experiment.modulation
+        stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, k))
         wf = reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi)
 
         def density(t, amp=amp, mod=mod):
@@ -378,13 +366,10 @@ def cmd_repro_fig4(args) -> int:
         sim = cosine_similarity(wf.counts, template)
         print(f"  {label:10s} {int(wf.counts.sum())} coincidences, "
               f"similarity to programmed shape {sim:.4f}")
-        if not columns:
-            columns.append(wf.centers_ns().tolist())
-            names.append("tau_ns")
-        columns += [wf.counts.tolist(), template.tolist()]
+        columns += [wf.counts, template]
         names += [f"counts_{label}", f"template_{label}"]
-    _write_csv(args.csv, names, columns)
-    print(f"wrote {args.csv}")
+    # both arrangements share the bins of the last waveform
+    _write_csv(args.csv, names, [wf.centers_ns(), *columns])
     return 0
 
 
@@ -392,11 +377,10 @@ def cmd_repro_fig5(args) -> int:
     amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
     detunings = np.linspace(0.0, 12.0, 49)
     delays = (8.0, 42.5)
-    columns = [detunings.tolist()]
-    names = ["detuning_mhz"]
+    columns, names = [detunings], ["detuning_mhz"]
     for delay in delays:
         pc = hom_curve(amp, detunings, delay).coincidence
-        columns.append(pc.tolist())
+        columns.append(pc)
         names.append(f"coincidence_delay_{str(delay).replace('.', 'p')}ns")
         print(f"delay {delay:g} ns: P_c(0) = {pc[0]:.4f}, "
               f"dip visibility {1 - 2 * pc[0]:.4f}")
@@ -409,11 +393,19 @@ def cmd_repro_fig5(args) -> int:
         0.1, 50.0)
     print(f"half-depth detuning at zero delay: {half:.2f} MHz")
     _write_csv(args.csv, names, columns)
-    print(f"wrote {args.csv}")
     return 0
 
 
 # ------------------------------------------------------------------ parser
+
+def _repro_flags(duration: str) -> argparse.ArgumentParser:
+    """--duration and --seed of table1, fig3 and fig4: one parent each, as
+    children share the parent's actions and so would share a set_defaults."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--duration", dest="duration_ps", type=_duration, default=duration)
+    flags.add_argument("--seed", type=int, default=1905)
+    return flags
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -425,40 +417,38 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the bench and write a tag file")
     sim.add_argument("--config", help="run configuration file")
     sim.add_argument("--out", default="tags.spptag", help="output tag file")
-    sim.add_argument("--duration", help="override run duration, e.g. 10s")
+    sim.add_argument("--duration", dest="duration_ps", type=_duration,
+                     help="override run duration, e.g. 10s")
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--stream", type=int)
+    sim.add_argument("--stream", dest="stream_id", type=int)
     sim.add_argument("--print-config", action="store_true",
                      help="print the effective configuration and exit")
     sim.set_defaults(func=cmd_simulate)
 
     analyze = sub.add_parser("analyze", help="analyze a tag file")
     asub = analyze.add_subparsers(dest="analysis", required=True)
+    tags = argparse.ArgumentParser(add_help=False)
+    tags.add_argument("--tags", required=True)
+    tags.add_argument("--config")
 
-    g2 = asub.add_parser("g2", help="heralded zero-delay autocorrelation")
-    g2.add_argument("--tags", required=True)
-    g2.add_argument("--config")
-    g2.add_argument("--window-ps", type=int)
+    g2 = asub.add_parser("g2", parents=[tags], help="heralded zero-delay autocorrelation")
+    g2.add_argument("--window-ps", dest="herald_window_ps", type=int)
     g2.set_defaults(func=cmd_analyze_g2)
 
-    cs = asub.add_parser("cs", help="time-resolved classical-bound test")
-    cs.add_argument("--tags", required=True)
-    cs.add_argument("--config")
+    cs = asub.add_parser("cs", parents=[tags], help="time-resolved classical-bound test")
     cs.add_argument("--bin-ps", type=int)
-    cs.add_argument("--tau-min-ns", type=float, default=-25.0)
-    cs.add_argument("--tau-max-ns", type=float, default=25.0)
-    cs.add_argument("--auto-window-ps", type=int)
+    cs.add_argument("--tau-min-ns", type=_finite, default=-25.0)
+    cs.add_argument("--tau-max-ns", type=_finite, default=25.0)
+    cs.add_argument("--auto-window-ps", dest="cs_window_ps", type=int)
     cs.add_argument("--seed", type=int, default=7,
                     help="seed for the software herald split")
     cs.add_argument("--csv")
     cs.set_defaults(func=cmd_analyze_cs)
 
-    wf = asub.add_parser("waveform", help="herald-relative arrival histogram")
-    wf.add_argument("--tags", required=True)
-    wf.add_argument("--config")
+    wf = asub.add_parser("waveform", parents=[tags], help="herald-relative arrival histogram")
     wf.add_argument("--bin-ps", type=int)
-    wf.add_argument("--tau-min-ns", type=float, default=-25.0)
-    wf.add_argument("--tau-max-ns", type=float, default=75.0)
+    wf.add_argument("--tau-min-ns", type=_finite, default=-25.0)
+    wf.add_argument("--tau-max-ns", type=_finite, default=75.0)
     wf.add_argument("--csv")
     wf.set_defaults(func=cmd_analyze_waveform)
 
@@ -468,12 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     curve = hsub.add_parser("curve", help="coincidence vs carrier detuning")
     curve.add_argument("--shape", type=_shape_arg,
                        default=Shape.DOUBLE_EXPONENTIAL)
-    curve.add_argument("--fwhm-ns", type=float, default=50.0)
-    curve.add_argument("--delay-ns", type=float, default=0.0)
+    curve.add_argument("--fwhm-ns", type=_finite, default=50.0)
+    curve.add_argument("--delay-ns", type=_finite, default=0.0)
     curve.add_argument("--detunings-mhz",
+                       type=lambda text: [_finite(v) for v in text.split(",")],
                        help="comma-separated list, e.g. '0,2,4'")
-    curve.add_argument("--range-lo-mhz", type=float, default=0.0)
-    curve.add_argument("--range-hi-mhz", type=float, default=12.0)
+    curve.add_argument("--range-lo-mhz", type=_finite, default=0.0)
+    curve.add_argument("--range-hi-mhz", type=_finite, default=12.0)
     curve.add_argument("--range-points", type=int, default=25)
     curve.add_argument("--csv")
     curve.set_defaults(func=cmd_hom_curve)
@@ -487,57 +478,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser("spectrum", help="hole-array transmission")
     ssub = spec.add_subparsers(dest="spectrum_command", required=True)
+    geometry = argparse.ArgumentParser(add_help=False)
+    _add_field_flags(geometry, ArrayGeometry)
 
-    bethe = ssub.add_parser("bethe", help="small-hole direct transmittance")
-    bethe.add_argument("--wavelength-nm", type=float, default=795.0)
-    _add_field_flags(bethe, ArrayGeometry)
+    bethe = ssub.add_parser("bethe", parents=[geometry], help="small-hole direct transmittance")
+    bethe.add_argument("--wavelength-nm", type=_finite, default=795.0)
     bethe.set_defaults(func=cmd_spectrum_bethe)
 
-    reson = ssub.add_parser("resonance", help="grating-coupling wavelengths")
+    reson = ssub.add_parser("resonance", parents=[geometry], help="grating-coupling wavelengths")
     reson.add_argument("--orders", default="1,0;1,1",
                        help="semicolon-separated index pairs, e.g. '1,0;1,1'")
     reson.add_argument("--interface", choices=("air", "glass"),
                        default="glass")
-    reson.add_argument("--theta-deg", type=float, default=0.0)
+    reson.add_argument("--theta-deg", type=_finite, default=0.0)
     reson.add_argument("--polarization", choices=("tm", "te"), default="tm")
-    _add_field_flags(reson, ArrayGeometry)
     reson.set_defaults(func=cmd_spectrum_resonance)
 
-    fano = ssub.add_parser("fano", help="resonant plus direct spectrum")
-    fano.add_argument("--lo-nm", type=float, default=600.0)
-    fano.add_argument("--hi-nm", type=float, default=1000.0)
+    fano = ssub.add_parser("fano", parents=[geometry], help="resonant plus direct spectrum")
+    fano.add_argument("--lo-nm", type=_finite, default=600.0)
+    fano.add_argument("--hi-nm", type=_finite, default=1000.0)
     fano.add_argument("--points", type=int, default=201)
-    fano.add_argument("--at-nm", type=float,
+    fano.add_argument("--at-nm", type=_finite,
                       help="also print the transmittance here")
     fano.add_argument("--csv")
-    _add_field_flags(fano, ArrayGeometry)
     _add_field_flags(fano, FanoParameters)
     fano.set_defaults(func=cmd_spectrum_fano)
 
-    sfit = ssub.add_parser("fit", help="fit a measured spectrum")
+    sfit = ssub.add_parser("fit", parents=[geometry], help="fit a measured spectrum")
     sfit.add_argument("--input", required=True,
                       help="CSV with columns wavelength_nm, transmittance")
-    _add_field_flags(sfit, ArrayGeometry)
     sfit.set_defaults(func=cmd_spectrum_fit)
 
     repro = sub.add_parser("repro", help="regenerate the headline results")
     rsub = repro.add_subparsers(dest="repro_command", required=True)
 
-    t1 = rsub.add_parser("table1", help="heralded g2 in four arrangements")
-    t1.add_argument("--duration", default="200s")
-    t1.add_argument("--seed", type=int, default=1905)
+    t1 = rsub.add_parser("table1", parents=[_repro_flags("200s")],
+                         help="heralded g2 in four arrangements")
     t1.add_argument("--csv")
     t1.set_defaults(func=cmd_repro_table1)
 
-    f3 = rsub.add_parser("fig3", help="time-resolved classical-bound curve")
-    f3.add_argument("--duration", default="100s")
-    f3.add_argument("--seed", type=int, default=1905)
+    f3 = rsub.add_parser("fig3", parents=[_repro_flags("100s")],
+                         help="time-resolved classical-bound curve")
     f3.add_argument("--csv", default="fig3.csv")
     f3.set_defaults(func=cmd_repro_fig3)
 
-    f4 = rsub.add_parser("fig4", help="waveform imprinting comparison")
-    f4.add_argument("--duration", default="100s")
-    f4.add_argument("--seed", type=int, default=1905)
+    f4 = rsub.add_parser("fig4", parents=[_repro_flags("100s")],
+                         help="waveform imprinting comparison")
     f4.add_argument("--csv", default="fig4.csv")
     f4.set_defaults(func=cmd_repro_fig4)
 
@@ -549,25 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TagFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (AnalysisError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -177,8 +177,8 @@ class _Entries:
 
 def _uint(value: str) -> int:
     out = int(value)
-    if out < 0:
-        raise ValueError("must be nonnegative")
+    if not 0 <= out < 2**64:
+        raise ValueError("must fit in uint64")
     return out
 
 

@@ -21,6 +21,7 @@ g(tau) = counts / (r_a * r_b * bin * T); nothing is subtracted.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +167,7 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     pairs = int(_partners(is_b, first, last).sum())
     t_s = stream.duration_ps * 1e-12
     denom = (n_a / t_s) * (n_b / t_s) * (2 * window_ps * 1e-12) * t_s
-    return ZeroDelayG2(pairs / denom, np.sqrt(max(pairs, 1)) / denom, pairs)
+    return ZeroDelayG2(pairs / denom, math.sqrt(max(pairs, 1)) / denom, pairs)
 
 
 def split_channel(stream: TimeTagStream, channel: int,
@@ -274,7 +275,7 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int = 0,
         raise AnalysisError("a signal channel never fired inside the window")
     value = n_ab * n_h / (n_a * n_b)
     # dominant counting errors in quadrature; the triple count dominates
-    rel = np.sqrt(1.0 / max(n_ab, 1) + 1.0 / n_a + 1.0 / n_b)
+    rel = math.sqrt(1.0 / max(n_ab, 1) + 1.0 / n_a + 1.0 / n_b)
     error = (value if n_ab else n_h / (n_a * n_b)) * rel
     return HeraldedG2(value, error, n_h, n_a, n_b, n_ab)
 

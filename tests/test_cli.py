@@ -37,6 +37,7 @@ PINNED = {
     "spectrum_fit": ("spectrum fit --input spec.csv", ()),
     "repro_fig5": ("repro fig5", ("fig5.csv",)),
     "repro_table1": ("repro table1 --duration 2s", ()),
+    "repro_table1_csv": ("repro table1 --duration 2s --csv table1.csv", ("table1.csv",)),
     "repro_fig3": ("repro fig3 --duration 2s", ("fig3.csv",)),
     "repro_fig4": ("repro fig4 --duration 2s", ("fig4.csv",)),
 }
@@ -92,6 +93,32 @@ class TestPinnedOutput:
         assert out == (GOLDEN / f"cli_{name}.txt").read_text(encoding="utf-8")
         for file, data in files.items():
             assert data == (GOLDEN / f"cli_{name}_{file}").read_bytes(), file
+
+
+class TestRejectedInput:
+    """Each input exits 2 with an error message, no traceback and no stdout."""
+
+    @pytest.mark.parametrize("command", [
+        "analyze cs --tags {tags} --tau-min-ns inf",
+        "analyze g2 --tags {tags} --window-ps 99999999999999999999999",
+        "analyze g2 --tags {tags} --window-ps 0",
+        "analyze cs --tags {tags} --bin-ps 0",
+        "hom curve --delay-ns inf",
+        "hom curve --detunings-mhz nan",
+        "spectrum bethe --wavelength-nm nan",
+        "spectrum fano --at-nm nan",
+        "hom fit --input nan.csv",
+    ])
+    def test_exits_2_without_traceback(self, command, pinned_tags, tmp_path):
+        (tmp_path / "nan.csv").write_text("delay_ns,visibility\n0.0,1.0\n10.0,nan\n")
+        argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spptag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "spptag.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "error: " in proc.stderr, proc.stderr
 
 
 class TestSimulate:
@@ -354,6 +381,14 @@ class TestSpectrum:
 
 
 class TestRepro:
+    def test_table1_csv_numbers_read_back_as_floats(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        assert main(["repro", "table1", "--duration", "1s", "--csv", str(out)]) == 0
+        fields, rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert all(np.isfinite(float(row[k])) for k in fields[1:]), row
+
     def test_fig5_analytic(self, tmp_path, capsys):
         out = tmp_path / "fig5.csv"
         assert main(["repro", "fig5", "--csv", str(out)]) == 0

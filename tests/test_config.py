@@ -303,6 +303,13 @@ class TestErrors:
             parse_config("rng.seed = -1\n")
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("key", ["rng.seed", "rng.stream"])
+    def test_seed_beyond_uint64(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"run.duration = 1 s\n{key} = 18446744073709551616\n")
+        assert err.value.line_no == 2
+        assert key in str(err.value)
+
     @pytest.mark.parametrize("kind, key", [
         ("identity", "edge_ns = nan"),
         ("identity", "target_fwhm_ns = 40.0"),

@@ -139,6 +139,7 @@ class TestAutoG2:
         res = auto_g2_zero(s, 0, 1, 10_000_000)
         assert abs(res.value - 1.0) < 3.5 * res.error
         assert res.error < 0.05
+        assert type(res.value) is float and type(res.error) is float
 
     def test_empty_channel_raises(self):
         s = TimeTagStream([100], [0], 10**6)
@@ -232,6 +233,7 @@ class TestHeraldedG2:
         res = heralded_g2_zero(s, 0, 1, 2, window_ps=150_000)
         assert abs(res.value - 1.0) < 3.5 * res.error
         assert res.error < 0.35
+        assert type(res.value) is float and type(res.error) is float
 
     def test_no_heralds_raises(self):
         s = TimeTagStream([100], [1], 10**6)
