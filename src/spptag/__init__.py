@@ -4,7 +4,6 @@ from .model import (
     BiphotonAmplitude,
     RngSpec,
     Shape,
-    TemporalWaveform,
     TimeTagStream,
     evaluate_density,
     sample_delay,
@@ -30,7 +29,6 @@ __all__ = [
     "Shape",
     "SpptagError",
     "TagFileError",
-    "TemporalWaveform",
     "TimeTagStream",
     "evaluate_density",
     "sample_delay",

@@ -199,7 +199,7 @@ def cmd_analyze_waveform(args) -> int:
           f"{wf.counts.size} bins of {bin_ps / 1000:g} ns")
     if args.csv:
         _write_csv(args.csv, ["tau_ns", "counts", "error"],
-                   [wf.centers_ns(), wf.counts, wf.errors])
+                   [wf.centers_ns(), wf.counts.astype(float), np.sqrt(wf.counts)])
     return 0
 
 
@@ -366,7 +366,7 @@ def cmd_repro_fig4(args) -> int:
         sim = cosine_similarity(wf.counts, template)
         print(f"  {label:10s} {int(wf.counts.sum())} coincidences, "
               f"similarity to programmed shape {sim:.4f}")
-        columns += [wf.counts, template]
+        columns += [wf.counts.astype(float), template]
         names += [f"counts_{label}", f"template_{label}"]
     # both arrangements share the bins of the last waveform
     _write_csv(args.csv, names, [wf.centers_ns(), *columns])

@@ -77,8 +77,9 @@ class AnalysisConfig:
     cs_window_ps: int = 10_000_000
 
     def __post_init__(self):
-        if self.bin_ps <= 0 or self.herald_window_ps <= 0 or self.cs_window_ps <= 0:
-            raise ValueError("analysis windows must be positive")
+        for name in ("bin_ps", "herald_window_ps", "cs_window_ps"):
+            if not 0 < getattr(self, name) < 2**63:  # tag times are int64 ps
+                raise ValueError(f"{name} must be positive and below 2**63 ps")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ running count of partner tags turns ranges into pair counts; histograms
 keep the delays of the partner tags inside.  Cost: O(n) over n tags,
 O(k log n) for the k anchors kept, O(m) for the m tags in histogram windows.
 
+Every binned result is a CorrelationHistogram, with int64 counts: the
+herald-relative waveform (reconstruct_waveform) and the cross-correlation
+behind C(tau) (cauchy_schwarz) alike.  coincidence_histogram is its one
+constructor and bounds its size (MAX_BINS) before allocating anything.
+
 Window edges: coincidence_histogram, reconstruct_waveform and the cross-
 correlation of cauchy_schwarz count [tau_min, tau_max); auto_g2_zero (g_ii
 and g_rr of cauchy_schwarz) counts [-W, +W); heralded_g2_zero counts
@@ -27,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .model import PS_PER_NS, RngSpec, TemporalWaveform, TimeTagStream, as_generator
+from .model import PS_PER_NS, RngSpec, TimeTagStream, as_generator
 
 log = logging.getLogger(__name__)
+
+MAX_BINS = 2**24  # 128 MiB of int64 counts
 
 
 def _windows(stream: TimeTagStream, ch_a, ch_b,
@@ -94,6 +101,9 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
         raise ValueError("bin width must be positive")
     if (tau_max_ps - tau_min_ps) % bin_width_ps or tau_max_ps <= tau_min_ps:
         raise ValueError("window must span a positive whole number of bins")
+    n_bins = (tau_max_ps - tau_min_ps) // bin_width_ps
+    if n_bins > MAX_BINS:
+        raise ValueError(f"histogram of {n_bins} bins exceeds the limit of {MAX_BINS}")
     n_a, t_a, first, last = _windows(stream, ch_a, ch_b, tau_min_ps, tau_max_ps)
     is_b = stream.channel_mask(ch_b)
     n_b = int(np.count_nonzero(is_b))
@@ -103,41 +113,25 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     idx = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
     keep = is_b[idx]
     delays = stream.times_ps[idx[keep]] - np.repeat(t_a, lens)[keep]
-    n_bins = (tau_max_ps - tau_min_ps) // bin_width_ps
     counts = np.bincount((delays - tau_min_ps) // bin_width_ps, minlength=n_bins)
     return CorrelationHistogram(bin_width_ps, tau_min_ps, counts.astype(np.int64),
                                 n_a, n_b, stream.duration_ps)
 
 
-@dataclass
-class GCurve:
-    """Normalized cross-correlation g(tau) with Poisson errors."""
-
-    tau_ns: np.ndarray
-    values: np.ndarray
-    errors: np.ndarray
-    low_stats: np.ndarray
-    bin_width_ps: int
-
-
 LOW_STATS_COUNTS = 10
 
 
-def normalize(hist: CorrelationHistogram) -> GCurve:
-    """Accidental-rate normalization: g = counts / (r_a r_b bin T).
+def normalize(hist: CorrelationHistogram) -> tuple[np.ndarray, np.ndarray]:
+    """Accidental-rate normalization g = counts / (r_a r_b bin T), and its errors.
 
-    Bins with fewer than 10 counts are flagged low-statistics.  Poisson
-    errors; empty bins get the one-count error scale so they stay usable in
-    weighted fits.
+    Poisson errors; empty bins get the one-count error scale so they stay
+    usable in weighted fits.
     """
     if hist.n_a == 0 or hist.n_b == 0:
         raise AnalysisError("normalization undefined: a channel has no tags")
     denom = (hist.rate_a * hist.rate_b * (hist.bin_width_ps * 1e-12)
              * (hist.total_time_ps * 1e-12))
-    values = hist.counts / denom
-    errors = np.sqrt(np.maximum(hist.counts, 1)) / denom
-    low = hist.counts < LOW_STATS_COUNTS
-    return GCurve(hist.centers_ns(), values, errors, low, hist.bin_width_ps)
+    return hist.counts / denom, np.sqrt(np.maximum(hist.counts, 1)) / denom
 
 
 @dataclass
@@ -171,9 +165,8 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
 
 
 def split_channel(stream: TimeTagStream, channel: int,
-                  rng: RngSpec | np.random.Generator,
-                  out_channels: tuple[int, int] = (0, 1)) -> TimeTagStream:
-    """Randomly route one channel's tags to two pseudo-detectors.
+                  rng: RngSpec | np.random.Generator) -> TimeTagStream:
+    """Randomly route one channel's tags to pseudo-detectors 0 and 1.
 
     Statistically equivalent to sending the field through a 50:50 splitter
     onto two ideal detectors; used to measure an autocorrelation when only
@@ -184,7 +177,7 @@ def split_channel(stream: TimeTagStream, channel: int,
     if t.size == 0:
         raise AnalysisError(f"channel {channel} is empty, nothing to split")
     to_a = gen.random(t.size) < 0.5
-    chans = np.where(to_a, *out_channels)
+    chans = np.where(to_a, 0, 1)
     if np.any(t[1:] == t[:-1]):  # ties in time go in channel order
         chans = chans[np.lexsort((chans, t))]
     return TimeTagStream(t, chans, stream.duration_ps)
@@ -192,14 +185,15 @@ def split_channel(stream: TimeTagStream, channel: int,
 
 @dataclass
 class CauchySchwarzResult:
-    """Time-resolved classicality test C(tau) = g_ir(tau)^2 / (g_ii g_rr)."""
+    """Time-resolved classicality test C(tau) = g_ir(tau)^2 / (g_ii g_rr).
+
+    low_stats flags the bins of fewer than LOW_STATS_COUNTS coincidences.
+    """
 
     tau_ns: np.ndarray
     c_values: np.ndarray
     c_errors: np.ndarray
     low_stats: np.ndarray
-    bin_width_ps: int
-    cross: GCurve
     g_ii0: ZeroDelayG2
     g_rr0: ZeroDelayG2
 
@@ -218,22 +212,21 @@ def cauchy_schwarz(stream: TimeTagStream, herald_ch: int, reemit_chs: tuple[int,
     """
     hist = coincidence_histogram(stream, herald_ch, reemit_chs, bin_width_ps,
                                  tau_min_ps, tau_max_ps)
-    cross = normalize(hist)
-    halves = split_channel(stream, herald_ch, rng, out_channels=(0, 1))
+    g, g_err = normalize(hist)
+    halves = split_channel(stream, herald_ch, rng)
     g_ii = auto_g2_zero(halves, 0, 1, auto_window_ps)
     g_rr = auto_g2_zero(stream, reemit_chs[0], reemit_chs[1], auto_window_ps)
     if g_ii.value <= 0 or g_rr.value <= 0:
         raise AnalysisError("zero-delay autocorrelation vanished; C undefined")
-    c = cross.values**2 / (g_ii.value * g_rr.value)
+    c = g**2 / (g_ii.value * g_rr.value)
     rel = np.zeros_like(c)
-    nonzero = cross.values > 0
+    nonzero = g > 0
     rel[nonzero] = np.sqrt(
-        (2 * cross.errors[nonzero] / cross.values[nonzero]) ** 2
+        (2 * g_err[nonzero] / g[nonzero]) ** 2
         + (g_ii.error / g_ii.value) ** 2 + (g_rr.error / g_rr.value) ** 2)
-    c_err = np.where(nonzero, c * rel,
-                     cross.errors**2 / (g_ii.value * g_rr.value))
-    return CauchySchwarzResult(cross.tau_ns, c, c_err, cross.low_stats,
-                               hist.bin_width_ps, cross, g_ii, g_rr)
+    c_err = np.where(nonzero, c * rel, g_err**2 / (g_ii.value * g_rr.value))
+    return CauchySchwarzResult(hist.centers_ns(), c, c_err,
+                               hist.counts < LOW_STATS_COUNTS, g_ii, g_rr)
 
 
 @dataclass
@@ -282,28 +275,21 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int = 0,
 
 def reconstruct_waveform(stream: TimeTagStream, herald_ch, signal_chs,
                          bin_width_ps: int, tau_min_ps: int,
-                         tau_max_ps: int) -> TemporalWaveform:
+                         tau_max_ps: int) -> CorrelationHistogram:
     """Histogram of signal arrivals relative to heralds (the TCSPC waveform)."""
     hist = coincidence_histogram(stream, herald_ch, signal_chs, bin_width_ps,
                                  tau_min_ps, tau_max_ps)
     if hist.counts.sum() == 0:
         log.warning("waveform reconstruction found no coincidences")
-    return TemporalWaveform(tau_min_ps / PS_PER_NS, bin_width_ps / PS_PER_NS,
-                            hist.counts.astype(float))
+    return hist
 
 
 def cosine_similarity(a, b) -> float:
-    """Cosine similarity of two waveforms (or raw vectors) on one grid."""
-    if isinstance(a, TemporalWaveform) and isinstance(b, TemporalWaveform):
-        if (a.bin_width_ns != b.bin_width_ns or a.start_ns != b.start_ns
-                or len(a) != len(b)):
-            raise ValueError("waveforms live on different grids")
-        va, vb = a.counts, b.counts
-    else:
-        va = np.asarray(a, dtype=float)
-        vb = np.asarray(b, dtype=float)
-        if va.shape != vb.shape:
-            raise ValueError("vectors must have the same shape")
+    """Cosine similarity of two vectors of the same shape."""
+    va = np.asarray(a, dtype=float)
+    vb = np.asarray(b, dtype=float)
+    if va.shape != vb.shape:
+        raise ValueError("vectors must have the same shape")
     norm = np.linalg.norm(va) * np.linalg.norm(vb)
     if norm == 0:
         raise AnalysisError("cosine similarity undefined for a zero vector")

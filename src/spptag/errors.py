@@ -31,24 +31,4 @@ class FitError(SpptagError):
 
 
 class TagFileError(SpptagError):
-    """Base class for tag-file format errors."""
-
-
-class TagFileMagicError(TagFileError):
-    """File does not start with the expected magic bytes."""
-
-
-class TagFileVersionError(TagFileError):
-    """Unsupported format version."""
-
-
-class TagFileTruncatedError(TagFileError):
-    """Body ends mid-record or header is incomplete."""
-
-
-class TagFileUnsortedError(TagFileError):
-    """Record times decrease; reports the first offending byte offset."""
-
-    def __init__(self, offset: int):
-        self.offset = offset
-        super().__init__(f"record at byte offset {offset} breaks time ordering")
+    """Tag file is missing its header, malformed or inconsistent."""

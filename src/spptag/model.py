@@ -253,39 +253,3 @@ class TimeTagStream:
                 f"{self.duration_ps * 1e-12:.3g} s, "
                 f"channels={list(self.channel_ids)})")
 
-
-class TemporalWaveform:
-    """Histogram of herald-relative arrival times with Poisson errors.
-
-    counts are float so rescaled or averaged waveforms stay representable.
-    """
-
-    def __init__(self, start_ns: float, bin_width_ns: float,
-                 counts, errors=None):
-        if bin_width_ns <= 0:
-            raise ValueError("bin width must be positive")
-        self.start_ns = float(start_ns)
-        self.bin_width_ns = float(bin_width_ns)
-        self.counts = np.asarray(counts, dtype=float)
-        if errors is None:
-            errors = np.sqrt(np.clip(self.counts, 0.0, None))
-        self.errors = np.asarray(errors, dtype=float)
-        if self.errors.shape != self.counts.shape:
-            raise ValueError("errors must match counts shape")
-
-    def centers_ns(self) -> np.ndarray:
-        n = self.counts.size
-        return self.start_ns + (np.arange(n) + 0.5) * self.bin_width_ns
-
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    def __len__(self) -> int:
-        return int(self.counts.size)
-
-    def __eq__(self, other):
-        return (isinstance(other, TemporalWaveform)
-                and self.start_ns == other.start_ns
-                and self.bin_width_ns == other.bin_width_ns
-                and np.array_equal(self.counts, other.counts)
-                and np.array_equal(self.errors, other.errors))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
 from .model import (
     PS_PER_NS,
     U_CLIP,
@@ -232,6 +231,12 @@ class SampleConfig:
             raise ValueError("overall_conversion must lie in [0, 1]")
         if not 0.0 <= self.background_suppression <= 1.0:
             raise ValueError("background_suppression must lie in [0, 1]")
+        if self.spectrum is not None:
+            wl = self.spectrum.wavelength_nm
+            if not wl[0] <= self.photon_wavelength_nm <= wl[-1]:
+                raise ValueError(
+                    f"photon wavelength {self.photon_wavelength_nm} nm outside "
+                    f"the characterized spectrum [{wl[0]}, {wl[-1]}] nm")
 
 
 def outside_grid(modulation: ModulationFunction, events: PairEvents) -> int:
@@ -254,12 +259,6 @@ def apply_sample(events: PairEvents, sample: SampleConfig,
     Pair photons survive with overall_conversion; broadband background gets
     an extra background_suppression factor (narrower spectral acceptance).
     """
-    if sample.spectrum is not None:
-        wl = sample.spectrum.wavelength_nm
-        if not (wl[0] <= sample.photon_wavelength_nm <= wl[-1]):
-            raise DomainError(
-                f"photon wavelength {sample.photon_wavelength_nm} nm outside "
-                f"the characterized spectrum [{wl[0]}, {wl[-1]}] nm")
     gen = as_generator(rng)
     p = np.full(len(events), sample.overall_conversion)
     bg = events.kind == PairKind.BACKGROUND_SIGNAL

@@ -165,13 +165,12 @@ def _resonance_wavelength_for_index(geometry: ArrayGeometry, n_eff: float,
 def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
                              interface: Union[str, float] = "glass",
                              theta_deg: float = 0.0, polarization: str = "tm",
-                             table: Optional[PermittivityTable] = None,
-                             max_iter: int = 200) -> float:
+                             table: Optional[PermittivityTable] = None) -> float:
     """Self-consistent grating-coupling resonance wavelength [nm].
 
     The mode index depends on wavelength through the metal permittivity, so
     the momentum-matching condition is iterated (damped fixed point) until
-    the wavelength reproduces itself to 1e-10 relative.
+    the wavelength reproduces itself to 1e-10 relative, for at most 200 steps.
     """
     i, j = order
     if (i, j) == (0, 0):
@@ -183,7 +182,7 @@ def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
     # start from a lossless-metal guess slightly above the light line
     wl = geometry.pitch_nm * (np.sqrt(eps_d) + 0.05) / np.hypot(i, j)
     wl = float(np.clip(wl, table.wavelength_nm[0], table.wavelength_nm[-1]))
-    for _ in range(max_iter):
+    for _ in range(200):
         n_eff = spp_effective_index(wl, eps_d, table)
         target = _resonance_wavelength_for_index(geometry, n_eff, order,
                                                  theta_deg, polarization)

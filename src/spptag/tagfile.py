@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    TagFileError,
-    TagFileMagicError,
-    TagFileTruncatedError,
-    TagFileUnsortedError,
-    TagFileVersionError,
-)
+from .errors import TagFileError
 from .model import BLOCK, TimeTagStream
 
 MAGIC = b"SPPTAG01"
@@ -60,19 +54,19 @@ def write_tags(path, stream: TimeTagStream) -> None:
 def read_tags(path) -> TimeTagStream:
     data = Path(path).read_bytes()
     if len(data) >= len(MAGIC) and data[: len(MAGIC)] != MAGIC:
-        raise TagFileMagicError(f"not a tag file: magic {data[:8]!r}")
+        raise TagFileError(f"not a tag file: magic {data[:8]!r}")
     if len(data) < HEADER_SIZE:
-        raise TagFileTruncatedError(
+        raise TagFileError(
             f"header needs {HEADER_SIZE} bytes, file has {len(data)}")
     _, version, resolution, channel_count, _, duration_ps = HEADER.unpack(
         data[:HEADER_SIZE])
     if version != VERSION:
-        raise TagFileVersionError(f"unsupported format version {version}")
+        raise TagFileError(f"unsupported format version {version}")
     if resolution != 1:
-        raise TagFileVersionError(f"unsupported time resolution {resolution} ps")
+        raise TagFileError(f"unsupported time resolution {resolution} ps")
     body_size = len(data) - HEADER_SIZE
     if body_size % RECORD_SIZE:
-        raise TagFileTruncatedError(
+        raise TagFileError(
             f"body of {body_size} bytes is not a whole number of records")
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, offset=HEADER_SIZE)
     times = records["time"]
@@ -81,7 +75,7 @@ def read_tags(path) -> TimeTagStream:
         bad = np.nonzero(times[1:] < times[:-1])[0]  # unsigned-safe
         if bad.size:
             offset = HEADER_SIZE + RECORD_SIZE * (int(bad[0]) + 1)
-            raise TagFileUnsortedError(offset)
+            raise TagFileError(f"record at byte offset {offset} breaks time ordering")
         if times[-1] > np.iinfo(np.int64).max:
             raise TagFileError("tag time overflows signed 64-bit range")
         if channels.max() >= channel_count:

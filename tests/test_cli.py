@@ -5,6 +5,7 @@ import dataclasses
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -95,30 +96,43 @@ class TestPinnedOutput:
             assert data == (GOLDEN / f"cli_{name}_{file}").read_bytes(), file
 
 
+def _limit_address_space():
+    """Cap a child at 3 GB of address space, so an oversized allocation fails
+    in the child instead of exhausting the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+
 class TestRejectedInput:
     """Each input exits 2 with an error message, no traceback and no stdout."""
 
-    @pytest.mark.parametrize("command", [
-        "analyze cs --tags {tags} --tau-min-ns inf",
-        "analyze g2 --tags {tags} --window-ps 99999999999999999999999",
-        "analyze g2 --tags {tags} --window-ps 0",
-        "analyze cs --tags {tags} --bin-ps 0",
-        "hom curve --delay-ns inf",
-        "hom curve --detunings-mhz nan",
-        "spectrum bethe --wavelength-nm nan",
-        "spectrum fano --at-nm nan",
-        "hom fit --input nan.csv",
-    ])
+    # command -> text the error message must contain
+    PROBES = {
+        "analyze cs --tags {tags} --tau-min-ns inf": "--tau-min-ns",
+        "analyze g2 --tags {tags} --window-ps 99999999999999999999999": "herald_window_ps",
+        "analyze g2 --tags {tags} --window-ps 0": "herald_window_ps",
+        "analyze cs --tags {tags} --bin-ps 0": "bin_ps",
+        "hom curve --delay-ns inf": "--delay-ns",
+        "hom curve --detunings-mhz nan": "--detunings-mhz",
+        "spectrum bethe --wavelength-nm nan": "--wavelength-nm",
+        "spectrum fano --at-nm nan": "--at-nm",
+        "hom fit --input nan.csv": "'visibility'",
+        "analyze cs --tags {tags} --auto-window-ps 99999999999999999999999": "cs_window_ps",
+        "analyze waveform --tags {tags} --tau-max-ns 1e9": "1000000025 bins",
+    }
+
+    @pytest.mark.parametrize("command", PROBES)
     def test_exits_2_without_traceback(self, command, pinned_tags, tmp_path):
         (tmp_path / "nan.csv").write_text("delay_ns,visibility\n0.0,1.0\n10.0,nan\n")
         argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(spptag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-m", "spptag.cli", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True)
+                              env=env, capture_output=True, text=True,
+                              preexec_fn=_limit_address_space)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "error: " in proc.stderr, proc.stderr
+        assert self.PROBES[command] in proc.stderr, proc.stderr
 
 
 class TestSimulate:
@@ -168,15 +182,19 @@ class TestSimulate:
     @pytest.mark.parametrize("given, part", [
         ("spectrum.peak_transmittance = 0.0001", "spectrum:"),
         ("modulation.kind = identity\nmodulation.edge_ns = nan", "line 2"),
-    ], ids=["unbuildable_spectrum", "modulation_key_of_another_kind"])
+        ("spectrum.grid_hi_nm = 700.0", "sample: photon wavelength 795.0 nm outside"),
+    ], ids=["unbuildable_spectrum", "modulation_key_of_another_kind",
+            "wavelength_outside_spectrum"])
     def test_config_problem_exits_2_on_one_line(self, tmp_path, capsys, given, part):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(given + "\n")
         out = tmp_path / "t.spptag"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert part in err, err
+        for extra in ("--out", str(out)), ("--print-config",):
+            assert main(["simulate", "--config", str(cfg), *extra]) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert part in err, err
         assert not out.exists()
 
     def test_missing_config_exits_3(self, tmp_path):

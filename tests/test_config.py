@@ -68,7 +68,9 @@ def run_configs(draw):
         st.builds(ModulationFunction.heaviside, floats(-1e6, 1e6)),
         st.builds(ModulationFunction.gaussian_target, floats(1e-6, 1e6), floats(-1e6, 1e6))))
     spectrum = draw(st.none() | spectra())
-    sample = SampleConfig(draw(floats(1e-3, 1e5)), draw(floats(0.0, 1.0)),
+    # with a spectrum, the photon wavelength must lie in its band
+    band = (1e-3, 1e5) if spectrum is None else (spectrum.grid_lo_nm, spectrum.grid_hi_nm)
+    sample = SampleConfig(draw(floats(*band)), draw(floats(0.0, 1.0)),
                           draw(floats(0.0, 1.0)),
                           spectrum=None if spectrum is None else spectrum.build())
     detectors = tuple(DetectorConfig(draw(floats(0.0, 1.0)), draw(floats(0.0, 1e9)),
@@ -358,6 +360,10 @@ class TestValidation:
     def test_analysis_config(self):
         with pytest.raises(ValueError):
             AnalysisConfig(bin_ps=-1)
+        for name in ("bin_ps", "herald_window_ps", "cs_window_ps"):
+            with pytest.raises(ValueError, match=name):
+                AnalysisConfig(**{name: 2**63})
+            AnalysisConfig(**{name: 2**63 - 1})
 
     def test_run_config_duration(self):
         run = default_config()

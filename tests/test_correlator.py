@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spptag import AnalysisError, BiphotonAmplitude, RngSpec, Shape, TemporalWaveform, TimeTagStream
+from spptag import AnalysisError, BiphotonAmplitude, RngSpec, Shape, TimeTagStream
 from spptag.correlator import (
+    LOW_STATS_COUNTS,
+    MAX_BINS,
+    CorrelationHistogram,
     auto_g2_zero,
     cauchy_schwarz,
     coincidence_histogram,
@@ -83,6 +86,8 @@ class TestCoincidenceHistogram:
             coincidence_histogram(s, 0, 1, 1000, -500, 700)   # not whole bins
         with pytest.raises(ValueError):
             coincidence_histogram(s, 0, 1, 0, -1000, 1000)
+        with pytest.raises(ValueError, match=f"{MAX_BINS + 1} bins"):
+            coincidence_histogram(s, 0, 1, 1, 0, MAX_BINS + 1)
         with pytest.raises(AnalysisError):
             coincidence_histogram(s, 0, (0, 1), 1000, -1000, 1000)
 
@@ -97,11 +102,10 @@ class TestNormalize:
         gen = RngSpec(120).generator()
         per = {ch: poisson_times(50_000.0, 0, SECOND, gen) for ch in (0, 1)}
         s = TimeTagStream.from_channel_times(per, SECOND)
-        g = normalize(coincidence_histogram(s, 0, 1, 10_000, -500_000, 500_000))
+        g, err = normalize(coincidence_histogram(s, 0, 1, 10_000, -500_000, 500_000))
         # ~25 pairs per bin, 2500 total: mean-of-bins sigma is ~0.02
-        assert abs(g.values.mean() - 1.0) < 0.08
-        assert np.all(np.abs(g.values - 1.0) < 6 * g.errors)
-        assert not g.low_stats.any()
+        assert abs(g.mean() - 1.0) < 0.08
+        assert np.all(np.abs(g - 1.0) < 6 * err)
 
     def test_peak_position_invariant_under_longer_observation(self):
         gen = RngSpec(121).generator()
@@ -111,11 +115,11 @@ class TestNormalize:
         sig = sig[(sig >= 0)]
         short = TimeTagStream.from_channel_times({0: h, 1: sig}, SECOND // 10)
         padded = TimeTagStream.from_channel_times({0: h, 1: sig}, SECOND)
-        g_short = normalize(coincidence_histogram(short, 0, 1, 1000, -200_000, 200_000))
-        g_pad = normalize(coincidence_histogram(padded, 0, 1, 1000, -200_000, 200_000))
-        assert np.argmax(g_short.values) == np.argmax(g_pad.values)
+        g_short, _ = normalize(coincidence_histogram(short, 0, 1, 1000, -200_000, 200_000))
+        g_pad, _ = normalize(coincidence_histogram(padded, 0, 1, 1000, -200_000, 200_000))
+        assert np.argmax(g_short) == np.argmax(g_pad)
         # appending empty observation time scales g up by the duration ratio
-        ratio = g_pad.values[np.argmax(g_pad.values)] / g_short.values[np.argmax(g_short.values)]
+        ratio = g_pad[np.argmax(g_pad)] / g_short[np.argmax(g_short)]
         assert ratio == pytest.approx(10.0, rel=1e-9)
 
     def test_zero_rate_errors(self):
@@ -267,6 +271,10 @@ class TestCauchySchwarz:
         # far tails are classical-compatible on aggregate
         tail = np.abs(res.tau_ns) > 200.0
         assert np.isfinite(res.c_values[tail]).all()
+        hist = coincidence_histogram(s, 0, (1, 2), 1000, -400_000, 400_000)
+        np.testing.assert_array_equal(res.tau_ns, hist.centers_ns())
+        np.testing.assert_array_equal(res.low_stats, hist.counts < LOW_STATS_COUNTS)
+        assert res.low_stats.any() and not res.low_stats.all()
 
     def test_autocorrelations_near_unity(self):
         s = self._correlated_stream(162)
@@ -367,13 +375,15 @@ class TestWaveform:
         w = reconstruct_waveform(s, 0, 1, 1000, -50_000, 50_000)
         expected = brute_histogram(s.channel_times(0), s.channel_times(1),
                                    1000, -50_000, 50_000)
-        np.testing.assert_array_equal(w.counts, expected.astype(float))
-        assert w.bin_width_ns == 1.0 and w.start_ns == -50.0
+        assert isinstance(w, CorrelationHistogram)
+        np.testing.assert_array_equal(w.counts, expected)
+        assert w.bin_width_ps == 1000 and w.tau_min_ps == -50_000
+        np.testing.assert_array_equal(w.centers_ns(), np.arange(-49.5, 50.0))
 
     def test_empty_gives_zeros(self):
         s = TimeTagStream([100, 5000], [0, 0], 10**6)
         w = reconstruct_waveform(s, 0, 1, 1000, -10_000, 10_000)
-        assert w.total() == 0.0
+        np.testing.assert_array_equal(w.counts, np.zeros(20, dtype=np.int64))
 
     def test_shape_recovery(self):
         gen = RngSpec(171).generator()
@@ -391,18 +401,14 @@ class TestWaveform:
 
 class TestCosineSimilarity:
     def test_identical_and_scaled(self):
-        a = TemporalWaveform(0.0, 1.0, [1.0, 2.0, 3.0])
-        b = TemporalWaveform(0.0, 1.0, [2.0, 4.0, 6.0])
-        assert cosine_similarity(a, b) == pytest.approx(1.0)
+        assert cosine_similarity([1, 2, 3], np.array([2.0, 4.0, 6.0])) == pytest.approx(1.0)
 
     def test_orthogonal(self):
         assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
 
-    def test_grid_mismatch(self):
-        a = TemporalWaveform(0.0, 1.0, [1.0, 2.0])
-        b = TemporalWaveform(0.0, 2.0, [1.0, 2.0])
+    def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            cosine_similarity(a, b)
+            cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_zero_vector(self):
         with pytest.raises(AnalysisError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream, TemporalWaveform
+from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream
 from spptag.model import evaluate_density, sample_delay
 
 FWHM = 50.0
@@ -192,15 +192,3 @@ class TestTimeTagStream:
         b = TimeTagStream([1, 2], [0, 1], 10)
         c = TimeTagStream([1, 2], [0, 1], 11)
         assert a == b and a != c
-
-
-class TestTemporalWaveform:
-    def test_centers_and_errors(self):
-        w = TemporalWaveform(-10.0, 2.0, [4.0, 9.0, 0.0])
-        np.testing.assert_allclose(w.centers_ns(), [-9.0, -7.0, -5.0])
-        np.testing.assert_allclose(w.errors, [2.0, 3.0, 0.0])
-        assert w.total() == 13.0
-
-    def test_rejects_bad_bin(self):
-        with pytest.raises(ValueError):
-            TemporalWaveform(0.0, 0.0, [1.0])

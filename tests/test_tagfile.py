@@ -7,13 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spptag.errors import (
-    TagFileError,
-    TagFileMagicError,
-    TagFileTruncatedError,
-    TagFileUnsortedError,
-    TagFileVersionError,
-)
+from spptag.errors import TagFileError
 from spptag.model import TimeTagStream
 from spptag.tagfile import (
     HEADER_SIZE,
@@ -144,39 +138,39 @@ class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(pack_file([1], [0], 10, magic=b"NOTATAGF"))
-        with pytest.raises(TagFileMagicError):
+        with pytest.raises(TagFileError, match="not a tag file"):
             read_tags(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(pack_file([1], [0], 10, version=9))
-        with pytest.raises(TagFileVersionError):
+        with pytest.raises(TagFileError, match="format version 9"):
             read_tags(path)
 
     def test_bad_resolution(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(pack_file([1], [0], 10, resolution=16))
-        with pytest.raises(TagFileVersionError):
+        with pytest.raises(TagFileError, match="resolution 16 ps"):
             read_tags(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(MAGIC + b"\x01\x00")
-        with pytest.raises(TagFileTruncatedError):
+        with pytest.raises(TagFileError, match="header needs 32 bytes"):
             read_tags(path)
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(pack_file([1, 2], [0, 0], 10)[:-8])
-        with pytest.raises(TagFileTruncatedError):
+        with pytest.raises(TagFileError, match="not a whole number of records"):
             read_tags(path)
 
     def test_unsorted_reports_offset(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(pack_file([50, 20, 60], [0, 0, 0], 100))
-        with pytest.raises(TagFileUnsortedError) as err:
+        with pytest.raises(TagFileError,
+                           match=f"byte offset {HEADER_SIZE + RECORD_SIZE} breaks"):
             read_tags(path)
-        assert err.value.offset == HEADER_SIZE + RECORD_SIZE
 
     @pytest.mark.parametrize("channels,channel_count", [([5], 3), ([5, 9], 0)],
                              ids=["above_count", "zero_count"])
