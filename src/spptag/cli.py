@@ -36,7 +36,7 @@ from .errors import (
     FitError,
     TagFileError,
 )
-from .hom import fit_coherence_time, hom_coincidence, hom_curve, hom_visibility
+from .hom import fit_coherence_time, hom_curve
 from .model import (
     PS_PER_NS,
     BiphotonAmplitude,
@@ -384,13 +384,8 @@ def cmd_repro_fig5(args) -> int:
         names.append(f"coincidence_delay_{str(delay).replace('.', 'p')}ns")
         print(f"delay {delay:g} ns: P_c(0) = {pc[0]:.4f}, "
               f"dip visibility {1 - 2 * pc[0]:.4f}")
-    # detuning at which the zero-delay dip loses half its depth
-    from scipy.optimize import brentq
-
-    v0 = hom_visibility(amp, 0.0)
-    half = brentq(
-        lambda d: (1.0 - 2.0 * hom_coincidence(amp, d, 0.0)) - 0.5 * v0,
-        0.1, 50.0)
+    # the zero-delay dip 1 / (1 + (2 pi detuning tau0)^2) is half deep here
+    half = 1e3 / (2 * np.pi * amp.tau0_ns)
     print(f"half-depth detuning at zero delay: {half:.2f} MHz")
     _write_csv(args.csv, names, columns)
     return 0

@@ -10,11 +10,12 @@ annotations give the value types (enums by value):
 
     amplitude     BiphotonAmplitude
     source        SourceConfig, with the amplitude section
-    sample        SampleConfig, with the spectrum section built
+    sample        SampleConfig, with the spectrum section as its SpectrumConfig
     detector0-2   DetectorConfig
     beamsplitter  ExperimentConfig.split_ratio
     analysis      AnalysisConfig
-    spectrum      ArrayGeometry, FanoParameters and SpectrumConfig
+    spectrum      ArrayGeometry, FanoParameters and SpectrumConfig, all of
+                  spptag.spectrum
 
 The rest are run.duration (with a unit suffix), rng.seed, rng.stream and
 the modulation section, whose kind decides which other modulation keys it
@@ -26,12 +27,10 @@ the photon wavelength against the characterized band.
 import enum
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
-from typing import Callable, Optional, get_type_hints
-
-import numpy as np
+from typing import Callable, get_type_hints
 
 from .errors import ConfigError
-from .model import BiphotonAmplitude, RngSpec, Shape, check_finite
+from .model import BiphotonAmplitude, RngSpec, Shape
 from .optics import (
     DetectorConfig,
     ExperimentConfig,
@@ -40,32 +39,10 @@ from .optics import (
     SampleConfig,
 )
 from .source import SourceConfig
-from .spectrum import ArrayGeometry, FanoParameters, fano_spectrum
+from .spectrum import SpectrumConfig
 
 PS_PER_SECOND = 1_000_000_000_000
 MAX_DURATION_PS = 2**63 - 1  # tag times are int64 picoseconds
-
-
-@dataclass(frozen=True)
-class SpectrumConfig:
-    """Hole-array parameters used to build the sample transmission spectrum."""
-
-    geometry: ArrayGeometry = ArrayGeometry()
-    fano: FanoParameters = FanoParameters()
-    grid_lo_nm: float = 420.0
-    grid_hi_nm: float = 1200.0
-    grid_points: int = 1024
-
-    def __post_init__(self):
-        check_finite(self, "grid_lo_nm", "grid_hi_nm")
-        if not self.grid_lo_nm < self.grid_hi_nm:
-            raise ValueError("need grid_lo_nm < grid_hi_nm")
-        if self.grid_points < 2:
-            raise ValueError("need at least 2 grid points")
-
-    def build(self):
-        grid = np.linspace(self.grid_lo_nm, self.grid_hi_nm, self.grid_points)
-        return fano_spectrum(self.geometry, grid, self.fano)
 
 
 @dataclass(frozen=True)
@@ -90,7 +67,6 @@ class RunConfig:
     rng: RngSpec
     duration_ps: int
     analysis: AnalysisConfig
-    spectrum: Optional[SpectrumConfig]
 
     def __post_init__(self):
         if self.duration_ps <= 0:
@@ -122,7 +98,6 @@ def default_config() -> RunConfig:
         rng=RngSpec(seed=12345, stream_id=0),
         duration_ps=10 * PS_PER_SECOND,
         analysis=AnalysisConfig(),
-        spectrum=None,
     )
 
 
@@ -285,18 +260,12 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"modulation: {exc}") from exc
 
-    spectrum_cfg = spectrum = None
+    spectrum = None
     if entries.section_present("spectrum"):
         default = SpectrumConfig()
-        spectrum_cfg = _take_fields(
-            entries, "spectrum", default,
-            geometry=_take_fields(entries, "spectrum", default.geometry),
-            fano=_take_fields(entries, "spectrum", default.fano))
-        try:
-            spectrum = spectrum_cfg.build()
-        except ValueError as exc:
-            raise ConfigError(f"spectrum: {exc}") from exc
-
+        spectrum = _take_fields(entries, "spectrum", default,
+                                geometry=_take_fields(entries, "spectrum", default.geometry),
+                                fano=_take_fields(entries, "spectrum", default.fano))
     sample = _take_fields(entries, "sample", exp.sample, spectrum=spectrum)
     detectors = tuple(_take_fields(entries, f"detector{ch}", d)
                       for ch, d in enumerate(exp.detectors))
@@ -305,7 +274,7 @@ def parse_config(text: str) -> RunConfig:
     analysis = _take_fields(entries, "analysis", base.analysis)
     entries.finish()
     return RunConfig(experiment=experiment, rng=rng, duration_ps=duration_ps,
-                     analysis=analysis, spectrum=spectrum_cfg)
+                     analysis=analysis)
 
 
 def format_config(run: RunConfig) -> str:
@@ -332,10 +301,11 @@ def format_config(run: RunConfig) -> str:
         "",
         *_field_lines("sample", exp.sample, "spectrum"),
     ]
-    if run.spectrum is not None:
-        lines += ["", *_field_lines("spectrum", run.spectrum.geometry),
-                  *_field_lines("spectrum", run.spectrum.fano),
-                  *_field_lines("spectrum", run.spectrum, "geometry", "fano")]
+    spectrum = exp.sample.spectrum
+    if spectrum is not None:
+        lines += ["", *_field_lines("spectrum", spectrum.geometry),
+                  *_field_lines("spectrum", spectrum.fano),
+                  *_field_lines("spectrum", spectrum, "geometry", "fano")]
     lines += ["", *_field_lines("beamsplitter", exp, "source", "modulation", "sample",
                                 "detectors")]
     for ch, d in enumerate(exp.detectors):

@@ -15,7 +15,8 @@ O(k log n) for the k anchors kept, O(m) for the m tags in histogram windows.
 Every binned result is a CorrelationHistogram, with int64 counts: the
 herald-relative waveform (reconstruct_waveform) and the cross-correlation
 behind C(tau) (cauchy_schwarz) alike.  coincidence_histogram is its one
-constructor and bounds its size (MAX_BINS) before allocating anything.
+constructor and bounds its bins (MAX_BINS) and the pairs it expands
+(MAX_PAIRS) before allocating either.
 
 Window edges: coincidence_histogram, reconstruct_waveform and the cross-
 correlation of cauchy_schwarz count [tau_min, tau_max); auto_g2_zero (g_ii
@@ -37,6 +38,7 @@ from .model import PS_PER_NS, RngSpec, TimeTagStream, as_generator
 log = logging.getLogger(__name__)
 
 MAX_BINS = 2**24  # 128 MiB of int64 counts
+MAX_PAIRS = 2**24  # (anchor, window tag) pairs a histogram expands into index arrays
 
 
 def _windows(stream: TimeTagStream, ch_a, ch_b,
@@ -45,10 +47,13 @@ def _windows(stream: TimeTagStream, ch_a, ch_b,
 
     Returns (n_a, t_a, first, last): for each ch_a tag with a neighbour
     within reach, its time and the stream index range [first, last) of the
-    tags with t_a + lo <= t < t_a + hi.
+    tags with t_a + lo <= t < t_a + hi.  No delay between two tags lies
+    outside [-T, T] for duration T, so lo and hi are clamped to
+    [-T, T + 1] first, which keeps the sums inside int64 for T < 2**62 ps.
     """
     if np.intersect1d(ch_a, ch_b).size:
         raise AnalysisError("channel sets must be disjoint for pair counting")
+    lo, hi = (min(max(x, -stream.duration_ps), stream.duration_ps + 1) for x in (lo, hi))
     t = stream.times_ps
     is_a = stream.channel_mask(ch_a)
     near = np.concatenate(([False], np.diff(t) <= max(abs(lo), abs(hi - 1)), [False]))
@@ -110,7 +115,11 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     if n_a == 0 or n_b == 0:
         log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
     lens = last - first
-    idx = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    n_pairs = int(lens.sum())
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"histogram windows hold {n_pairs} tag pairs, "
+                         f"above the limit of {MAX_PAIRS}")
+    idx = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(n_pairs)
     keep = is_b[idx]
     delays = stream.times_ps[idx[keep]] - np.repeat(t_a, lens)[keep]
     counts = np.bincount((delays - tau_min_ps) // bin_width_ps, minlength=n_bins)
@@ -244,9 +253,8 @@ class HeraldedG2:
     n_ab: int
 
 
-def heralded_g2_zero(stream: TimeTagStream, herald_ch: int = 0,
-                     ch_a: int = 1, ch_b: int = 2,
-                     window_ps: int = 150_000) -> HeraldedG2:
+def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int,
+                     window_ps: int) -> HeraldedG2:
     """Three-detector conditional g2(0) over [-W, +W] around each herald.
 
     Both window edges are included.  Counts heralds accompanied by a tag on

@@ -40,6 +40,7 @@ from .source import (
     slice_lead_ps,
     stream_pairs,
 )
+from .spectrum import SpectrumConfig
 
 log = logging.getLogger(__name__)
 
@@ -181,25 +182,15 @@ def resolve_modulation(modulation: ModulationFunction,
 
 
 def apply_modulation(events: PairEvents, modulation: ModulationFunction,
-                     rng: RngSpec | np.random.Generator,
-                     source_amp: BiphotonAmplitude | None = None, *,
-                     warn: bool = True) -> PairEvents:
+                     rng: RngSpec | np.random.Generator) -> PairEvents:
     """Bernoulli-thin signal photons with probability m(t_rel)^2.
 
     Identity passes the stream through untouched without consuming random
-    numbers.  A gaussian-target modulation requires source_amp to derive the
-    actual drive.  warn=False leaves the outside-the-grid warning to the
-    caller (see outside_grid).
+    numbers.  A gaussian target must be resolved first (resolve_modulation).
     """
     if modulation.kind is ModulationKind.IDENTITY:
         return events
-    if modulation.kind is ModulationKind.GAUSSIAN:
-        if source_amp is None:
-            raise ValueError("gaussian modulation needs the source amplitude")
-        modulation = resolve_modulation(modulation, source_amp)
     gen = as_generator(rng)
-    if warn:
-        _warn_outside_grid(outside_grid(modulation, events))
     p = modulation.amplitude(events.t_rel_ns()) ** 2
     keep = gen.random(len(events)) < p
     return events.select(keep)
@@ -209,9 +200,9 @@ def apply_modulation(events: PairEvents, modulation: ModulationFunction,
 class SampleConfig:
     """Photon-plasmon-photon conversion element in the signal arm.
 
-    spectrum               transmission spectrum of the structure, used to
-                           check the photon wavelength sits in a characterized
-                           region (None skips the check)
+    spectrum               hole-array spectrum of the structure, used to check
+                           the photon wavelength sits in its characterized band
+                           (None skips the check)
     photon_wavelength_nm   carrier wavelength of the signal photons
     overall_conversion     end-to-end survival probability at the carrier
     background_suppression extra factor applied to broadband background only
@@ -220,7 +211,7 @@ class SampleConfig:
     photon_wavelength_nm: float
     overall_conversion: float
     background_suppression: float = 1.0
-    spectrum: object | None = None
+    spectrum: SpectrumConfig | None = None
 
     def __post_init__(self):
         check_finite(self, "photon_wavelength_nm", "overall_conversion",
@@ -232,11 +223,11 @@ class SampleConfig:
         if not 0.0 <= self.background_suppression <= 1.0:
             raise ValueError("background_suppression must lie in [0, 1]")
         if self.spectrum is not None:
-            wl = self.spectrum.wavelength_nm
-            if not wl[0] <= self.photon_wavelength_nm <= wl[-1]:
+            lo, hi = self.spectrum.grid_lo_nm, self.spectrum.grid_hi_nm
+            if not lo <= self.photon_wavelength_nm <= hi:
                 raise ValueError(
                     f"photon wavelength {self.photon_wavelength_nm} nm outside "
-                    f"the characterized spectrum [{wl[0]}, {wl[-1]}] nm")
+                    f"the characterized spectrum [{lo}, {hi}] nm")
 
 
 def outside_grid(modulation: ModulationFunction, events: PairEvents) -> int:
@@ -245,11 +236,6 @@ def outside_grid(modulation: ModulationFunction, events: PairEvents) -> int:
         return 0
     t_rel, grid = events.t_rel_ns(), modulation.grid_ns
     return int(np.count_nonzero((t_rel < grid[0]) | (t_rel > grid[-1])))
-
-
-def _warn_outside_grid(n_out: int) -> None:
-    if n_out:
-        log.warning("%d events outside the modulation grid held at edge values", n_out)
 
 
 def apply_sample(events: PairEvents, sample: SampleConfig,
@@ -433,7 +419,7 @@ class _Chain:
         signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
         del pairs  # signal views the slice's columns: free them once a stage copies
         self.n_outside += outside_grid(self.modulation, signal)
-        signal = apply_modulation(signal, self.modulation, self.gen_mod, warn=False)
+        signal = apply_modulation(signal, self.modulation, self.gen_mod)
         bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
         # the background was drawn already thinned by the sample
         signal = PairEvents.concatenate(
@@ -490,5 +476,7 @@ def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
         tags = chain.run_slice(next(slices), horizon, flush_before)
         times.append(tags.times_ps)
         channels.append(tags.channels)
-    _warn_outside_grid(chain.n_outside)
+    if chain.n_outside:
+        log.warning("%d events outside the modulation grid held at edge values",
+                    chain.n_outside)
     return TimeTagStream(np.concatenate(times), np.concatenate(channels), duration_ps)

@@ -7,7 +7,7 @@ Three ingredients:
 * surface-plasmon grating resonances of the array for either interface,
 * a Fano lineshape that superposes the resonant channel on the direct one.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,10 +39,6 @@ class PermittivityTable:
         object.__setattr__(self, "wavelength_nm", wl)
         object.__setattr__(self, "epsilon", eps)
 
-    @classmethod
-    def gold(cls) -> "PermittivityTable":
-        return cls(_gold.GOLD_WAVELENGTH_NM.copy(), _gold.GOLD_EPSILON.copy())
-
     def permittivity(self, wavelength_nm):
         wl = np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_nm[0], self.wavelength_nm[-1]
@@ -57,15 +53,12 @@ class PermittivityTable:
         return complex(out) if np.isscalar(wavelength_nm) else out
 
 
-_GOLD_TABLE: Optional[PermittivityTable] = None
+GOLD = PermittivityTable(_gold.GOLD_WAVELENGTH_NM, _gold.GOLD_EPSILON)
 
 
 def gold_permittivity(wavelength_nm):
     """Complex permittivity of evaporated gold at the given wavelength [nm]."""
-    global _GOLD_TABLE
-    if _GOLD_TABLE is None:
-        _GOLD_TABLE = PermittivityTable.gold()
-    return _GOLD_TABLE.permittivity(wavelength_nm)
+    return GOLD.permittivity(wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -123,13 +116,10 @@ def bethe_transmittance(geometry: ArrayGeometry, wavelength_nm) -> Union[float, 
 
 
 def spp_effective_index(wavelength_nm, interface: Union[str, float] = "glass",
-                        table: Optional[PermittivityTable] = None):
+                        table: PermittivityTable = GOLD):
     """Real part of the bound-mode index at a metal/dielectric interface."""
     eps_d = _INTERFACES[interface] if isinstance(interface, str) else float(interface)
-    if table is None:
-        eps_m = gold_permittivity(wavelength_nm)
-    else:
-        eps_m = table.permittivity(wavelength_nm)
+    eps_m = table.permittivity(wavelength_nm)
     n_eff = np.sqrt(eps_m * eps_d / (eps_m + eps_d))
     out = np.real(n_eff)
     return float(out) if np.isscalar(wavelength_nm) else out
@@ -165,7 +155,7 @@ def _resonance_wavelength_for_index(geometry: ArrayGeometry, n_eff: float,
 def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
                              interface: Union[str, float] = "glass",
                              theta_deg: float = 0.0, polarization: str = "tm",
-                             table: Optional[PermittivityTable] = None) -> float:
+                             table: PermittivityTable = GOLD) -> float:
     """Self-consistent grating-coupling resonance wavelength [nm].
 
     The mode index depends on wavelength through the metal permittivity, so
@@ -175,8 +165,6 @@ def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
     i, j = order
     if (i, j) == (0, 0):
         raise ValueError("order (0,0) is the directly transmitted beam")
-    if table is None:
-        table = PermittivityTable.gold()
     eps_d = _INTERFACES[interface] if isinstance(interface, str) else float(interface)
 
     # start from a lossless-metal guess slightly above the light line
@@ -207,7 +195,7 @@ def spp_resonance_wavelengths(geometry: ArrayGeometry,
                               orders: Sequence[tuple] = ((1, 0), (1, 1)),
                               interface: Union[str, float] = "glass",
                               theta_deg: float = 0.0, polarization: str = "tm",
-                              table: Optional[PermittivityTable] = None) -> np.ndarray:
+                              table: PermittivityTable = GOLD) -> np.ndarray:
     """Resonance wavelengths for several grating orders, one per order."""
     return np.array([
         spp_resonance_wavelength(geometry, order, interface, theta_deg,
@@ -224,14 +212,6 @@ class TransmissionSpectrum:
     total: np.ndarray
     resonant: np.ndarray
     direct: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, TransmissionSpectrum):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("wavelength_nm", "total", "resonant", "direct")
-        )
 
     def __post_init__(self):
         wl = np.asarray(self.wavelength_nm, dtype=float)
@@ -310,6 +290,33 @@ def fano_spectrum(geometry: ArrayGeometry, wavelength_nm,
         wl = np.atleast_1d(wl)
     total, resonant, direct = _fano_channels(geometry, wl, params)
     return TransmissionSpectrum(wl, total, resonant, direct)
+
+
+@dataclass(frozen=True)
+class SpectrumConfig:
+    """Hole-array parameters of the sample transmission spectrum.
+
+    Construction builds the spectrum once and drops it, so parameters that
+    give no physical spectrum raise ValueError here.
+    """
+
+    geometry: ArrayGeometry = ArrayGeometry()
+    fano: FanoParameters = FanoParameters()
+    grid_lo_nm: float = 420.0
+    grid_hi_nm: float = 1200.0
+    grid_points: int = 1024
+
+    def __post_init__(self):
+        check_finite(self, "grid_lo_nm", "grid_hi_nm")
+        if not self.grid_lo_nm < self.grid_hi_nm:
+            raise ValueError("need grid_lo_nm < grid_hi_nm")
+        if self.grid_points < 2:
+            raise ValueError("need at least 2 grid points")
+        self.build()
+
+    def build(self) -> TransmissionSpectrum:
+        grid = np.linspace(self.grid_lo_nm, self.grid_hi_nm, self.grid_points)
+        return fano_spectrum(self.geometry, grid, self.fano)
 
 
 @dataclass(frozen=True)

@@ -198,8 +198,7 @@ class TestWaveformImprinting:
         src = default_config().experiment.source
         pairs = generate_pairs(src, 60 * SECOND_PS, RngSpec(88, 0))
         signal = pairs.select(pairs.kind != PairKind.BACKGROUND_IDLER)
-        out = apply_modulation(signal, ModulationFunction.heaviside(0.0),
-                               RngSpec(88, 1), source_amp=src.amplitude)
+        out = apply_modulation(signal, ModulationFunction.heaviside(0.0), RngSpec(88, 1))
         assert out.signal_ps.size > 0
         assert np.all(out.t_rel_ns() >= 0.0)
 

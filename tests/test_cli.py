@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 
 import spptag
 from spptag.cli import build_parser, main
-from spptag.config import SpectrumConfig, default_config, parse_config
+from spptag.config import default_config, parse_config
 from spptag.hom import hom_visibility
 from spptag.model import BiphotonAmplitude, Shape
-from spptag.spectrum import ArrayGeometry, FanoParameters, fano_transmittance
+from spptag.spectrum import ArrayGeometry, FanoParameters, SpectrumConfig, fano_transmittance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,6 +97,12 @@ class TestPinnedOutput:
             assert data == (GOLDEN / f"cli_{name}_{file}").read_bytes(), file
 
 
+def _child_env():
+    """Environment for a child Python that imports this checkout's spptag."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(spptag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 def _limit_address_space():
     """Cap a child at 3 GB of address space, so an oversized allocation fails
     in the child instead of exhausting the host's memory."""
@@ -105,6 +112,8 @@ def _limit_address_space():
 class TestRejectedInput:
     """Each input exits 2 with an error message, no traceback and no stdout."""
 
+    PAIRS_PROBE = ("analyze waveform --tags {tags} --bin-ps 20000000000000 "
+                   "--tau-min-ns=-1e10 --tau-max-ns 1e10")
     # command -> text the error message must contain
     PROBES = {
         "analyze cs --tags {tags} --tau-min-ns inf": "--tau-min-ns",
@@ -118,21 +127,25 @@ class TestRejectedInput:
         "hom fit --input nan.csv": "'visibility'",
         "analyze cs --tags {tags} --auto-window-ps 99999999999999999999999": "cs_window_ps",
         "analyze waveform --tags {tags} --tau-max-ns 1e9": "1000000025 bins",
+        # one bin wider than the file: each of 4044 heralds pairs with all 7645 tags
+        PAIRS_PROBE: "30916380 tag pairs",
     }
 
     @pytest.mark.parametrize("command", PROBES)
     def test_exits_2_without_traceback(self, command, pinned_tags, tmp_path):
         (tmp_path / "nan.csv").write_text("delay_ns,visibility\n0.0,1.0\n10.0,nan\n")
         argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(spptag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "spptag.cli", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True,
+                              env=_child_env(), capture_output=True, text=True,
                               preexec_fn=_limit_address_space)
+        elapsed = time.perf_counter() - start
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "error: " in proc.stderr, proc.stderr
         assert self.PROBES[command] in proc.stderr, proc.stderr
+        if command == self.PAIRS_PROBE:  # rejected before any pair is expanded
+            assert elapsed < 1.0
 
 
 class TestSimulate:
@@ -281,22 +294,17 @@ class TestAnalyze:
 
 
 class TestImports:
-    def test_import_and_analysis_leave_scipy_unloaded(self, tmp_path):
-        from spptag.model import TimeTagStream
-        from spptag.tagfile import write_tags
-        gen = np.random.default_rng(4)
-        per = {ch: np.sort(gen.integers(0, 10**9, 2000)) for ch in range(3)}
-        path = tmp_path / "small.spptag"
-        write_tags(path, TimeTagStream.from_channel_times(per, 10**9))
-        code = ("import sys; import spptag.cli as cli; "
-                "print('scipy' in sys.modules); "
-                f"print(cli.main(['analyze', 'cs', '--tags', {str(path)!r}])); "
-                "print('scipy' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(spptag.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout.split("\n")
-        assert [out[0], out[-3], out[-2]] == ["False", "0", "False"]
+    @pytest.mark.parametrize("command", [
+        "analyze g2 --tags {tags}", "analyze cs --tags {tags}",
+        "analyze waveform --tags {tags}", "hom curve", "spectrum bethe",
+        "spectrum resonance", "spectrum fano", "repro fig5"])
+    def test_command_leaves_scipy_unloaded(self, command, pinned_tags, tmp_path):
+        argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
+        code = ("import sys; import spptag.cli as cli; loaded = 'scipy' in sys.modules; "
+                f"rc = cli.main({argv!r}); print(loaded, rc, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "False 0 False"
 
 
 class TestHom:
@@ -340,7 +348,8 @@ class TestHom:
 
 class TestSpectrum:
     def test_defaults_are_the_dataclass_defaults(self):
-        assert parse_config("spectrum.q = 20.0\n").spectrum == SpectrumConfig()
+        spectrum = parse_config("spectrum.q = 20.0\n").experiment.sample.spectrum
+        assert spectrum == SpectrumConfig()
         args = vars(build_parser().parse_args(["spectrum", "fano"]))
         for default in (ArrayGeometry(), FanoParameters()):
             flags = {key: args[key] for key in dataclasses.asdict(default)}

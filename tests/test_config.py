@@ -11,7 +11,6 @@ from spptag.cli import main
 from spptag.config import (
     AnalysisConfig,
     RunConfig,
-    SpectrumConfig,
     default_config,
     format_config,
     format_duration,
@@ -28,7 +27,7 @@ from spptag.optics import (
     SampleConfig,
 )
 from spptag.source import SourceConfig
-from spptag.spectrum import ArrayGeometry, FanoParameters
+from spptag.spectrum import ArrayGeometry, FanoParameters, SpectrumConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,13 +45,11 @@ def spectra(draw):
     fano = FanoParameters(draw(floats(600.0, 1000.0)), draw(floats(5.0, 300.0)),
                           draw(floats(0.5, 50.0)), draw(floats(0.01, 1.0)))
     lo = draw(floats(200.0, 800.0))
-    spec = SpectrumConfig(geometry, fano, lo, lo + draw(floats(1.0, 1000.0)),
-                          draw(st.integers(2, 64)))
     try:
-        spec.build()
+        return SpectrumConfig(geometry, fano, lo, lo + draw(floats(1.0, 1000.0)),
+                              draw(st.integers(2, 64)))
     except ValueError:
         reject()
-    return spec
 
 
 @st.composite
@@ -71,8 +68,7 @@ def run_configs(draw):
     # with a spectrum, the photon wavelength must lie in its band
     band = (1e-3, 1e5) if spectrum is None else (spectrum.grid_lo_nm, spectrum.grid_hi_nm)
     sample = SampleConfig(draw(floats(*band)), draw(floats(0.0, 1.0)),
-                          draw(floats(0.0, 1.0)),
-                          spectrum=None if spectrum is None else spectrum.build())
+                          draw(floats(0.0, 1.0)), spectrum=spectrum)
     detectors = tuple(DetectorConfig(draw(floats(0.0, 1.0)), draw(floats(0.0, 1e9)),
                                      draw(floats(0.0, 1e9)), draw(st.integers(0, 2**62)))
                       for _ in range(3))
@@ -82,8 +78,7 @@ def run_configs(draw):
     return RunConfig(experiment, RngSpec(draw(st.integers(0, 2**64 - 1)),
                                          draw(st.integers(0, 2**64 - 1))),
                      draw(st.integers(1, 2**63 - 1)),
-                     AnalysisConfig(draw(positive), draw(positive), draw(positive)),
-                     spectrum)
+                     AnalysisConfig(draw(positive), draw(positive), draw(positive)))
 
 
 class TestDuration:
@@ -149,7 +144,7 @@ class TestDefaults:
         assert run.experiment.detectors[0].dark_rate == 0.0
         assert run.experiment.detectors[1].efficiency == 0.5
         assert run.experiment.modulation.kind is ModulationKind.IDENTITY
-        assert run.spectrum is None
+        assert run.experiment.sample.spectrum is None
 
 
 class TestRoundTrip:
@@ -194,13 +189,12 @@ class TestRoundTrip:
             fano=FanoParameters(resonance_nm=800.0, fwhm_nm=90.0, q=18.0,
                                 peak_transmittance=0.33),
             grid_lo_nm=500.0, grid_hi_nm=1100.0, grid_points=256)
-        sample = SampleConfig(795.0, 0.44, 0.35, spectrum=spec.build())
+        sample = SampleConfig(795.0, 0.44, 0.35, spectrum=spec)
         exp = dataclasses.replace(run.experiment, sample=sample)
-        run = dataclasses.replace(run, experiment=exp, spectrum=spec)
+        run = dataclasses.replace(run, experiment=exp)
         back = parse_config(format_config(run))
         assert back == run
-        assert back.experiment.sample.spectrum is not None
-        assert back.experiment.sample.spectrum.wavelength_nm[0] == 500.0
+        assert back.experiment.sample.spectrum == spec
 
 
     @settings(max_examples=60, deadline=None)
@@ -247,13 +241,12 @@ class TestOverrides:
         assert run.analysis.bin_ps == 2000
 
     def test_spectrum_presence_attaches_to_sample(self):
-        run = parse_config("spectrum.q = 15.0\n")
-        assert run.spectrum is not None
-        assert run.spectrum.fano.q == 15.0
-        assert run.experiment.sample.spectrum is not None
-        # default grid spans the characterized band
-        wl = run.experiment.sample.spectrum.wavelength_nm
-        assert wl[0] == 420.0 and wl[-1] == 1200.0
+        spectrum = parse_config("spectrum.q = 15.0\n").experiment.sample.spectrum
+        assert spectrum.fano.q == 15.0
+        # the default grid spans the characterized band, endpoints exact
+        wl = spectrum.build().wavelength_nm
+        assert wl[0] == spectrum.grid_lo_nm == 420.0
+        assert wl[-1] == spectrum.grid_hi_nm == 1200.0
 
     def test_no_spectrum_by_default(self):
         assert parse_config("source.pair_rate = 10.0\n").experiment.sample.spectrum is None
@@ -356,6 +349,10 @@ class TestValidation:
             SpectrumConfig(grid_lo_nm=900.0, grid_hi_nm=800.0)
         with pytest.raises(ValueError):
             SpectrumConfig(grid_points=1)
+
+    def test_spectrum_config_builds_when_constructed(self):
+        with pytest.raises(ValueError, match="below the direct background"):
+            SpectrumConfig(fano=FanoParameters(peak_transmittance=0.0001))
 
     def test_analysis_config(self):
         with pytest.raises(ValueError):

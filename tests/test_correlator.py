@@ -88,6 +88,10 @@ class TestCoincidenceHistogram:
             coincidence_histogram(s, 0, 1, 0, -1000, 1000)
         with pytest.raises(ValueError, match=f"{MAX_BINS + 1} bins"):
             coincidence_histogram(s, 0, 1, 1, 0, MAX_BINS + 1)
+        # one bin spanning the stream: each of 5000 anchors pairs with all 10000 tags
+        big = random_stream(RngSpec(114), n_per_channel=5000, channels=(0, 1))
+        with pytest.raises(ValueError, match="50000000 tag pairs"):
+            coincidence_histogram(big, 0, 1, 2 * 10**9, -10**9, 10**9)
         with pytest.raises(AnalysisError):
             coincidence_histogram(s, 0, (0, 1), 1000, -1000, 1000)
 
@@ -243,6 +247,20 @@ class TestHeraldedG2:
         s = TimeTagStream([100], [1], 10**6)
         with pytest.raises(AnalysisError):
             heralded_g2_zero(s, 0, 1, 2, window_ps=1000)
+
+
+class TestWindowsBeyondTheStream:
+    """No delay exceeds the duration, so any wider window counts every pair,
+    up to the largest int64 window."""
+
+    @pytest.mark.parametrize("w", [2**63 - 2, 2**63 - 1])
+    def test_same_counts_as_a_window_of_2_pow_62(self, w):
+        s = random_stream(RngSpec(152), n_per_channel=50)
+        wide = heralded_g2_zero(s, 0, 1, 2, window_ps=2**62)
+        res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+        assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (
+            wide.n_heralds, wide.n_a, wide.n_b, wide.n_ab) == (50, 50, 50, 50)
+        assert auto_g2_zero(s, 0, 1, w).n_pairs == auto_g2_zero(s, 0, 1, 2**62).n_pairs == 2500
 
 
 class TestCauchySchwarz:

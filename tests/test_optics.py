@@ -8,7 +8,6 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from spptag.optics import (
     _dead_time_filter_mask,
 )
 from spptag.source import PairEvents, PairKind, SourceConfig
+from spptag.spectrum import SpectrumConfig
 from spptag.tagfile import write_tags
 
 AMP = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
@@ -101,7 +101,7 @@ class TestModulation:
     def test_gaussian_modulated_survivors_follow_target(self):
         ev = synthetic_events(200_000, RngSpec(66))
         m = ModulationFunction.gaussian_target(40.0)
-        out = apply_modulation(ev, m, RngSpec(67), source_amp=AMP)
+        out = apply_modulation(ev, resolve_modulation(m, AMP), RngSpec(67))
         t_rel = out.t_rel_ns()
         sigma = 40.0 / (2 * np.sqrt(2 * np.log(2)))
         res = stats.kstest(t_rel, stats.norm(scale=sigma).cdf)
@@ -111,7 +111,7 @@ class TestModulation:
 
     def test_gaussian_needs_source(self):
         ev = synthetic_events(10, RngSpec(68))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be resolved"):
             apply_modulation(ev, ModulationFunction.gaussian_target(40.0), RngSpec(69))
 
     def test_clipped_mass_for_unreachable_target(self):
@@ -162,7 +162,7 @@ class TestSample:
         assert abs(n_bg - 0.3 * n / 2) < 4.5 * np.sqrt(0.3 * 0.7 * n / 2)
 
     def test_wavelength_outside_spectrum_raises(self):
-        spec = SimpleNamespace(wavelength_nm=np.array([600.0, 1000.0]))
+        spec = SpectrumConfig(grid_lo_nm=600.0, grid_hi_nm=1000.0)
         with pytest.raises(ValueError, match="outside the characterized spectrum"):
             SampleConfig(1550.0, 0.5, spectrum=spec)
         ev = synthetic_events(10, RngSpec(73))
@@ -170,13 +170,11 @@ class TestSample:
         assert len(out) == 10
 
     def test_thinning_order_commutes_in_distribution(self):
-        m = ModulationFunction.gaussian_target(40.0)
+        m = resolve_modulation(ModulationFunction.gaussian_target(40.0), AMP)
         sample = SampleConfig(795.0, 0.44)
         ev = synthetic_events(150_000, RngSpec(75))
-        a = apply_sample(apply_modulation(ev, m, RngSpec(76), source_amp=AMP),
-                         sample, RngSpec(77))
-        b = apply_modulation(apply_sample(ev, sample, RngSpec(77)),
-                             m, RngSpec(76), source_amp=AMP)
+        a = apply_sample(apply_modulation(ev, m, RngSpec(76)), sample, RngSpec(77))
+        b = apply_modulation(apply_sample(ev, sample, RngSpec(77)), m, RngSpec(76))
         res = stats.ks_2samp(a.t_rel_ns(), b.t_rel_ns())
         assert res.pvalue > 0.01
         assert abs(len(a) - len(b)) < 4.5 * np.sqrt(len(a))

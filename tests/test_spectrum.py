@@ -4,6 +4,7 @@ import pytest
 
 from spptag.errors import DomainError, FitError
 from spptag.spectrum import (
+    GOLD,
     ArrayGeometry,
     FanoParameters,
     PermittivityTable,
@@ -76,7 +77,7 @@ class TestGeometry:
 
 class TestPermittivity:
     def test_nodes_are_exact(self):
-        table = PermittivityTable.gold()
+        table = GOLD
         mid = table.wavelength_nm[20]
         assert table.permittivity(mid) == table.epsilon[20]
 
