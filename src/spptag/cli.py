@@ -5,7 +5,7 @@ file format problem, 4 analysis undefined on the given data, 5 fit failure;
 _EXIT_CODES maps each error class to its code.  A flag whose dest is a
 dataclass field overrides that field when given (_override), so the
 dataclass validates it like a config-file value.  Float flags and CSV
-inputs must be finite (_finite).
+inputs must be finite (_finite); grid point counts are at most MAX_POINTS.
 """
 import argparse
 import csv
@@ -63,6 +63,7 @@ SIGNAL_CHS = (1, 2)
 # the first class an error is an instance of gives the exit code
 _EXIT_CODES = {ConfigError: 2, TagFileError: 3, OSError: 3, AnalysisError: 4,
                DomainError: 4, FitError: 5, ValueError: 2, OverflowError: 2}
+MAX_POINTS = 2**24  # grid points a --points or --range-points flag may ask for
 
 
 def _finite(text) -> float:
@@ -209,6 +210,8 @@ def cmd_hom_curve(args) -> int:
     amp = BiphotonAmplitude(args.shape, args.fwhm_ns)
     detunings = args.detunings_mhz
     if detunings is None:
+        if not 1 <= args.range_points <= MAX_POINTS:
+            raise ConfigError(f"--range-points must lie in [1, {MAX_POINTS}]")
         detunings = np.linspace(args.range_lo_mhz, args.range_hi_mhz, args.range_points)
     curve = hom_curve(amp, detunings, args.delay_ns)
     det, pc = curve.detunings_mhz, curve.coincidence
@@ -260,6 +263,8 @@ def cmd_spectrum_resonance(args) -> int:
 def cmd_spectrum_fano(args) -> int:
     geom = _override(ArrayGeometry(), args)
     params = _override(FanoParameters(), args)
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ConfigError(f"--points must lie in [2, {MAX_POINTS}]")
     grid = np.linspace(args.lo_nm, args.hi_nm, args.points)
     spec = fano_spectrum(geom, grid, params)
     i = int(np.argmax(spec.total))

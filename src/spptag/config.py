@@ -11,18 +11,19 @@ annotations give the value types (enums by value):
     amplitude     BiphotonAmplitude
     source        SourceConfig, with the amplitude section
     sample        SampleConfig, with the spectrum section as its SpectrumConfig
+    modulation    ModulationFunction; a key its kind does not take
+                  (optics.MODULATION_FIELDS) is rejected like an unknown key
     detector0-2   DetectorConfig
     beamsplitter  ExperimentConfig.split_ratio
     analysis      AnalysisConfig
     spectrum      ArrayGeometry, FanoParameters and SpectrumConfig, all of
                   spptag.spectrum
 
-The rest are run.duration (with a unit suffix), rng.seed, rng.stream and
-the modulation section, whose kind decides which other modulation keys it
-takes; a key the kind does not take is rejected like an unknown key.  The
-spectrum section is optional as a whole; giving any of its keys attaches a
-hole-array transmission spectrum to the sample stage, which then validates
-the photon wavelength against the characterized band.
+The rest are run.duration (with a unit suffix), rng.seed and rng.stream.
+The spectrum section is optional as a whole; giving any of its keys
+attaches a hole-array transmission spectrum to the sample stage, which then
+validates the photon wavelength against the characterized band, and a
+gaussian modulation's drive grid is bounded here (optics.drive_grid_ends).
 """
 import enum
 from dataclasses import dataclass, fields, replace
@@ -37,6 +38,7 @@ from .optics import (
     ModulationFunction,
     ModulationKind,
     SampleConfig,
+    drive_grid_ends,
 )
 from .source import SourceConfig
 from .spectrum import SpectrumConfig
@@ -84,7 +86,7 @@ def default_config() -> RunConfig:
     )
     experiment = ExperimentConfig(
         source=source,
-        modulation=ModulationFunction.identity(),
+        modulation=ModulationFunction(),
         sample=SampleConfig(795.0, 0.44, 0.35),
         detectors=(
             DetectorConfig(efficiency=1.0, dark_rate=0.0),
@@ -99,14 +101,6 @@ def default_config() -> RunConfig:
         duration_ps=10 * PS_PER_SECOND,
         analysis=AnalysisConfig(),
     )
-
-
-# modulation kind -> the keys it takes, with their defaults, in text order
-_MODULATIONS = {
-    ModulationKind.IDENTITY: {},
-    ModulationKind.HEAVISIDE: {"edge_ns": 0.0},
-    ModulationKind.GAUSSIAN: {"target_fwhm_ns": 40.0, "target_center_ns": 0.0},
-}
 
 
 class _Entries:
@@ -252,13 +246,15 @@ def parse_config(text: str) -> RunConfig:
     amplitude = _take_fields(entries, "amplitude", exp.source.amplitude)
     source = _take_fields(entries, "source", exp.source, amplitude=amplitude)
 
-    kind = entries.take("modulation.kind", _member(_MODULATIONS), exp.modulation.kind)
-    params = {key: entries.take(f"modulation.{key}", float, value)
-              for key, value in _MODULATIONS[kind].items()}
-    try:
-        modulation = ModulationFunction(kind, **params)
-    except ValueError as exc:
-        raise ConfigError(f"modulation: {exc}") from exc
+    kind = entries.take("modulation.kind", _member(ModulationKind), exp.modulation.kind)
+    mod = ModulationFunction(kind)  # the fields its kind does not take keep these defaults
+    modulation = _take_fields(entries, "modulation", mod, kind=kind,
+                              **{name: getattr(mod, name) for name in mod.unused_fields()})
+    if kind is ModulationKind.GAUSSIAN:
+        try:
+            drive_grid_ends(modulation, amplitude)
+        except ValueError as exc:
+            raise ConfigError(f"modulation: {exc}") from exc
 
     spectrum = None
     if entries.section_present("spectrum"):
@@ -278,15 +274,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def format_config(run: RunConfig) -> str:
-    """Serialize a run configuration; parse_config inverts this exactly.
-
-    Tabulated modulations are runtime objects derived from the source
-    amplitude and cannot be written out.
-    """
+    """Serialize a run configuration; parse_config inverts this exactly."""
     exp = run.experiment
     mod = exp.modulation
-    if mod.kind not in _MODULATIONS:
-        raise ValueError("tabulated modulations have no text form")
     lines = [
         "# simulation run",
         f"run.duration = {format_duration(run.duration_ps)}",
@@ -296,8 +286,7 @@ def format_config(run: RunConfig) -> str:
         *_field_lines("source", exp.source, "amplitude"),
         *_field_lines("amplitude", exp.source.amplitude),
         "",
-        f"modulation.kind = {mod.kind.value}",
-        *(f"modulation.{key} = {getattr(mod, key)!r}" for key in _MODULATIONS[mod.kind]),
+        *_field_lines("modulation", mod, *mod.unused_fields()),
         "",
         *_field_lines("sample", exp.sample, "spectrum"),
     ]

@@ -21,8 +21,11 @@ constructor and bounds its bins (MAX_BINS) and the pairs it expands
 Window edges: coincidence_histogram, reconstruct_waveform and the cross-
 correlation of cauchy_schwarz count [tau_min, tau_max); auto_g2_zero (g_ii
 and g_rr of cauchy_schwarz) counts [-W, +W); heralded_g2_zero counts
-[-W, +W], both edges included.  Normalization is accidental-rate only,
-g(tau) = counts / (r_a * r_b * bin * T); nothing is subtracted.
+[-W, +W], both edges included.  Normalization is accidental-rate only;
+nothing is subtracted.  Histograms divide by r_a * r_b * bin * T, and
+auto_g2_zero by the exact accidental count of uniform tags over [0, T],
+n_a * n_b * (w/T) * (2 - w/T) with w = min(W, T), which is 2W r_a r_b T to
+first order in W/T.
 """
 from __future__ import annotations
 
@@ -156,8 +159,9 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
                  window_ps: int) -> ZeroDelayG2:
     """g(0) between two detector channels of one split field.
 
-    Counts every pair with t_b - t_a in [-window, +window) and normalizes
-    by the accidental rate over 2*window.
+    Counts every pair with t_b - t_a in [-window, +window) and divides by
+    the count of independent uniform tags (module docstring), so
+    uncorrelated tags give 1 however wide the window.
     """
     window_ps = int(window_ps)
     if window_ps <= 0:
@@ -168,8 +172,8 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     if n_a == 0 or n_b == 0:
         raise AnalysisError("zero-delay g2 undefined: empty channel")
     pairs = int(_partners(is_b, first, last).sum())
-    t_s = stream.duration_ps * 1e-12
-    denom = (n_a / t_s) * (n_b / t_s) * (2 * window_ps * 1e-12) * t_s
+    x = min(window_ps, stream.duration_ps) / stream.duration_ps
+    denom = n_a * n_b * x * (2.0 - x)
     return ZeroDelayG2(pairs / denom, math.sqrt(max(pairs, 1)) / denom, pairs)
 
 

@@ -194,24 +194,15 @@ class TimeTagStream:
                            duration_ps: int) -> "TimeTagStream":
         """Merge per-channel time arrays into one time-ordered stream.
 
-        Ties in time are broken by channel number so merging is deterministic.
+        Channels are concatenated in channel order and one stable sort by
+        time merges them, so ties in time go in channel order.
         """
-        times = []
-        chans = []
-        for ch in sorted(per_channel):
-            t = np.asarray(per_channel[ch], dtype=np.int64)
-            times.append(t)
-            chans.append(np.full(t.size, ch, dtype=np.uint8))
-        if times:
-            t_all = np.concatenate(times)
-            c_all = np.concatenate(chans)
-            order = np.lexsort((c_all, t_all))
-            t_all = t_all[order]
-            c_all = c_all[order]
-        else:
-            t_all = np.empty(0, dtype=np.int64)
-            c_all = np.empty(0, dtype=np.uint8)
-        return cls(t_all, c_all, duration_ps)
+        chans = sorted(per_channel)
+        times = [np.asarray(per_channel[ch], dtype=np.int64) for ch in chans]
+        t_all = np.concatenate([np.empty(0, dtype=np.int64), *times])
+        c_all = np.repeat(np.array(chans, dtype=np.uint8), [t.size for t in times])
+        order = np.argsort(t_all, kind="stable")
+        return cls(t_all[order], c_all[order], duration_ps)
 
     def __len__(self) -> int:
         return int(self.times_ps.size)

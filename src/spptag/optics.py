@@ -1,27 +1,26 @@
 """Signal-arm optics chain: waveform imprinting, sample, split, detection.
 
-Photon loss is modeled as Bernoulli thinning of the source's event table
-(PairEvents): each stage takes the signal arm's events and returns the
-survivors, with signal_ps as the photon time and idler_ps as its herald
-reference; nothing here evolves amplitudes.  The electro-optic modulator
-acts on the arrival time of a signal photon relative to its herald: survival
-probability is the squared amplitude transmission m(t_rel)^2.  Detectors
-turn photon times into tag times with efficiency thinning, dark counts,
-Gaussian timestamp jitter, and a non-paralyzable dead time; the three
-detectors' tags are labelled with their channels once, where they are
-merged.  The whole bench runs one 100 s slice at a time, so memory does not
-grow with the run beyond the tags it returns.
+Photon loss is modeled as Bernoulli thinning; nothing here evolves
+amplitudes.  The electro-optic modulator acts on the arrival time of a
+signal photon relative to its herald, so it takes the source's event table
+(PairEvents, signal_ps the photon time and idler_ps its herald reference)
+and keeps each event with the squared amplitude transmission m(t_rel)^2.
+The stages after it (sample, beamsplitter) take and return int64 photon
+times only.  Detectors turn photon times into tag times with efficiency
+thinning, dark counts, Gaussian timestamp jitter, and a non-paralyzable
+dead time; the three detectors' tags are labelled with their channels
+once, where they are merged.  The whole bench runs one 100 s slice at a
+time, so memory does not grow with the run beyond the tags it returns.
 """
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .model import (
-    PS_PER_NS,
     U_CLIP,
     BiphotonAmplitude,
     RngSpec,
@@ -49,47 +48,42 @@ class ModulationKind(enum.Enum):
     IDENTITY = "identity"
     HEAVISIDE = "heaviside"
     GAUSSIAN = "gaussian"
-    TABULATED = "tabulated"
 
 
+# modulation kind -> the fields it takes besides kind; the others keep their defaults
+MODULATION_FIELDS = {
+    ModulationKind.IDENTITY: (),
+    ModulationKind.HEAVISIDE: ("edge_ns",),
+    ModulationKind.GAUSSIAN: ("target_fwhm_ns", "target_center_ns"),
+}
+MAX_DRIVE_POINTS = 2**24  # 128 MiB per float array of a derived drive
+
+
+@dataclass(frozen=True)
 class ModulationFunction:
     """Amplitude transmission m(t_rel) programmed on the modulator.
 
     identity   m = 1 everywhere (modulator removed)
-    heaviside  m = 1 for t_rel >= edge, else 0
-    gaussian   reshape the source wavepacket toward a Gaussian target; the
-               actual drive is derived against the source amplitude when the
-               modulation is applied
-    tabulated  explicit samples on a time grid, held at the nearer edge value
-               outside the grid
+    heaviside  m = 1 for t_rel >= edge_ns, else 0
+    gaussian   reshape the source wavepacket toward a Gaussian target of
+               target_fwhm_ns centred at target_center_ns; the drive is a
+               TabulatedDrive derived against the source amplitude
+               (resolve_modulation)
     """
 
-    def __init__(self, kind: ModulationKind, edge_ns: float = 0.0,
-                 target_fwhm_ns: float = 0.0, target_center_ns: float = 0.0,
-                 grid_ns=None, values=None, clipped_mass: float = 0.0):
-        self.kind = kind
-        self.edge_ns = float(edge_ns)
-        self.target_fwhm_ns = float(target_fwhm_ns)
-        self.target_center_ns = float(target_center_ns)
-        self.grid_ns = None if grid_ns is None else np.asarray(grid_ns, dtype=float)
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        self.clipped_mass = float(clipped_mass)
+    kind: ModulationKind = ModulationKind.IDENTITY
+    edge_ns: float = 0.0
+    target_fwhm_ns: float = 40.0
+    target_center_ns: float = 0.0
+
+    def __post_init__(self):
         check_finite(self, "edge_ns", "target_fwhm_ns", "target_center_ns")
-        if kind is ModulationKind.GAUSSIAN and target_fwhm_ns <= 0:
+        if self.kind is ModulationKind.GAUSSIAN and self.target_fwhm_ns <= 0:
             raise ValueError("gaussian modulation needs a positive target fwhm")
-        if kind is ModulationKind.TABULATED:
-            if self.grid_ns is None or self.values is None:
-                raise ValueError("tabulated modulation needs grid and values")
-            if self.grid_ns.shape != self.values.shape or self.grid_ns.ndim != 1:
-                raise ValueError("grid and values must be 1-d arrays of equal length")
-            if self.grid_ns.size < 2 or np.any(np.diff(self.grid_ns) <= 0):
-                raise ValueError("grid must be strictly increasing with >= 2 points")
-            if np.any(self.values < 0) or np.any(self.values > 1):
-                raise ValueError("tabulated amplitudes must lie in [0, 1]")
 
     @classmethod
     def identity(cls) -> "ModulationFunction":
-        return cls(ModulationKind.IDENTITY)
+        return cls()
 
     @classmethod
     def heaviside(cls, edge_ns: float) -> "ModulationFunction":
@@ -100,10 +94,10 @@ class ModulationFunction:
         return cls(ModulationKind.GAUSSIAN, target_fwhm_ns=fwhm_ns,
                    target_center_ns=center_ns)
 
-    @classmethod
-    def tabulated(cls, grid_ns, values, clipped_mass: float = 0.0) -> "ModulationFunction":
-        return cls(ModulationKind.TABULATED, grid_ns=grid_ns, values=values,
-                   clipped_mass=clipped_mass)
+    def unused_fields(self) -> tuple[str, ...]:
+        """Fields besides kind that this kind does not take."""
+        taken = ("kind", *MODULATION_FIELDS[self.kind])
+        return tuple(f.name for f in fields(self) if f.name not in taken)
 
     def amplitude(self, t_rel_ns) -> np.ndarray:
         """Transmission amplitude in [0, 1] at herald-relative times [ns]."""
@@ -112,39 +106,39 @@ class ModulationFunction:
             return np.ones_like(t)
         if self.kind is ModulationKind.HEAVISIDE:
             return (t >= self.edge_ns).astype(float)
-        if self.kind is ModulationKind.TABULATED:
-            return np.interp(t, self.grid_ns, self.values)
         raise ValueError("gaussian modulation must be resolved against a "
                          "source amplitude before evaluation")
 
-    def __eq__(self, other):
-        if not isinstance(other, ModulationFunction):
-            return NotImplemented
-        if self.kind is not other.kind:
-            return False
-        same_grid = ((self.grid_ns is None and other.grid_ns is None)
-                     or (self.grid_ns is not None and other.grid_ns is not None
-                         and np.array_equal(self.grid_ns, other.grid_ns)
-                         and np.array_equal(self.values, other.values)))
-        return (same_grid
-                and self.edge_ns == other.edge_ns
-                and self.target_fwhm_ns == other.target_fwhm_ns
-                and self.target_center_ns == other.target_center_ns)
 
-    def __repr__(self):
-        return f"ModulationFunction({self.kind.value})"
+@dataclass(frozen=True, eq=False)
+class TabulatedDrive:
+    """Derived drive amplitudes on a time grid [ns], held at the nearer edge
+    value outside it, and the target mass they could not produce."""
+
+    grid_ns: np.ndarray
+    values: np.ndarray
+    clipped_mass: float
+
+    def amplitude(self, t_rel_ns) -> np.ndarray:
+        """Transmission amplitude in [0, 1] at herald-relative times [ns]."""
+        return np.interp(np.asarray(t_rel_ns, dtype=float), self.grid_ns, self.values)
+
+    def outside(self, t_rel_ns: np.ndarray) -> int:
+        """How many of the times lie off the grid, held at its edge values."""
+        grid = self.grid_ns
+        return int(np.count_nonzero((t_rel_ns < grid[0]) | (t_rel_ns > grid[-1])))
 
 
 def derive_modulation_for_target(input_amp: BiphotonAmplitude,
                                  target_amp: BiphotonAmplitude,
-                                 grid_ns) -> ModulationFunction:
+                                 grid_ns) -> TabulatedDrive:
     """Drive that reshapes the input delay density toward a target density.
 
     The pointwise amplitude is sqrt(target / (M * input)) with M the maximum
     density ratio on the grid, so the drive peaks at exactly 1 and the
     surviving fraction is 1/M.  Target mass sitting where the input density
     vanishes cannot be produced by attenuation and is reported as
-    clipped_mass on the returned function.
+    clipped_mass on the returned drive.
     """
     grid = np.asarray(grid_ns, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -163,32 +157,44 @@ def derive_modulation_for_target(input_amp: BiphotonAmplitude,
     clipped = float(np.trapezoid(np.where(reachable, 0.0, f_target), grid))
     if clipped > 1e-6:
         log.warning("target waveform has %.3g unreachable mass", clipped)
-    return ModulationFunction.tabulated(grid, np.clip(values, 0.0, 1.0),
-                                        clipped_mass=clipped)
+    return TabulatedDrive(grid, np.clip(values, 0.0, 1.0), clipped)
 
 
-def resolve_modulation(modulation: ModulationFunction,
-                       source_amp: BiphotonAmplitude) -> ModulationFunction:
-    """Replace a gaussian-target modulation by its derived tabulated drive."""
+def drive_grid_ends(modulation: ModulationFunction,
+                    source_amp: BiphotonAmplitude) -> tuple[float, float]:
+    """Ends [ns] of the 0.1 ns grid a gaussian target's drive is derived on:
+    six widths of the wider packet beyond both centres.  A grid of more than
+    MAX_DRIVE_POINTS points raises ValueError before anything is allocated."""
+    span = 6.0 * max(source_amp.fwhm_ns, modulation.target_fwhm_ns)
+    lo = min(source_amp.offset_ns, modulation.target_center_ns) - span
+    hi = max(source_amp.offset_ns, modulation.target_center_ns) + span + 0.05
+    points = (hi - lo) / 0.1
+    if not points <= MAX_DRIVE_POINTS:
+        raise ValueError(f"gaussian drive grid of {points:.4g} points exceeds "
+                         f"the limit of {MAX_DRIVE_POINTS}")
+    return lo, hi
+
+
+def resolve_modulation(modulation: ModulationFunction, source_amp: BiphotonAmplitude
+                       ) -> ModulationFunction | TabulatedDrive:
+    """The drive of a gaussian target, derived against the source; other kinds as given."""
     if modulation.kind is not ModulationKind.GAUSSIAN:
         return modulation
     target = BiphotonAmplitude(Shape.GAUSSIAN, modulation.target_fwhm_ns,
                                offset_ns=modulation.target_center_ns)
-    span = 6.0 * max(source_amp.fwhm_ns, modulation.target_fwhm_ns)
-    lo = min(source_amp.offset_ns, modulation.target_center_ns) - span
-    hi = max(source_amp.offset_ns, modulation.target_center_ns) + span
-    grid = np.arange(lo, hi + 0.05, 0.1)
+    grid = np.arange(*drive_grid_ends(modulation, source_amp), 0.1)
     return derive_modulation_for_target(source_amp, target, grid)
 
 
-def apply_modulation(events: PairEvents, modulation: ModulationFunction,
+def apply_modulation(events: PairEvents, modulation: ModulationFunction | TabulatedDrive,
                      rng: RngSpec | np.random.Generator) -> PairEvents:
     """Bernoulli-thin signal photons with probability m(t_rel)^2.
 
     Identity passes the stream through untouched without consuming random
     numbers.  A gaussian target must be resolved first (resolve_modulation).
     """
-    if modulation.kind is ModulationKind.IDENTITY:
+    if (isinstance(modulation, ModulationFunction)
+            and modulation.kind is ModulationKind.IDENTITY):
         return events
     gen = as_generator(rng)
     p = modulation.amplitude(events.t_rel_ns()) ** 2
@@ -205,7 +211,8 @@ class SampleConfig:
                            (None skips the check)
     photon_wavelength_nm   carrier wavelength of the signal photons
     overall_conversion     end-to-end survival probability at the carrier
-    background_suppression extra factor applied to broadband background only
+    background_suppression extra factor for broadband background only, which
+                           run_experiment folds into the background rate
     """
 
     photon_wavelength_nm: float
@@ -230,37 +237,25 @@ class SampleConfig:
                     f"the characterized spectrum [{lo}, {hi}] nm")
 
 
-def outside_grid(modulation: ModulationFunction, events: PairEvents) -> int:
-    """Events a tabulated drive holds at its edge values, being off its grid."""
-    if modulation.kind is not ModulationKind.TABULATED:
-        return 0
-    t_rel, grid = events.t_rel_ns(), modulation.grid_ns
-    return int(np.count_nonzero((t_rel < grid[0]) | (t_rel > grid[-1])))
+def apply_sample(photons_ps: np.ndarray, sample: SampleConfig,
+                 rng: RngSpec | np.random.Generator) -> np.ndarray:
+    """Pair photon times [ps] that survive the sample, each with overall_conversion.
 
-
-def apply_sample(events: PairEvents, sample: SampleConfig,
-                 rng: RngSpec | np.random.Generator) -> PairEvents:
-    """Thin the stream through the sample.
-
-    Pair photons survive with overall_conversion; broadband background gets
-    an extra background_suppression factor (narrower spectral acceptance).
+    Broadband background does not pass here: run_experiment draws it already
+    thinned by the conversion and background_suppression.
     """
     gen = as_generator(rng)
-    p = np.full(len(events), sample.overall_conversion)
-    bg = events.kind == PairKind.BACKGROUND_SIGNAL
-    p[bg] *= sample.background_suppression
-    keep = gen.random(len(events)) < p
-    return events.select(keep)
+    return photons_ps[gen.random(photons_ps.size) < sample.overall_conversion]
 
 
-def beamsplit(events: PairEvents, ratio: float,
-              rng: RngSpec | np.random.Generator) -> tuple[PairEvents, PairEvents]:
-    """Split a stream on a beamsplitter; ratio is the probability of arm A."""
+def beamsplit(photons_ps: np.ndarray, ratio: float,
+              rng: RngSpec | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Split photon times [ps] on a beamsplitter; ratio is the probability of arm A."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("split ratio must lie in [0, 1]")
     gen = as_generator(rng)
-    to_a = gen.random(len(events)) < ratio
-    return events.select(to_a), events.select(~to_a)
+    to_a = gen.random(photons_ps.size) < ratio
+    return photons_ps[to_a], photons_ps[~to_a]
 
 
 @dataclass(frozen=True)
@@ -374,7 +369,7 @@ class ExperimentConfig:
     """
 
     source: SourceConfig
-    modulation: ModulationFunction = field(default_factory=ModulationFunction.identity)
+    modulation: ModulationFunction = ModulationFunction()
     sample: SampleConfig = SampleConfig(795.0, 1.0, 1.0)
     detectors: tuple[DetectorConfig, DetectorConfig, DetectorConfig] = (
         DetectorConfig(efficiency=1.0, dark_rate=0.0),
@@ -414,20 +409,22 @@ class _Chain:
         Within a slice the kind column is in draw order (true pairs, extras,
         signal background, idler background), so the signal arm and, after
         modulation, its pair photons and background are contiguous runs.
+        After the modulator only the signal photon times go on.
         """
         arrivals = [pairs.idler_arm_times()]
         signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
         del pairs  # signal views the slice's columns: free them once a stage copies
-        self.n_outside += outside_grid(self.modulation, signal)
+        if isinstance(self.modulation, TabulatedDrive):
+            self.n_outside += self.modulation.outside(signal.t_rel_ns())
         signal = apply_modulation(signal, self.modulation, self.gen_mod)
         bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
         # the background was drawn already thinned by the sample
-        signal = PairEvents.concatenate(
-            [apply_sample(signal.select(slice(bg)), self.config.sample, self.gen_sample),
-             signal.select(slice(bg, None))])
-        arrivals += [arm.signal_ps for arm in beamsplit(signal, self.config.split_ratio,
-                                                        self.gen_split)]
+        photons = np.concatenate([
+            apply_sample(signal.signal_ps[:bg], self.config.sample, self.gen_sample),
+            signal.signal_ps[bg:]])
         del signal
+        arrivals += beamsplit(photons, self.config.split_ratio, self.gen_split)
+        del photons
         flushed = {}
         for ch, detector in enumerate(self.config.detectors):
             photons = np.sort(np.concatenate([self.photons[ch], arrivals[ch]]))

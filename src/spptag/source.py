@@ -9,9 +9,9 @@ of Philox uniforms so runs are reproducible bit for bit.  The observation
 time is drawn in 100 s slices from independent child streams, and a run can
 be consumed slice by slice (stream_pairs) so its memory stays bounded.
 
-PairEvents is the one event table of the bench: the optics stages take and
-return it, with signal_ps as the photon time and idler_ps as its herald
-reference.
+PairEvents is the one event table of the bench: the modulator takes and
+returns it, with signal_ps as the photon time and idler_ps as its herald
+reference; the stages after it pass signal_ps alone.
 """
 from __future__ import annotations
 

@@ -129,6 +129,11 @@ class TestRejectedInput:
         "analyze waveform --tags {tags} --tau-max-ns 1e9": "1000000025 bins",
         # one bin wider than the file: each of 4044 heralds pairs with all 7645 tags
         PAIRS_PROBE: "30916380 tag pairs",
+        "spectrum fano --points 1000000000": "--points must lie in [2, 16777216]",
+        "spectrum fano --points 1": "--points must lie in [2, 16777216]",
+        "hom curve --range-points 1000000000": "--range-points must lie in [1, 16777216]",
+        "hom curve --range-points -1": "--range-points must lie",
+        "hom curve --range-points 0": "--range-points must lie",
     }
 
     @pytest.mark.parametrize("command", PROBES)
@@ -196,8 +201,14 @@ class TestSimulate:
         ("spectrum.peak_transmittance = 0.0001", "spectrum:"),
         ("modulation.kind = identity\nmodulation.edge_ns = nan", "line 2"),
         ("spectrum.grid_hi_nm = 700.0", "sample: photon wavelength 795.0 nm outside"),
+        # drive grids of 916 MiB and 72.8 TiB: refused before they are allocated
+        ("modulation.kind = gaussian\nmodulation.target_fwhm_ns = 1e6",
+         "error: modulation: gaussian drive grid of 1.2e+08 points"),
+        ("modulation.kind = gaussian\nmodulation.target_center_ns = 1e12",
+         "error: modulation: gaussian drive grid of 1e+13 points"),
     ], ids=["unbuildable_spectrum", "modulation_key_of_another_kind",
-            "wavelength_outside_spectrum"])
+            "wavelength_outside_spectrum", "gaussian_drive_grid_too_wide",
+            "gaussian_drive_grid_too_late"])
     def test_config_problem_exits_2_on_one_line(self, tmp_path, capsys, given, part):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(given + "\n")
@@ -273,6 +284,15 @@ class TestAnalyze:
         fields, rows = read_csv(out)
         assert fields == ["tau_ns", "c", "c_error", "low_stats"]
         assert len(rows) == 50  # -25..25 ns at 1 ns
+
+    def test_cs_auto_window_beyond_the_file(self, pinned_tags, capsys):
+        # a window past the 2 s duration counts every pair, which is what
+        # uncorrelated tags of that duration give
+        assert main(["analyze", "cs", "--tags", str(pinned_tags),
+                     "--auto-window-ps", str(2**62)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("C(tau): peak 4828713.3 +/- ")
+        assert first.endswith("g_ii(0) = 1.000, g_rr(0) = 1.000")
 
     def test_waveform_writes_histogram(self, tag_file, tmp_path):
         out = tmp_path / "wf.csv"

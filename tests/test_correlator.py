@@ -149,6 +149,15 @@ class TestAutoG2:
         assert res.error < 0.05
         assert type(res.value) is float and type(res.error) is float
 
+    @pytest.mark.parametrize("window_ps", [SECOND // 4, SECOND, 2**62])
+    def test_independent_poisson_unity_for_any_window(self, window_ps):
+        # uniform tags put n_a n_b (w/T)(2 - w/T) pairs in [-W, W), w = min(W, T);
+        # 2W n_a n_b / T would read 0.875 at W = T/4
+        gen = RngSpec(132).generator()
+        per = {ch: poisson_times(20_000.0, 0, SECOND, gen) for ch in (0, 1)}
+        s = TimeTagStream.from_channel_times(per, SECOND)
+        assert abs(auto_g2_zero(s, 0, 1, window_ps).value - 1.0) < 0.02
+
     def test_empty_channel_raises(self):
         s = TimeTagStream([100], [0], 10**6)
         with pytest.raises(AnalysisError):

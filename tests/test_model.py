@@ -5,6 +5,8 @@ here (independently of the package's inverse-CDF code) for KS tests.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream
@@ -169,11 +171,17 @@ class TestTimeTagStream:
         assert s.count(2) == 1
         assert s.rate(0) == pytest.approx(2 / 100e-12)
 
-    def test_merge_sorted_with_channel_tiebreak(self):
+    @settings(max_examples=200, deadline=None)
+    @given(per_channel=st.dictionaries(
+        st.integers(0, 7), st.lists(st.integers(0, 6), max_size=12).map(sorted),
+        max_size=5))
+    def test_merge_sorted_with_channel_tiebreak(self, per_channel):
+        # times from 0 to 6 ps on up to five channels: most times are shared
         s = TimeTagStream.from_channel_times(
-            {2: np.array([5, 40]), 0: np.array([5, 10])}, duration_ps=50)
-        np.testing.assert_array_equal(s.times_ps, [5, 5, 10, 40])
-        np.testing.assert_array_equal(s.channels, [0, 2, 0, 2])
+            {ch: np.array(t, dtype=np.int64) for ch, t in per_channel.items()}, 10)
+        brute = sorted((t, ch) for ch, times in per_channel.items() for t in times)
+        assert list(zip(s.times_ps.tolist(), s.channels.tolist())) == brute
+        assert s.times_ps.dtype == np.int64 and s.channels.dtype == np.uint8
 
     def test_validation(self):
         with pytest.raises(ValueError):

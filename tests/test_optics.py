@@ -21,13 +21,14 @@ from spptag.optics import (
     DetectorState,
     ExperimentConfig,
     ModulationFunction,
-    ModulationKind,
     SampleConfig,
+    TabulatedDrive,
     apply_modulation,
     apply_sample,
     beamsplit,
     derive_modulation_for_target,
     detect,
+    drive_grid_ends,
     resolve_modulation,
     run_experiment,
     _dead_time_filter_mask,
@@ -71,7 +72,7 @@ class TestModulation:
 
     def test_constant_tabulated_survival_fraction(self):
         ev = synthetic_events(40000, RngSpec(64))
-        m = ModulationFunction.tabulated([-1000.0, 1000.0], [0.5, 0.5])
+        m = TabulatedDrive(np.array([-1000.0, 1000.0]), np.array([0.5, 0.5]), 0.0)
         out = apply_modulation(ev, m, RngSpec(65))
         # amplitude 0.5 -> survival 0.25
         n, p = 40000, 0.25
@@ -125,16 +126,27 @@ class TestModulation:
         assert m.clipped_mass == pytest.approx(expected, abs=1e-3)
 
     def test_tabulated_held_at_edges(self):
-        m = ModulationFunction.tabulated([0.0, 10.0], [0.25, 0.75])
+        m = TabulatedDrive(np.array([0.0, 10.0]), np.array([0.25, 0.75]), 0.0)
         np.testing.assert_allclose(m.amplitude([-5.0, 15.0]), [0.25, 0.75])
 
     def test_tabulated_validation(self):
-        with pytest.raises(ValueError):
-            ModulationFunction.tabulated([0.0, 1.0], [0.5, 1.5])
-        with pytest.raises(ValueError):
-            ModulationFunction.tabulated([1.0, 0.0], [0.5, 0.5])
+        # a tabulated drive is only derived, on a strictly increasing grid
+        target = BiphotonAmplitude(Shape.GAUSSIAN, 40.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            derive_modulation_for_target(AMP, target, [1.0, 0.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            derive_modulation_for_target(AMP, target, [0.0])
         with pytest.raises(ValueError):
             ModulationFunction.gaussian_target(0.0)
+
+    @pytest.mark.parametrize("fwhm_ns, center_ns", [(1e6, 0.0), (40.0, 1e12)])
+    def test_drive_grid_bounded_before_allocating(self, fwhm_ns, center_ns):
+        m = ModulationFunction.gaussian_target(fwhm_ns, center_ns)
+        with pytest.raises(ValueError, match="exceeds the limit of 16777216"):
+            resolve_modulation(m, AMP)
+        # 12 widths of 1e5 ns in 0.1 ns steps: 1.2e7 points, within the bound
+        lo, hi = drive_grid_ends(ModulationFunction.gaussian_target(1e5), AMP)
+        assert (hi - lo) / 0.1 == pytest.approx(1.2e7)
 
     def test_resolve_leaves_other_kinds_alone(self):
         m = ModulationFunction.heaviside(3.0)
@@ -144,38 +156,31 @@ class TestModulation:
 class TestSample:
     def test_conversion_fraction(self):
         ev = synthetic_events(40000, RngSpec(70))
-        out = apply_sample(ev, SampleConfig(795.0, 0.44), RngSpec(71))
+        out = apply_sample(ev.signal_ps, SampleConfig(795.0, 0.44), RngSpec(71))
         n, p = 40000, 0.44
         assert abs(len(out) - n * p) < 4.5 * np.sqrt(n * p * (1 - p))
-
-    def test_background_suppression_only_hits_background(self):
-        n = 40000
-        heralds = (np.arange(n, dtype=np.int64) + 1) * 500_000
-        kinds = np.zeros(n, dtype=np.uint8)
-        kinds[n // 2:] = PairKind.BACKGROUND_SIGNAL
-        ev = PairEvents(heralds, heralds + 100, kinds)
-        out = apply_sample(ev, SampleConfig(795.0, 1.0, background_suppression=0.3),
-                           RngSpec(72))
-        n_pair = int(np.count_nonzero(out.kind == PairKind.TRUE_PAIR))
-        n_bg = int(np.count_nonzero(out.kind == PairKind.BACKGROUND_SIGNAL))
-        assert n_pair == n // 2
-        assert abs(n_bg - 0.3 * n / 2) < 4.5 * np.sqrt(0.3 * 0.7 * n / 2)
+        assert np.isin(out, ev.signal_ps).all() and np.all(np.diff(out) > 0)
 
     def test_wavelength_outside_spectrum_raises(self):
         spec = SpectrumConfig(grid_lo_nm=600.0, grid_hi_nm=1000.0)
         with pytest.raises(ValueError, match="outside the characterized spectrum"):
             SampleConfig(1550.0, 0.5, spectrum=spec)
         ev = synthetic_events(10, RngSpec(73))
-        out = apply_sample(ev, SampleConfig(795.0, 1.0, spectrum=spec), RngSpec(74))
+        out = apply_sample(ev.signal_ps, SampleConfig(795.0, 1.0, spectrum=spec), RngSpec(74))
         assert len(out) == 10
 
     def test_thinning_order_commutes_in_distribution(self):
+        # the bench samples after modulating; the background is drawn already
+        # sampled, before modulation, which is sound only if the order of the
+        # two thinnings does not matter (Lewis & Shedler 1979)
         m = resolve_modulation(ModulationFunction.gaussian_target(40.0), AMP)
         sample = SampleConfig(795.0, 0.44)
         ev = synthetic_events(150_000, RngSpec(75))
-        a = apply_sample(apply_modulation(ev, m, RngSpec(76)), sample, RngSpec(77))
-        b = apply_modulation(apply_sample(ev, sample, RngSpec(77)), m, RngSpec(76))
-        res = stats.ks_2samp(a.t_rel_ns(), b.t_rel_ns())
+        modulated = apply_modulation(ev, m, RngSpec(76))
+        a = apply_sample(modulated.signal_ps - modulated.idler_ps, sample, RngSpec(77))
+        sampled = ev.select(apply_sample(np.arange(len(ev)), sample, RngSpec(77)))
+        b = apply_modulation(sampled, m, RngSpec(76)).t_rel_ns()
+        res = stats.ks_2samp(a / 1000.0, b)
         assert res.pvalue > 0.01
         assert abs(len(a) - len(b)) < 4.5 * np.sqrt(len(a))
 
@@ -190,23 +195,23 @@ class TestSample:
 
 class TestBeamsplit:
     def test_disjoint_partition(self):
-        ev = synthetic_events(5000, RngSpec(80))
-        a, b = beamsplit(ev, 0.5, RngSpec(81))
-        assert len(a) + len(b) == len(ev)
-        merged = np.sort(np.concatenate([a.signal_ps, b.signal_ps]))
-        np.testing.assert_array_equal(merged, np.sort(ev.signal_ps))
+        photons = synthetic_events(5000, RngSpec(80)).signal_ps
+        a, b = beamsplit(photons, 0.5, RngSpec(81))
+        assert len(a) + len(b) == len(photons)
+        merged = np.sort(np.concatenate([a, b]))
+        np.testing.assert_array_equal(merged, np.sort(photons))
 
     def test_ratio_fraction(self):
-        ev = synthetic_events(40000, RngSpec(82))
-        a, _ = beamsplit(ev, 0.3, RngSpec(83))
+        photons = synthetic_events(40000, RngSpec(82)).signal_ps
+        a, _ = beamsplit(photons, 0.3, RngSpec(83))
         assert abs(len(a) - 12000) < 4.5 * np.sqrt(40000 * 0.3 * 0.7)
 
     def test_degenerate_ratios(self):
-        ev = synthetic_events(100, RngSpec(84))
-        a, b = beamsplit(ev, 1.0, RngSpec(85))
+        photons = synthetic_events(100, RngSpec(84)).signal_ps
+        a, b = beamsplit(photons, 1.0, RngSpec(85))
         assert len(a) == 100 and len(b) == 0
         with pytest.raises(ValueError):
-            beamsplit(ev, 1.5, RngSpec(86))
+            beamsplit(photons, 1.5, RngSpec(86))
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.5, math.nan])
     def test_experiment_rejects_ratio_outside_unit_interval(self, ratio):
