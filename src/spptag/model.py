@@ -160,9 +160,15 @@ def _delay_quantile(amp: BiphotonAmplitude, u: np.ndarray) -> np.ndarray:
     elif amp.shape is Shape.EXPONENTIAL_DECAY:
         out = -amp.tau0_ns * np.log1p(-u)
     else:
-        from scipy.special import ndtri
-        out = amp.sigma_ns * ndtri(u)
+        out = amp.sigma_ns * normal_quantile(u)
     return out + amp.offset_ns
+
+
+def normal_quantile(u) -> np.ndarray:
+    """Standard normal inverse CDF at u clipped to [U_CLIP, 1 - U_CLIP]: every
+    Gaussian draw, and every bound assumed of one, goes through here."""
+    from scipy.special import ndtri  # imported on first use: it is slow to load
+    return ndtri(np.clip(u, U_CLIP, 1.0 - U_CLIP))
 
 
 class TimeTagStream:

@@ -9,19 +9,21 @@ The stages after it (sample, beamsplitter) take and return int64 photon
 times only.  Detectors turn photon times into tag times with efficiency
 thinning, dark counts, Gaussian timestamp jitter, and a non-paralyzable
 dead time; the three detectors' tags are labelled with their channels
-once, where they are merged.  The whole bench runs one 100 s slice at a
-time, so memory does not grow with the run beyond the tags it returns.
+once, where they are merged.  stream_experiment runs the whole bench one
+100 s slice at a time and yields each slice's final tags, so memory does
+not grow with the run beyond the tags its consumer keeps; run_experiment
+keeps them all.
 """
 from __future__ import annotations
 
 import enum
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .model import (
-    U_CLIP,
     BiphotonAmplitude,
     RngSpec,
     Shape,
@@ -29,6 +31,7 @@ from .model import (
     as_generator,
     check_finite,
     evaluate_density,
+    normal_quantile,
 )
 from .source import (
     PairEvents,
@@ -80,6 +83,9 @@ class ModulationFunction:
         check_finite(self, "edge_ns", "target_fwhm_ns", "target_center_ns")
         if self.kind is ModulationKind.GAUSSIAN and self.target_fwhm_ns <= 0:
             raise ValueError("gaussian modulation needs a positive target fwhm")
+        for name in self.unused_fields():  # it would not survive a config round trip
+            if getattr(self, name) != getattr(ModulationFunction, name):
+                raise ValueError(f"{self.kind.value} modulation does not take {name}")
 
     @classmethod
     def identity(cls) -> "ModulationFunction":
@@ -323,18 +329,17 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, duration_ps: int,
     if physical.size:
         state.last_fire_ps = int(physical[-1])
     if detector.jitter_sigma_ps > 0:
-        from scipy.special import ndtri
-        u = np.clip(jitter_u, U_CLIP, 1.0 - U_CLIP)
-        shift = np.rint(detector.jitter_sigma_ps * ndtri(u)).astype(np.int64)
-        physical = physical + shift
+        shift = np.rint(detector.jitter_sigma_ps * normal_quantile(jitter_u))
+        physical = physical + shift.astype(np.int64)
     inside = (physical >= 0) & (physical <= duration_ps)
-    return np.sort(physical[inside])
+    return np.sort(physical[inside], kind="stable")
 
 
 def _jitter_reach_ps(detector: DetectorConfig) -> int:
-    """Largest timestamp shift the detector's jitter can apply [ps]."""
-    from scipy.special import ndtri
-    return int(np.ceil(-detector.jitter_sigma_ps * ndtri(U_CLIP))) + 1
+    """Bound [ps] above the largest shift, either way, that the detector's jitter applies."""
+    # both ends: the clipped probability near 1 rounds to the thinner tail
+    ends = np.abs(normal_quantile(np.array([0.0, 1.0])))
+    return int(np.ceil(detector.jitter_sigma_ps * ends.max())) + 1
 
 
 def _dead_time_filter_mask(times: np.ndarray, dead_ps: int,
@@ -383,72 +388,22 @@ class ExperimentConfig:
             raise ValueError("split_ratio must lie in [0, 1]")
 
 
-class _Chain:
-    """The stages after the source, carried from slice to slice of one run.
-
-    Per detector it holds back photons until no later slice can bring an
-    earlier one, so the detector sees them in time order, and tags until no
-    later photon can be jittered before them, so every flush is final.
-    """
-
-    def __init__(self, config: ExperimentConfig, duration_ps: int, rng: RngSpec):
-        self.config = config
-        self.duration_ps = duration_ps
-        self.modulation = resolve_modulation(config.modulation, config.source.amplitude)
-        self.n_outside = 0
-        self.gen_mod, self.gen_sample, self.gen_split, *self.gen_det = (
-            rng.child(k).generator() for k in range(1, 7))
-        self.states = [DetectorState() for _ in config.detectors]
-        self.photons = [np.empty(0, dtype=np.int64) for _ in config.detectors]
-        self.tags = [np.empty(0, dtype=np.int64) for _ in config.detectors]
-
-    def run_slice(self, pairs: PairEvents, horizon_ps: int,
-                  flush_before_ps: int) -> TimeTagStream:
-        """Detect one slice's photons before horizon_ps; return tags before flush_before_ps.
-
-        Within a slice the kind column is in draw order (true pairs, extras,
-        signal background, idler background), so the signal arm and, after
-        modulation, its pair photons and background are contiguous runs.
-        After the modulator only the signal photon times go on.
-        """
-        arrivals = [pairs.idler_arm_times()]
-        signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
-        del pairs  # signal views the slice's columns: free them once a stage copies
-        if isinstance(self.modulation, TabulatedDrive):
-            self.n_outside += self.modulation.outside(signal.t_rel_ns())
-        signal = apply_modulation(signal, self.modulation, self.gen_mod)
-        bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
-        # the background was drawn already thinned by the sample
-        photons = np.concatenate([
-            apply_sample(signal.signal_ps[:bg], self.config.sample, self.gen_sample),
-            signal.signal_ps[bg:]])
-        del signal
-        arrivals += beamsplit(photons, self.config.split_ratio, self.gen_split)
-        del photons
-        flushed = {}
-        for ch, detector in enumerate(self.config.detectors):
-            photons = np.sort(np.concatenate([self.photons[ch], arrivals[ch]]))
-            cut = np.searchsorted(photons, horizon_ps)
-            self.photons[ch] = photons[cut:]
-            new = detect(photons[:cut], detector, self.duration_ps, self.gen_det[ch],
-                         until_ps=horizon_ps, state=self.states[ch])
-            tags = np.sort(np.concatenate([self.tags[ch], new]), kind="stable")
-            cut = np.searchsorted(tags, flush_before_ps)
-            flushed[ch], self.tags[ch] = tags[:cut], tags[cut:]
-        return TimeTagStream.from_channel_times(flushed, self.duration_ps)
-
-
-def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
-                   segments: int | None = None) -> TimeTagStream:
-    """Simulate the whole bench and return the merged three-channel stream.
+def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
+                      segments: int | None = None) -> Iterator[TimeTagStream]:
+    """Simulate the bench slice by slice, yielding each slice's final tags.
 
     The run is split into `segments` equal slices (by default one per
     100 s), and each slice is generated, modulated, sampled, split and
-    detected before the next starts; only merged tags are kept.  Stages draw
-    from fixed child streams of rng (generation, modulation, sample,
-    beamsplitter, one per detector) that stay live across slices, so any
-    stage's draws are unaffected by parameter changes upstream that keep
-    event counts fixed.
+    detected before the next starts.  Stages draw from fixed child streams
+    of rng (generation, modulation, sample, beamsplitter, one per detector)
+    that stay live across slices, so any stage's draws are unaffected by
+    parameter changes upstream that keep event counts fixed.
+
+    Per detector, photons are held back until no later slice can bring an
+    earlier one, so the detector sees them in time order, and tags until no
+    later photon can be jittered before them.  Each yielded stream is
+    therefore sorted, begins no earlier than the previous one ends, and the
+    streams concatenate to run_experiment's.
 
     Signal-arm background is drawn already thinned by the sample's
     conversion and background suppression, and skips the sample stage:
@@ -457,23 +412,60 @@ def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
     """
     edges = segment_edges(duration_ps, segments)
     duration_ps, segments = int(edges[-1]), edges.size - 1
-    src, sample = config.source, config.sample
+    src, sample, detectors = config.source, config.sample, config.detectors
     source = replace(src, background_rate_signal=src.background_rate_signal
                      * sample.overall_conversion * sample.background_suppression)
-    slices = stream_pairs(source, duration_ps, rng.child(0), segments)
-    chain = _Chain(config, duration_ps, rng)
+    modulation = resolve_modulation(config.modulation, src.amplitude)
+    gen_mod, gen_sample, gen_split, *gen_det = (rng.child(k).generator() for k in range(1, 7))
+    states = [DetectorState() for _ in detectors]
+    held_photons = [np.empty(0, dtype=np.int64) for _ in detectors]
+    held_tags = [np.empty(0, dtype=np.int64) for _ in detectors]
     lead = slice_lead_ps(source)
-    jitter = max(_jitter_reach_ps(det) for det in config.detectors)
-    times, channels = [], []
+    jitter = max(_jitter_reach_ps(det) for det in detectors)
+    n_outside = 0
+    slices = stream_pairs(source, duration_ps, rng.child(0), segments)
     for k in range(segments):
         last = k == segments - 1
         # no photon of a later slice precedes the horizon, no later tag the flush
         horizon = duration_ps + 1 if last else max(int(edges[k + 1]) - lead, 0)
         flush_before = np.iinfo(np.int64).max if last else horizon - jitter
-        tags = chain.run_slice(next(slices), horizon, flush_before)
-        times.append(tags.times_ps)
-        channels.append(tags.channels)
-    if chain.n_outside:
-        log.warning("%d events outside the modulation grid held at edge values",
-                    chain.n_outside)
-    return TimeTagStream(np.concatenate(times), np.concatenate(channels), duration_ps)
+        # the kind column is in draw order (pairs, extras, signal and idler background),
+        # so the signal arm and, after modulation, its pairs and background are runs
+        pairs = next(slices)  # not enumerate(slices): its cached tuple would keep the slice
+        arrivals = [pairs.idler_arm_times()]
+        signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
+        del pairs  # signal views the slice's columns: free them once a stage copies
+        if isinstance(modulation, TabulatedDrive):
+            n_outside += modulation.outside(signal.t_rel_ns())
+        signal = apply_modulation(signal, modulation, gen_mod)
+        bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
+        # the background was drawn already thinned by the sample
+        photons = np.concatenate([
+            apply_sample(signal.signal_ps[:bg], sample, gen_sample), signal.signal_ps[bg:]])
+        del signal
+        arrivals += beamsplit(photons, config.split_ratio, gen_split)
+        del photons
+        flushed = {}
+        for ch, detector in enumerate(detectors):
+            photons = np.sort(np.concatenate([held_photons[ch], arrivals[ch]]), kind="stable")
+            cut = np.searchsorted(photons, horizon)
+            held_photons[ch] = photons[cut:].copy()  # a view would keep the whole slice
+            new = detect(photons[:cut], detector, duration_ps, gen_det[ch],
+                         until_ps=horizon, state=states[ch])
+            tags = np.sort(np.concatenate([held_tags[ch], new]), kind="stable")
+            cut = np.searchsorted(tags, flush_before)
+            flushed[ch], held_tags[ch] = tags[:cut], tags[cut:].copy()
+        stream = TimeTagStream.from_channel_times(flushed, duration_ps)
+        del arrivals, photons, new, tags, flushed  # the consumer holds only the stream
+        yield stream
+    if n_outside:
+        log.warning("%d events outside the modulation grid held at edge values", n_outside)
+
+
+def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
+                   segments: int | None = None) -> TimeTagStream:
+    """Simulate the whole bench and return the merged three-channel stream:
+    the slices of stream_experiment concatenated in order."""
+    slices = list(stream_experiment(config, duration_ps, rng, segments))
+    return TimeTagStream(np.concatenate([s.times_ps for s in slices]),
+                         np.concatenate([s.channels for s in slices]), slices[0].duration_ps)

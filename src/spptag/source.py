@@ -106,7 +106,7 @@ class PairEvents:
 
     def idler_arm_times(self) -> np.ndarray:
         """Emission times of photons physically present in the idler arm [ps]."""
-        return np.sort(self.idler_ps[self.kind != PairKind.BACKGROUND_SIGNAL])
+        return np.sort(self.idler_ps[self.kind != PairKind.BACKGROUND_SIGNAL], kind="stable")
 
     def __eq__(self, other):
         return (isinstance(other, PairEvents)
@@ -291,7 +291,7 @@ def stream_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
             drawn.append(generate_pairs(config, duration_ps, rng, segments,
                                         segment=k + len(drawn)))
             heralds = np.concatenate([heralds, drawn[-1].idler_arm_times()])
-            heralds.sort()
+            heralds.sort(kind="stable")
         # no local name: the consumer alone holds the slice it is working on
         yield _with_references(drawn.popleft(), heralds)
-        heralds = heralds[max(int(np.searchsorted(heralds, edges[k + 1])) - 1, 0):]
+        heralds = heralds[max(int(np.searchsorted(heralds, edges[k + 1])) - 1, 0):].copy()

@@ -2,7 +2,6 @@
 import dataclasses
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -20,6 +19,7 @@ from spptag.config import (
 from spptag.errors import ConfigError
 from spptag.model import BiphotonAmplitude, RngSpec, Shape
 from spptag.optics import (
+    MODULATION_FIELDS,
     DetectorConfig,
     ExperimentConfig,
     ModulationFunction,
@@ -61,10 +61,18 @@ def run_configs(draw):
     source = SourceConfig(draw(floats(0.0, 1e9)), amplitude,
                           draw(floats(0.0, 1.0, exclude_max=True)),
                           draw(floats(0.0, 1e9)), draw(floats(0.0, 1e9)))
-    modulation = draw(st.one_of(
-        st.just(ModulationFunction.identity()),
-        st.builds(ModulationFunction.heaviside, floats(-1e6, 1e6)),
-        st.builds(ModulationFunction.gaussian_target, floats(1e-6, 1e6), floats(-1e6, 1e6))))
+    # every field of every kind, each either at its default or anywhere in range
+    kind = draw(st.sampled_from(ModulationKind))
+    given = dict(edge_ns=draw(st.just(0.0) | floats(-1e6, 1e6)),
+                 target_fwhm_ns=draw(st.just(40.0) | floats(1e-6, 1e6)),
+                 target_center_ns=draw(st.just(0.0) | floats(-1e6, 1e6)))
+    try:
+        modulation = ModulationFunction(kind, **given)
+    except ValueError as exc:  # refused only for a field its kind drops, off its default
+        name = str(exc).rsplit(" ", 1)[-1]
+        assert name not in MODULATION_FIELDS[kind], exc
+        assert given[name] != getattr(ModulationFunction(), name), exc
+        modulation = ModulationFunction(kind, **{f: given[f] for f in MODULATION_FIELDS[kind]})
     if modulation.kind is ModulationKind.GAUSSIAN:
         try:  # the grid its drive is derived on stays bounded
             drive_grid_ends(modulation, amplitude)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream
-from spptag.model import evaluate_density, sample_delay
+from spptag.model import U_CLIP, evaluate_density, normal_quantile, sample_delay
 
 FWHM = 50.0
 
@@ -135,6 +135,14 @@ class TestSampling:
         amp = BiphotonAmplitude(Shape.EXPONENTIAL_DECAY, FWHM, offset_ns=-5.0)
         draws = sample_delay(amp, RngSpec(11), size=10_000)
         assert draws.min() >= -5.0
+
+    def test_normal_quantile_is_clipped_ppf(self):
+        u = np.array([0.0, U_CLIP, 0.025, 0.5, 0.975, 1.0 - U_CLIP, 1.0])
+        np.testing.assert_allclose(normal_quantile(u),
+                                   stats.norm.ppf(np.clip(u, U_CLIP, 1.0 - U_CLIP)),
+                                   rtol=1e-12)
+        assert normal_quantile(0.0) == normal_quantile(U_CLIP)
+        assert normal_quantile(1.0) == normal_quantile(1.0 - U_CLIP)
 
 
 class TestRngSpec:

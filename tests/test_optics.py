@@ -15,12 +15,13 @@ from scipy import stats
 
 from spptag import BiphotonAmplitude, RngSpec, Shape
 from spptag.config import default_config
-from spptag.model import sample_delay
+from spptag.model import U_CLIP, normal_quantile, sample_delay
 from spptag.optics import (
     DetectorConfig,
     DetectorState,
     ExperimentConfig,
     ModulationFunction,
+    ModulationKind,
     SampleConfig,
     TabulatedDrive,
     apply_modulation,
@@ -31,7 +32,9 @@ from spptag.optics import (
     drive_grid_ends,
     resolve_modulation,
     run_experiment,
+    stream_experiment,
     _dead_time_filter_mask,
+    _jitter_reach_ps,
 )
 from spptag.source import PairEvents, PairKind, SourceConfig
 from spptag.spectrum import SpectrumConfig
@@ -50,6 +53,16 @@ def synthetic_events(n, rng_spec, spacing_ps=500_000, kind=PairKind.TRUE_PAIR):
 
 
 class TestModulation:
+    @pytest.mark.parametrize("kind, field, value", [
+        (ModulationKind.IDENTITY, "edge_ns", 5.0),
+        (ModulationKind.HEAVISIDE, "target_fwhm_ns", 12.0),
+        (ModulationKind.GAUSSIAN, "edge_ns", -1.0),
+    ])
+    def test_field_of_another_kind_refused(self, kind, field, value):
+        # it would be dropped by a config round trip
+        with pytest.raises(ValueError, match=field):
+            ModulationFunction(kind, **{field: value})
+
     def test_identity_is_exact_passthrough(self):
         ev = synthetic_events(1000, RngSpec(60))
         out = apply_modulation(ev, ModulationFunction.identity(), RngSpec(61))
@@ -366,6 +379,16 @@ def _desk_rates(exp: ExperimentConfig) -> dict[int, float]:
     return rates
 
 
+def _microsecond_bench(jitter_ps: tuple[float, float, float]) -> ExperimentConfig:
+    """Microsecond delays and detector jitter at MHz rates."""
+    return ExperimentConfig(
+        source=SourceConfig(pair_rate=1e6, multipair_prob=0.1,
+                            amplitude=BiphotonAmplitude(Shape.GAUSSIAN, 5000.0),
+                            background_rate_signal=1e6),
+        detectors=tuple(DetectorConfig(eff, dark, sigma, 1000) for eff, dark, sigma
+                        in zip((1.0, 0.5, 0.5), (0.0, 1e4, 1e4), jitter_ps)))
+
+
 class TestStreamedRun:
     DESK = replace(default_config().experiment,
                    modulation=ModulationFunction.heaviside(0.0))
@@ -379,15 +402,10 @@ class TestStreamedRun:
 
     @pytest.mark.parametrize("jitter_ps", [(1e6, 2e6, 0.0), (0.0, 0.0, 0.0)])
     def test_sorted_across_slice_edges(self, jitter_ps):
-        # microsecond delays (and jitter) at MHz rates over 200 us slices:
-        # each slice edge sees photons and tags of the next slice land before it
-        cfg = ExperimentConfig(
-            source=SourceConfig(pair_rate=1e6, multipair_prob=0.1,
-                                amplitude=BiphotonAmplitude(Shape.GAUSSIAN, 5000.0),
-                                background_rate_signal=1e6),
-            detectors=tuple(DetectorConfig(eff, dark, sigma, 1000) for eff, dark, sigma
-                            in zip((1.0, 0.5, 0.5), (0.0, 1e4, 1e4), jitter_ps)))
-        stream = run_experiment(cfg, 5 * SECOND // 1000, RngSpec(105), segments=25)
+        # over 200 us slices each slice edge sees photons and tags of the
+        # next slice land before it
+        stream = run_experiment(_microsecond_bench(jitter_ps), 5 * SECOND // 1000,
+                                RngSpec(105), segments=25)
         assert len(stream) > 5000
         assert not np.any(np.diff(stream.times_ps) < 0)
 
@@ -414,3 +432,52 @@ class TestStreamedRun:
         write_tags(tmp_path / "golden.spptag", stream)
         digest = hashlib.sha256((tmp_path / "golden.spptag").read_bytes()).hexdigest()
         assert digest == "045d5ff535ada70b479c96795eb262f34b05b59375ee778c6514eb358e6c327a"
+
+
+class TestStreamExperiment:
+    RUNS = {  # name -> (config, duration [ps])
+        "plain": (TestRunExperiment.CFG, SECOND),
+        "desk": (TestStreamedRun.DESK, 3 * SECOND),
+        "microsecond jitter": (_microsecond_bench((1e6, 2e6, 0.0)), 5 * SECOND // 1000),
+    }
+
+    @pytest.mark.parametrize("segments", [1, 3, 25])
+    @pytest.mark.parametrize("name", RUNS)
+    def test_slices_are_ordered_and_make_the_run(self, name, segments):
+        cfg, duration = self.RUNS[name]
+        slices = list(stream_experiment(cfg, duration, RngSpec(108), segments))
+        assert len(slices) == segments
+        for tags in slices:
+            assert tags.duration_ps == duration
+            assert not np.any(np.diff(tags.times_ps) < 0)
+        ends = [(s.times_ps[0], s.times_ps[-1]) for s in slices if len(s)]
+        for (_, last), (first, _) in zip(ends, ends[1:]):
+            assert last <= first
+        whole = run_experiment(cfg, duration, RngSpec(108), segments)
+        np.testing.assert_array_equal(np.concatenate([s.times_ps for s in slices]),
+                                      whole.times_ps)
+        np.testing.assert_array_equal(np.concatenate([s.channels for s in slices]),
+                                      whole.channels)
+
+    def test_memory_stays_flat_for_a_consumer_keeping_nothing(self):
+        # 10 s slices, so both runs have middle slices, which may hold the next
+        # source slice (a run of one slice never does); the warm-up run makes
+        # the lazy imports before tracing starts
+        run_experiment(TestStreamedRun.DESK, SECOND, RngSpec(106))
+        peaks = []
+        for seconds in (100, 400):
+            tracemalloc.start()
+            for _ in stream_experiment(TestStreamedRun.DESK, seconds * SECOND, RngSpec(106),
+                                       segments=seconds // 10):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize("sigma_ps", [0.0, 350.0, 1e6])
+    def test_jitter_reach_bounds_every_shift(self, sigma_ps):
+        # the flush of a slice trusts that no jitter shift reaches this far
+        u = np.array([0.0, U_CLIP, 0.5, 1.0 - U_CLIP, 1.0])
+        shifts = np.abs(np.rint(sigma_ps * normal_quantile(u)))
+        reach = _jitter_reach_ps(DetectorConfig(jitter_sigma_ps=sigma_ps))
+        assert shifts.max() < reach <= shifts.max() + 2
