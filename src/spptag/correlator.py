@@ -5,12 +5,15 @@ b on a disjoint one, with t_b - t_a in a window [lo, hi) of integer ps; each
 pair counts exactly once.  One primitive, _windows, serves them all on the
 merged, time-ordered stream, with no per-channel copies.  A partner lies
 within reach = max(|lo|, |hi - 1|), so the anchor's stream neighbour on that
-side does too: one np.diff drops the anchors with both neighbours farther
-(exact; about 4 in 5 heralds on the desk bench at 150 ns).  Two
+side does too: the neighbour gaps drop the anchors with both neighbours
+farther (exact; about 4 in 5 heralds on the desk bench at 150 ns).  Two
 searchsorted calls give each remaining anchor its stream index range, and a
 running count of partner tags turns ranges into pair counts; histograms
 keep the delays of the partner tags inside.  Cost: O(n) over n tags,
 O(k log n) for the k anchors kept, O(m) for the m tags in histogram windows.
+Memory: a few bytes per tag (channel masks, the running count) plus O(k)
+and O(m) index arrays; anything wider per tag (gaps, cast copies, routing
+uniforms) is worked through BLOCK tags at a time.
 
 Every binned result is a CorrelationHistogram, with int64 counts: the
 herald-relative waveform (reconstruct_waveform) and the cross-correlation
@@ -36,39 +39,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .model import PS_PER_NS, RngSpec, TimeTagStream, as_generator
+from .model import BLOCK, PS_PER_NS, RngSpec, TimeTagStream, as_generator
 
 log = logging.getLogger(__name__)
 
 MAX_BINS = 2**24  # 128 MiB of int64 counts
 MAX_PAIRS = 2**24  # (anchor, window tag) pairs a histogram expands into index arrays
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def _windows(stream: TimeTagStream, ch_a, ch_b,
              lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Count the ch_a tags and find the windows of those that can pair.
 
-    Returns (n_a, t_a, first, last): for each ch_a tag with a neighbour
-    within reach, its time and the stream index range [first, last) of the
-    tags with t_a + lo <= t < t_a + hi.  No delay between two tags lies
-    outside [-T, T] for duration T, so lo and hi are clamped to
-    [-T, T + 1] first, which keeps the sums inside int64 for T < 2**62 ps.
+    Returns (n_a, first, last, t_a): for each ch_a tag with a neighbour
+    within reach, the stream index range [first, last) of the tags with
+    t_a + lo <= t < t_a + hi, and its time t_a.  No delay between two tags
+    lies outside [-top, top], top = min(T, int64 max) for duration T, so the
+    edges are clamped to it.  Each range end counts the tags at or before
+    t_a + edge - 1, a sum that saturates at int64 max, past every tag.
     """
     if np.intersect1d(ch_a, ch_b).size:
         raise AnalysisError("channel sets must be disjoint for pair counting")
-    lo, hi = (min(max(x, -stream.duration_ps), stream.duration_ps + 1) for x in (lo, hi))
+    top = min(stream.duration_ps, INT64_MAX)
+    lo, hi = (min(max(x - 1, -top - 1), top) for x in (lo, hi))  # now inclusive edges
+    reach = max(abs(lo + 1), abs(hi))
     t = stream.times_ps
+    near = np.zeros(t.size + 1, dtype=bool)  # near[i]: tags i - 1 and i within reach
+    for start in range(1, t.size, BLOCK):
+        stop = min(start + BLOCK, t.size)
+        np.less_equal(t[start:stop] - t[start - 1:stop - 1], reach, out=near[start:stop])
     is_a = stream.channel_mask(ch_a)
-    near = np.concatenate(([False], np.diff(t) <= max(abs(lo), abs(hi - 1)), [False]))
     t_a = t[is_a & (near[:-1] | near[1:])]  # gap to the previous or the next tag
-    return (int(np.count_nonzero(is_a)), t_a,
-            np.searchsorted(t, t_a + lo), np.searchsorted(t, t_a + hi))
+    first, last = (np.searchsorted(t, np.minimum(t_a, INT64_MAX - d) + d if d > 0 else t_a + d,
+                                   side="right") for d in (lo, hi))
+    return int(np.count_nonzero(is_a)), first, last, t_a
 
 
 def _partners(is_b: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Per window [first, last) of stream indices: how many tags it has in is_b."""
     running = np.zeros(is_b.size + 1, dtype=np.min_scalar_type(is_b.size))
-    np.cumsum(is_b, dtype=running.dtype, out=running[1:])
+    for start in range(0, is_b.size, BLOCK):  # a whole-array cumsum copies is_b to running's type
+        block = running[start + 1:start + 1 + BLOCK]
+        np.cumsum(is_b[start:start + BLOCK], dtype=running.dtype, out=block)
+        block += running[start]
     return running[last] - running[first]
 
 
@@ -112,12 +126,12 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     n_bins = (tau_max_ps - tau_min_ps) // bin_width_ps
     if n_bins > MAX_BINS:
         raise ValueError(f"histogram of {n_bins} bins exceeds the limit of {MAX_BINS}")
-    n_a, t_a, first, last = _windows(stream, ch_a, ch_b, tau_min_ps, tau_max_ps)
+    n_a, first, lens, t_a = _windows(stream, ch_a, ch_b, tau_min_ps, tau_max_ps)
+    lens -= first  # window lengths, in the window ends' array
     is_b = stream.channel_mask(ch_b)
     n_b = int(np.count_nonzero(is_b))
     if n_a == 0 or n_b == 0:
         log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
-    lens = last - first
     n_pairs = int(lens.sum())
     if n_pairs > MAX_PAIRS:
         raise ValueError(f"histogram windows hold {n_pairs} tag pairs, "
@@ -166,7 +180,7 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    n_a, _, first, last = _windows(stream, ch_a, ch_b, -window_ps, window_ps)
+    n_a, first, last = _windows(stream, ch_a, ch_b, -window_ps, window_ps)[:3]
     is_b = stream.channel_mask(ch_b)
     n_b = int(np.count_nonzero(is_b))
     if n_a == 0 or n_b == 0:
@@ -189,8 +203,10 @@ def split_channel(stream: TimeTagStream, channel: int,
     t = stream.channel_times(channel)
     if t.size == 0:
         raise AnalysisError(f"channel {channel} is empty, nothing to split")
-    to_a = gen.random(t.size) < 0.5
-    chans = np.where(to_a, 0, 1)
+    chans = np.empty(t.size, dtype=np.uint8)
+    for start in range(0, t.size, BLOCK):  # one uniform per tag, in time order
+        block = chans[start:start + BLOCK]
+        np.greater_equal(gen.random(block.size), 0.5, out=block)  # below 0.5 goes to 0
     if np.any(t[1:] == t[:-1]):  # ties in time go in channel order
         chans = chans[np.lexsort((chans, t))]
     return TimeTagStream(t, chans, stream.duration_ps)
@@ -226,8 +242,7 @@ def cauchy_schwarz(stream: TimeTagStream, herald_ch: int, reemit_chs: tuple[int,
     hist = coincidence_histogram(stream, herald_ch, reemit_chs, bin_width_ps,
                                  tau_min_ps, tau_max_ps)
     g, g_err = normalize(hist)
-    halves = split_channel(stream, herald_ch, rng)
-    g_ii = auto_g2_zero(halves, 0, 1, auto_window_ps)
+    g_ii = auto_g2_zero(split_channel(stream, herald_ch, rng), 0, 1, auto_window_ps)
     g_rr = auto_g2_zero(stream, reemit_chs[0], reemit_chs[1], auto_window_ps)
     if g_ii.value <= 0 or g_rr.value <= 0:
         raise AnalysisError("zero-delay autocorrelation vanished; C undefined")
@@ -269,8 +284,8 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    n_h, _, first, last = _windows(stream, herald_ch, (ch_a, ch_b),
-                                   -window_ps, window_ps + 1)
+    n_h, first, last = _windows(stream, herald_ch, (ch_a, ch_b),
+                                -window_ps, window_ps + 1)[:3]
     if n_h == 0:
         raise AnalysisError("no heralds in stream")
     has_a = _partners(stream.channels == ch_a, first, last) > 0

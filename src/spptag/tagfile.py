@@ -13,10 +13,12 @@ then one 16-byte record per tag, in nondecreasing time order:
 
     u64 time [ps], u8 channel, 7 zero pad bytes
 
-Writing and reading are exact inverses byte for byte.
+Writing and reading are exact inverses byte for byte.  Both work through
+the records BLOCK at a time, so either holds the stream's arrays (9 bytes a
+tag) plus one block of records.
 """
+import io
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -52,37 +54,50 @@ def write_tags(path, stream: TimeTagStream) -> None:
 
 
 def read_tags(path) -> TimeTagStream:
-    data = Path(path).read_bytes()
-    if len(data) >= len(MAGIC) and data[: len(MAGIC)] != MAGIC:
-        raise TagFileError(f"not a tag file: magic {data[:8]!r}")
-    if len(data) < HEADER_SIZE:
-        raise TagFileError(
-            f"header needs {HEADER_SIZE} bytes, file has {len(data)}")
-    _, version, resolution, channel_count, _, duration_ps = HEADER.unpack(
-        data[:HEADER_SIZE])
-    if version != VERSION:
-        raise TagFileError(f"unsupported format version {version}")
-    if resolution != 1:
-        raise TagFileError(f"unsupported time resolution {resolution} ps")
-    body_size = len(data) - HEADER_SIZE
-    if body_size % RECORD_SIZE:
-        raise TagFileError(
-            f"body of {body_size} bytes is not a whole number of records")
-    records = np.frombuffer(data, dtype=_RECORD_DTYPE, offset=HEADER_SIZE)
-    times = records["time"]
-    channels = records["channel"]
-    if times.size:
-        bad = np.nonzero(times[1:] < times[:-1])[0]  # unsigned-safe
-        if bad.size:
-            offset = HEADER_SIZE + RECORD_SIZE * (int(bad[0]) + 1)
-            raise TagFileError(f"record at byte offset {offset} breaks time ordering")
-        if times[-1] > np.iinfo(np.int64).max:
+    """Read a tag file into the stream it holds, a block of records at a time."""
+    with open(path, "rb") as fh:
+        fh = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe: its bytes tell its size
+        head = fh.read(HEADER_SIZE)
+        if len(head) >= len(MAGIC) and head[: len(MAGIC)] != MAGIC:
+            raise TagFileError(f"not a tag file: magic {head[:8]!r}")
+        if len(head) < HEADER_SIZE:
+            raise TagFileError(
+                f"header needs {HEADER_SIZE} bytes, file has {len(head)}")
+        _, version, resolution, channel_count, _, duration_ps = HEADER.unpack(head)
+        if version != VERSION:
+            raise TagFileError(f"unsupported format version {version}")
+        if resolution != 1:
+            raise TagFileError(f"unsupported time resolution {resolution} ps")
+        body_size = fh.seek(0, io.SEEK_END) - HEADER_SIZE
+        fh.seek(HEADER_SIZE)
+        if body_size % RECORD_SIZE:
+            raise TagFileError(
+                f"body of {body_size} bytes is not a whole number of records")
+        n = body_size // RECORD_SIZE
+        times = np.empty(n, dtype=np.int64)
+        utimes = times.view(np.uint64)  # the file's unsigned times, checked before use
+        channels = np.empty(n, dtype=np.uint8)
+        records = np.empty(min(n, BLOCK), dtype=_RECORD_DTYPE)
+        for start in range(0, n, BLOCK):
+            block = records[:min(BLOCK, n - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise TagFileError(f"file ended inside its first {start + block.size} records")
+            utimes[start:start + block.size] = block["time"]
+            channels[start:start + block.size] = block["channel"]
+            prior = max(start - 1, 0)  # with the previous block's last time: edges too
+            window = utimes[prior:start + block.size]
+            bad = np.flatnonzero(window[1:] < window[:-1])
+            if bad.size:
+                offset = HEADER_SIZE + RECORD_SIZE * (prior + int(bad[0]) + 1)
+                raise TagFileError(f"record at byte offset {offset} breaks time ordering")
+    if n:
+        if utimes[-1] > np.iinfo(np.int64).max:
             raise TagFileError("tag time overflows signed 64-bit range")
         if channels.max() >= channel_count:
             raise TagFileError(
                 f"channel {channels.max()} outside declared count {channel_count}")
-        if times[-1] > duration_ps:
+        if utimes[-1] > duration_ps:
             raise TagFileError("tag time beyond stated observation time")
     if duration_ps <= 0:
         raise TagFileError("observation time must be positive")
-    return TimeTagStream(times.astype(np.int64), channels.copy(), duration_ps)
+    return TimeTagStream(times, channels, duration_ps)

@@ -1,7 +1,20 @@
-"""Shared independent oracles for interference and waveform tests."""
+"""Shared independent oracles for interference and waveform tests, and a
+block-size sweep for the code that works through long arrays in blocks."""
 import numpy as np
+import pytest
 
-from spptag.model import BiphotonAmplitude, Shape, evaluate_density
+from spptag.model import BLOCK, BiphotonAmplitude, Shape, evaluate_density
+
+SMALL_BLOCKS = (1, 2, 3, 7)
+
+
+def at_each_block(module, blocks=SMALL_BLOCKS + (BLOCK,)):
+    """Yield each block size with module.BLOCK patched to it: at the small
+    ones a stream of a few dozen tags crosses many block edges."""
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "BLOCK", block)
+            yield block
 
 
 def riemann_hom_coincidence(amp: BiphotonAmplitude, detuning_mhz: float,

@@ -4,12 +4,15 @@ Every counting operation is checked for exact equality with nested-loop
 reference implementations on small streams, then for statistical behavior
 on Poisson and correlated synthetic data.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import at_each_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spptag import AnalysisError, BiphotonAmplitude, RngSpec, Shape, TimeTagStream
+from spptag import AnalysisError, BiphotonAmplitude, RngSpec, Shape, TimeTagStream, correlator
 from spptag.correlator import (
     LOW_STATS_COUNTS,
     MAX_BINS,
@@ -271,6 +274,25 @@ class TestWindowsBeyondTheStream:
             wide.n_heralds, wide.n_a, wide.n_b, wide.n_ab) == (50, 50, 50, 50)
         assert auto_g2_zero(s, 0, 1, w).n_pairs == auto_g2_zero(s, 0, 1, 2**62).n_pairs == 2500
 
+    @pytest.mark.parametrize("duration", [2**63 - 1, 2**64 - 1], ids=["T_2pow63", "T_2pow64"])
+    @pytest.mark.parametrize("w", [2**62, 2**63 - 2, 2**63 - 1],
+                             ids=["w_2pow62", "w_2pow63_less_2", "w_2pow63_less_1"])
+    def test_windows_near_the_int64_top_count_exactly(self, duration, w):
+        # anchor + window passes int64 max: the window end must saturate, not wrap
+        s = TimeTagStream([0, 10, 20, 2**62 - 1, 2**63 - 2, 2**63 - 1], [0, 1, 2, 0, 1, 2],
+                          duration)
+        h, t_a, t_b = (s.channel_times(ch).tolist() for ch in (0, 1, 2))
+        res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+        assert (res.n_a, res.n_b, res.n_ab) == brute_heralded_counts(h, t_a, t_b, w)
+        cs = cauchy_schwarz(s, 0, (1, 2), 10, -50, 50, RngSpec(1), auto_window_ps=w)
+        assert cs.g_rr0.n_pairs == brute_pairs_within(t_a, t_b, w)
+        halves = split_channel(s, 0, RngSpec(1))
+        assert cs.g_ii0.n_pairs == brute_pairs_within(
+            halves.channel_times(0).tolist(), halves.channel_times(1).tolist(), w) == 1
+        lo = w - 20
+        hist = coincidence_histogram(s, 0, (1, 2), 10, lo, lo + 20)
+        np.testing.assert_array_equal(hist.counts, brute_histogram(h, t_a + t_b, 10, lo, lo + 20))
+
 
 class TestCauchySchwarz:
     def _correlated_stream(self, seed, duration=SECOND):
@@ -345,55 +367,63 @@ def windows(draw):
 
 
 class TestPropertiesAgainstBruteForce:
+    """Each property holds at every block size: at the small ones a stream
+    crosses many block edges."""
+
     @settings(max_examples=150, deadline=None)
     @given(s=tie_streams(), win=windows(), merged=st.booleans())
     def test_histogram(self, s, win, merged):
         bin_w, lo, hi = win
         ch_b = (1, 2) if merged else 1
-        hist = coincidence_histogram(s, 0, ch_b, bin_w, lo, hi)
         expected = brute_histogram(s.channel_times(0), s.channel_times(ch_b), bin_w, lo, hi)
-        np.testing.assert_array_equal(hist.counts, expected)
-        assert (hist.n_a, hist.n_b) == (s.count(0), s.count(ch_b))
+        for _ in at_each_block(correlator):
+            hist = coincidence_histogram(s, 0, ch_b, bin_w, lo, hi)
+            np.testing.assert_array_equal(hist.counts, expected)
+            assert (hist.n_a, hist.n_b) == (s.count(0), s.count(ch_b))
 
     @settings(max_examples=150, deadline=None)
     @given(s=tie_streams(), w=st.integers(1, 40))
     def test_auto_g2_pairs(self, s, w):
         t_a, t_b = s.channel_times(1), s.channel_times(2)
-        if t_a.size == 0 or t_b.size == 0:
-            with pytest.raises(AnalysisError):
-                auto_g2_zero(s, 1, 2, w)
-            return
-        assert auto_g2_zero(s, 1, 2, w).n_pairs == brute_pairs_within(t_a, t_b, w)
+        for _ in at_each_block(correlator):
+            if t_a.size == 0 or t_b.size == 0:
+                with pytest.raises(AnalysisError):
+                    auto_g2_zero(s, 1, 2, w)
+            else:
+                assert auto_g2_zero(s, 1, 2, w).n_pairs == brute_pairs_within(t_a, t_b, w)
 
     @settings(max_examples=150, deadline=None)
     @given(s=tie_streams(), w=st.integers(1, 40))
     def test_heralded_counts(self, s, w):
         h, t_a, t_b = (s.channel_times(ch) for ch in (0, 1, 2))
         n_a, n_b, n_ab = brute_heralded_counts(h, t_a, t_b, w)
-        if h.size == 0 or n_a == 0 or n_b == 0:
-            with pytest.raises(AnalysisError):
-                heralded_g2_zero(s, 0, 1, 2, window_ps=w)
-            return
-        res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
-        assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (h.size, n_a, n_b, n_ab)
+        for _ in at_each_block(correlator):
+            if h.size == 0 or n_a == 0 or n_b == 0:
+                with pytest.raises(AnalysisError):
+                    heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+            else:
+                res = heralded_g2_zero(s, 0, 1, 2, window_ps=w)
+                assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (h.size, n_a, n_b, n_ab)
 
     @settings(max_examples=150, deadline=None)
     @given(s=tie_streams(), w=st.integers(1, 40), seed=st.integers(0, 2**32))
     def test_split_and_cauchy_schwarz_pairs(self, s, w, seed):
         h = s.channel_times(0)
         to_a = RngSpec(seed).generator().random(h.size) < 0.5
-        if h.size:
-            # the same stream from_channel_times builds: ties go in channel order
-            assert split_channel(s, 0, RngSpec(seed)) == TimeTagStream.from_channel_times(
-                {0: h[to_a], 1: h[~to_a]}, s.duration_ps)
         g_ii = brute_pairs_within(h[to_a], h[~to_a], w)
         g_rr = brute_pairs_within(s.channel_times(1), s.channel_times(2), w)
-        try:
-            res = cauchy_schwarz(s, 0, (1, 2), 10, -50, 50, RngSpec(seed), auto_window_ps=w)
-        except AnalysisError:
-            assert 0 in (to_a.sum(), (~to_a).sum(), s.count(1), s.count(2), g_ii, g_rr)
-            return
-        assert (res.g_ii0.n_pairs, res.g_rr0.n_pairs) == (g_ii, g_rr)
+        for _ in at_each_block(correlator):
+            if h.size:
+                # the same stream from_channel_times builds: ties go in channel order
+                assert split_channel(s, 0, RngSpec(seed)) == TimeTagStream.from_channel_times(
+                    {0: h[to_a], 1: h[~to_a]}, s.duration_ps)
+            try:
+                res = cauchy_schwarz(s, 0, (1, 2), 10, -50, 50, RngSpec(seed),
+                                     auto_window_ps=w)
+            except AnalysisError:
+                assert 0 in (to_a.sum(), (~to_a).sum(), s.count(1), s.count(2), g_ii, g_rr)
+                continue
+            assert (res.g_ii0.n_pairs, res.g_rr0.n_pairs) == (g_ii, g_rr)
 
 
 class TestWaveform:
@@ -424,6 +454,46 @@ class TestWaveform:
                                      -150.0, 1.0, 300)
         # 40k coincidences: shape noise caps similarity around 0.998
         assert cosine_similarity(w.counts, template) > 0.995
+
+
+class TestMemory:
+    """The analyses hold no per-tag temporaries wider than a few bytes: each
+    peaks at most at the stream's own bytes above what it was given."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # desk-bench rates over 300 s (1.13M tags): 2 kHz heralds, one in
+        # five followed by a signal on one of two detectors, and 660 Hz of
+        # background on each
+        gen = RngSpec(170).generator()
+        duration = 300 * SECOND
+        h = poisson_times(2000.0, 0, duration, gen)
+        amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
+        sig = h[gen.random(h.size) < 0.22]
+        sig = sig + np.rint(sample_delay(amp, gen, size=sig.size) * 1000).astype(np.int64)
+        sig = sig[(sig >= 0) & (sig <= duration)]
+        route = gen.random(sig.size) < 0.5
+        per = {0: h}
+        for ch, mine in ((1, route), (2, ~route)):
+            per[ch] = np.sort(np.concatenate(
+                [sig[mine], poisson_times(660.0, 0, duration, gen)]))
+        return TimeTagStream.from_channel_times(per, duration)
+
+    @pytest.mark.parametrize("analysis", [
+        lambda s: heralded_g2_zero(s, 0, 1, 2, window_ps=150_000),
+        lambda s: cauchy_schwarz(s, 0, (1, 2), 1000, -25_000, 25_000, RngSpec(171)),
+        lambda s: reconstruct_waveform(s, 0, (1, 2), 1000, -25_000, 75_000),
+    ], ids=["heralded_g2", "cauchy_schwarz", "waveform"])
+    def test_peak_at_most_the_stream(self, stream, analysis):
+        assert len(stream) >= 1_000_000
+        analysis(stream)  # first calls import and cache; only the second is measured
+        tracemalloc.start()
+        try:
+            analysis(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stream.times_ps.nbytes + stream.channels.nbytes
 
 
 class TestCosineSimilarity:

@@ -1,14 +1,18 @@
 """Binary tag file format: exact round trips and corruption detection."""
+import io
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import at_each_block
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spptag import tagfile
 from spptag.errors import TagFileError
-from spptag.model import TimeTagStream
+from spptag.model import BLOCK, TimeTagStream
 from spptag.tagfile import (
     HEADER_SIZE,
     MAGIC,
@@ -82,8 +86,9 @@ class TestRoundTrip:
     @given(stream=tag_streams())
     def test_write_read_is_identity(self, tmp_path, stream):
         path = tmp_path / "t.spptag"
-        write_tags(path, stream)
-        assert read_tags(path) == stream
+        for _ in at_each_block(tagfile):
+            write_tags(path, stream)
+            assert read_tags(path) == stream
 
     def test_matches_hand_packed_bytes(self, tmp_path):
         times = [5, 10, 10, 99]
@@ -93,19 +98,34 @@ class TestRoundTrip:
         write_tags(path, stream)
         assert path.read_bytes() == pack_file(times, channels, 100)
 
+    def test_pipe_reads_like_a_file(self, monkeypatch):
+        # a pipe has no size to preallocate from; these 7 records fit its buffer
+        monkeypatch.setattr(tagfile, "BLOCK", 2)
+        stream = random_stream(3, n=7)
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as fh:
+            fh.write(pack_file(stream.times_ps.tolist(), stream.channels.tolist(),
+                               stream.duration_ps))
+        try:
+            assert read_tags(f"/dev/fd/{read_end}") == stream
+        finally:
+            os.close(read_end)
+
 
 class TestMemory:
     def test_read_peak_below_twice_the_file(self, tmp_path):
-        # the file bytes plus the int64 times and the channels: about 1.6x
+        # the int64 times and uint8 channels, one block of records and the
+        # block's checks; holding the file's bytes would take 16 B/tag more
+        n = 200_000
         path = tmp_path / "big.spptag"
-        write_tags(path, random_stream(8, n=200_000, duration_ps=10**12))
+        write_tags(path, random_stream(8, n=n, duration_ps=10**12))
         tracemalloc.start()
         try:
             read_tags(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * path.stat().st_size
+        assert peak <= 9 * n + 2 * BLOCK * RECORD_SIZE + 64 * 1024
 
 
 class TestHeader:
@@ -172,6 +192,36 @@ class TestCorruption:
                            match=f"byte offset {HEADER_SIZE + RECORD_SIZE} breaks"):
             read_tags(path)
 
+    def test_unsorted_pair_across_a_block_edge_reports_the_later_record(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tagfile, "BLOCK", 2)
+        path = tmp_path / "bad"
+        path.write_bytes(pack_file([10, 20, 15, 30], [0, 0, 0, 0], 100))
+        with pytest.raises(TagFileError,
+                           match=f"byte offset {HEADER_SIZE + 2 * RECORD_SIZE} breaks"):
+            read_tags(path)
+
+    def test_ordering_in_a_later_block_outranks_a_channel_in_an_earlier_one(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tagfile, "BLOCK", 2)
+        times = [1, 2, 3, 4, 5, 6, 7, 1]  # record 7, in block 3, breaks ordering
+        channels = [0, 0, 9, 0, 0, 0, 0, 0]  # record 2, in block 1, exceeds the count
+        path = tmp_path / "bad"
+        path.write_bytes(pack_file(times, channels, 100, channel_count=3))
+        with pytest.raises(TagFileError,
+                           match=f"byte offset {HEADER_SIZE + 7 * RECORD_SIZE} breaks"):
+            read_tags(path)
+
+    def test_file_shorter_than_its_size_on_opening(self, monkeypatch):
+        class Shrunk(io.BytesIO):  # reports one record more than it holds
+            def seek(self, pos, whence=io.SEEK_SET):
+                return super().seek(pos, whence) + RECORD_SIZE * (whence == io.SEEK_END)
+
+        raw = pack_file([1, 2], [0, 0], 10)
+        monkeypatch.setattr(tagfile, "open", lambda path, mode: Shrunk(raw), raising=False)
+        with pytest.raises(TagFileError, match="file ended"):
+            read_tags("t.spptag")
+
     @pytest.mark.parametrize("channels,channel_count", [([5], 3), ([5, 9], 0)],
                              ids=["above_count", "zero_count"])
     def test_channel_above_declared_count(self, tmp_path, channels, channel_count):
@@ -209,10 +259,16 @@ class TestCorruption:
                                                      st.integers(1, 255)), max_size=4)):
             raw[at] ^= mask
         path.write_bytes(raw[:data.draw(st.just(len(raw)) | st.integers(0, len(raw)))])
-        try:
-            read_tags(path)
-        except TagFileError:
-            pass
+
+        def outcome():
+            try:
+                return read_tags(path)
+            except TagFileError as err:
+                return str(err)
+
+        whole = outcome()
+        for _ in at_each_block(tagfile):
+            assert outcome() == whole
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
