@@ -22,8 +22,10 @@ annotations give the value types (enums by value):
 The rest are run.duration (with a unit suffix), rng.seed and rng.stream.
 The spectrum section is optional as a whole; giving any of its keys
 attaches a hole-array transmission spectrum to the sample stage, which then
-validates the photon wavelength against the characterized band, and a
-gaussian modulation's drive grid is bounded here (optics.drive_grid_ends).
+validates the photon wavelength against the characterized band.  A
+gaussian modulation is checked against the source amplitude here
+(ModulationFunction.peak_ns): a gaussian source has a drive only for a
+narrower target.
 """
 import enum
 from dataclasses import dataclass, fields, replace
@@ -33,12 +35,10 @@ from typing import Callable, get_type_hints
 from .errors import ConfigError
 from .model import BiphotonAmplitude, RngSpec, Shape
 from .optics import (
-    DetectorConfig,
     ExperimentConfig,
     ModulationFunction,
     ModulationKind,
     SampleConfig,
-    drive_grid_ends,
 )
 from .source import SourceConfig
 from .spectrum import SpectrumConfig
@@ -84,19 +84,8 @@ def default_config() -> RunConfig:
         background_rate_signal=14600.0,
         background_rate_idler=0.0,
     )
-    experiment = ExperimentConfig(
-        source=source,
-        modulation=ModulationFunction(),
-        sample=SampleConfig(795.0, 0.44, 0.35),
-        detectors=(
-            DetectorConfig(efficiency=1.0, dark_rate=0.0),
-            DetectorConfig(),
-            DetectorConfig(),
-        ),
-        split_ratio=0.5,
-    )
     return RunConfig(
-        experiment=experiment,
+        experiment=ExperimentConfig(source, sample=SampleConfig(795.0, 0.44, 0.35)),
         rng=RngSpec(seed=12345, stream_id=0),
         duration_ps=10 * PS_PER_SECOND,
         analysis=AnalysisConfig(),
@@ -252,7 +241,7 @@ def parse_config(text: str) -> RunConfig:
                               **{name: getattr(mod, name) for name in mod.unused_fields()})
     if kind is ModulationKind.GAUSSIAN:
         try:
-            drive_grid_ends(modulation, amplitude)
+            modulation.peak_ns(amplitude)
         except ValueError as exc:
             raise ConfigError(f"modulation: {exc}") from exc
 

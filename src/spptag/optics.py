@@ -4,7 +4,8 @@ Photon loss is modeled as Bernoulli thinning; nothing here evolves
 amplitudes.  The electro-optic modulator acts on the arrival time of a
 signal photon relative to its herald, so it takes the source's event table
 (PairEvents, signal_ps the photon time and idler_ps its herald reference)
-and keeps each event with the squared amplitude transmission m(t_rel)^2.
+and keeps each event with the squared amplitude transmission m(t_rel)^2; a
+gaussian target's m is a closed form of the source's delay density.
 The stages after it (sample, beamsplitter) take and return int64 photon
 times only.  Detectors turn photon times into tag times with efficiency
 thinning, dark counts, Gaussian timestamp jitter, and a non-paralyzable
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
@@ -30,7 +32,6 @@ from .model import (
     TimeTagStream,
     as_generator,
     check_finite,
-    evaluate_density,
     normal_quantile,
 )
 from .source import (
@@ -59,7 +60,6 @@ MODULATION_FIELDS = {
     ModulationKind.HEAVISIDE: ("edge_ns",),
     ModulationKind.GAUSSIAN: ("target_fwhm_ns", "target_center_ns"),
 }
-MAX_DRIVE_POINTS = 2**24  # 128 MiB per float array of a derived drive
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,11 @@ class ModulationFunction:
 
     identity   m = 1 everywhere (modulator removed)
     heaviside  m = 1 for t_rel >= edge_ns, else 0
-    gaussian   reshape the source wavepacket toward a Gaussian target of
-               target_fwhm_ns centred at target_center_ns; the drive is a
-               TabulatedDrive derived against the source amplitude
-               (resolve_modulation)
+    gaussian   m = sqrt(target / (M * source)), which reshapes the source
+               wavepacket into a Gaussian target of target_fwhm_ns centred at
+               target_center_ns; M is the largest target/source density
+               ratio, so m peaks at exactly 1 and (1 - unreachable mass) / M
+               of the source's photons pass
     """
 
     kind: ModulationKind = ModulationKind.IDENTITY
@@ -105,105 +106,85 @@ class ModulationFunction:
         taken = ("kind", *MODULATION_FIELDS[self.kind])
         return tuple(f.name for f in fields(self) if f.name not in taken)
 
-    def amplitude(self, t_rel_ns) -> np.ndarray:
-        """Transmission amplitude in [0, 1] at herald-relative times [ns]."""
+    def amplitude(self, t_rel_ns, source: BiphotonAmplitude | None = None) -> np.ndarray:
+        """Transmission amplitude in [0, 1] at herald-relative times [ns]; a
+        gaussian target's is derived against the source amplitude."""
         t = np.asarray(t_rel_ns, dtype=float)
         if self.kind is ModulationKind.IDENTITY:
             return np.ones_like(t)
         if self.kind is ModulationKind.HEAVISIDE:
             return (t >= self.edge_ns).astype(float)
-        raise ValueError("gaussian modulation must be resolved against a "
-                         "source amplitude before evaluation")
+        if source is None:
+            raise ValueError("gaussian modulation needs the source amplitude")
+        # in log space, so far in both tails no density underflows to 0/0
+        log_ratio = self._log_ratio(t, source) - self._log_ratio(self.peak_ns(source), source)
+        return np.exp(0.5 * np.minimum(log_ratio, 0.0))
+
+    def peak_ns(self, source: BiphotonAmplitude) -> float:
+        """Herald-relative time [ns] where the target/source density ratio is
+        largest, so a gaussian target's drive is 1.
+
+        The log-ratio is a parabola on each side of the source offset o, so
+        the peak is max(o, c + sigma^2/tau0) or, where the source has density
+        before o, min(o, c - sigma^2/tau0).  Against a gaussian source it is
+        one parabola, with a peak only for a narrower target.
+        """
+        c, o, var = self.target_center_ns, source.offset_ns, self.target.sigma_ns**2
+        if source.shape is Shape.GAUSSIAN:
+            s2 = source.sigma_ns**2
+            if not var < s2:
+                raise ValueError("a gaussian target must be narrower than a gaussian source")
+            peaks = [(c * s2 - o * var) / (s2 - var)]
+        else:
+            shift = var / source.tau0_ns
+            peaks = [max(o, c + shift)]
+            if source.shape is Shape.DOUBLE_EXPONENTIAL:
+                peaks.append(min(o, c - shift))
+        peak = max(peaks, key=lambda t: self._log_ratio(t, source))
+        if not np.isfinite(self._log_ratio(peak, source)):
+            raise ValueError("the target/source density ratio overflows at its peak")
+        return peak
+
+    def unreachable_mass(self, source: BiphotonAmplitude) -> float:
+        """Target mass where the source has no density, which no drive produces."""
+        if (self.kind is not ModulationKind.GAUSSIAN
+                or source.shape is not Shape.EXPONENTIAL_DECAY):
+            return 0.0
+        z = (self.target_center_ns - source.offset_ns) / self.target.sigma_ns
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+    @property
+    def target(self) -> BiphotonAmplitude:
+        """The gaussian target's delay density."""
+        return BiphotonAmplitude(Shape.GAUSSIAN, self.target_fwhm_ns, self.target_center_ns)
+
+    def _log_ratio(self, t, source: BiphotonAmplitude):
+        """log(target / source) at t [ns] up to a constant; -inf where the source has no density."""
+        x = t - source.offset_ns
+        # far out in the target's tail -inf, or nan where the source's overflows too:
+        # m is then 0 or nan, and a photon with m = nan is never kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_target = -0.5 * ((t - self.target_center_ns) / self.target.sigma_ns) ** 2
+            if source.shape is Shape.GAUSSIAN:
+                return log_target + 0.5 * (x / source.sigma_ns) ** 2
+            log_ratio = log_target + np.abs(x) / source.tau0_ns
+        if source.shape is Shape.EXPONENTIAL_DECAY:
+            return np.where(x >= 0.0, log_ratio, -np.inf)
+        return log_ratio
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedDrive:
-    """Derived drive amplitudes on a time grid [ns], held at the nearer edge
-    value outside it, and the target mass they could not produce."""
-
-    grid_ns: np.ndarray
-    values: np.ndarray
-    clipped_mass: float
-
-    def amplitude(self, t_rel_ns) -> np.ndarray:
-        """Transmission amplitude in [0, 1] at herald-relative times [ns]."""
-        return np.interp(np.asarray(t_rel_ns, dtype=float), self.grid_ns, self.values)
-
-    def outside(self, t_rel_ns: np.ndarray) -> int:
-        """How many of the times lie off the grid, held at its edge values."""
-        grid = self.grid_ns
-        return int(np.count_nonzero((t_rel_ns < grid[0]) | (t_rel_ns > grid[-1])))
-
-
-def derive_modulation_for_target(input_amp: BiphotonAmplitude,
-                                 target_amp: BiphotonAmplitude,
-                                 grid_ns) -> TabulatedDrive:
-    """Drive that reshapes the input delay density toward a target density.
-
-    The pointwise amplitude is sqrt(target / (M * input)) with M the maximum
-    density ratio on the grid, so the drive peaks at exactly 1 and the
-    surviving fraction is 1/M.  Target mass sitting where the input density
-    vanishes cannot be produced by attenuation and is reported as
-    clipped_mass on the returned drive.
-    """
-    grid = np.asarray(grid_ns, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with >= 2 points")
-    f_in = evaluate_density(input_amp, grid)
-    f_target = evaluate_density(target_amp, grid)
-    reachable = f_in > 0.0
-    if not reachable.any():
-        raise ValueError("input density vanishes on the whole grid")
-    ratio = np.zeros_like(f_target)
-    ratio[reachable] = f_target[reachable] / f_in[reachable]
-    m_max = ratio.max()
-    if m_max <= 0.0:
-        raise ValueError("target density vanishes on the whole grid")
-    values = np.sqrt(ratio / m_max)
-    clipped = float(np.trapezoid(np.where(reachable, 0.0, f_target), grid))
-    if clipped > 1e-6:
-        log.warning("target waveform has %.3g unreachable mass", clipped)
-    return TabulatedDrive(grid, np.clip(values, 0.0, 1.0), clipped)
-
-
-def drive_grid_ends(modulation: ModulationFunction,
-                    source_amp: BiphotonAmplitude) -> tuple[float, float]:
-    """Ends [ns] of the 0.1 ns grid a gaussian target's drive is derived on:
-    six widths of the wider packet beyond both centres.  A grid of more than
-    MAX_DRIVE_POINTS points raises ValueError before anything is allocated."""
-    span = 6.0 * max(source_amp.fwhm_ns, modulation.target_fwhm_ns)
-    lo = min(source_amp.offset_ns, modulation.target_center_ns) - span
-    hi = max(source_amp.offset_ns, modulation.target_center_ns) + span + 0.05
-    points = (hi - lo) / 0.1
-    if not points <= MAX_DRIVE_POINTS:
-        raise ValueError(f"gaussian drive grid of {points:.4g} points exceeds "
-                         f"the limit of {MAX_DRIVE_POINTS}")
-    return lo, hi
-
-
-def resolve_modulation(modulation: ModulationFunction, source_amp: BiphotonAmplitude
-                       ) -> ModulationFunction | TabulatedDrive:
-    """The drive of a gaussian target, derived against the source; other kinds as given."""
-    if modulation.kind is not ModulationKind.GAUSSIAN:
-        return modulation
-    target = BiphotonAmplitude(Shape.GAUSSIAN, modulation.target_fwhm_ns,
-                               offset_ns=modulation.target_center_ns)
-    grid = np.arange(*drive_grid_ends(modulation, source_amp), 0.1)
-    return derive_modulation_for_target(source_amp, target, grid)
-
-
-def apply_modulation(events: PairEvents, modulation: ModulationFunction | TabulatedDrive,
-                     rng: RngSpec | np.random.Generator) -> PairEvents:
+def apply_modulation(events: PairEvents, modulation: ModulationFunction,
+                     rng: RngSpec | np.random.Generator, *,
+                     source: BiphotonAmplitude | None = None) -> PairEvents:
     """Bernoulli-thin signal photons with probability m(t_rel)^2.
 
     Identity passes the stream through untouched without consuming random
-    numbers.  A gaussian target must be resolved first (resolve_modulation).
+    numbers.  A gaussian target's drive needs the source amplitude.
     """
-    if (isinstance(modulation, ModulationFunction)
-            and modulation.kind is ModulationKind.IDENTITY):
+    if modulation.kind is ModulationKind.IDENTITY:
         return events
     gen = as_generator(rng)
-    p = modulation.amplitude(events.t_rel_ns()) ** 2
+    p = modulation.amplitude(events.t_rel_ns(), source) ** 2
     keep = gen.random(len(events)) < p
     return events.select(keep)
 
@@ -279,6 +260,8 @@ class DetectorConfig:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.dark_rate < 0 or self.jitter_sigma_ps < 0 or self.dead_time_ps < 0:
             raise ValueError("detector parameters must be nonnegative")
+        if not 8.0 * self.jitter_sigma_ps < 2**62:  # shifts reach |ndtri(U_CLIP)| = 7.94 sigma
+            raise ValueError("jitter_sigma_ps must stay below 2**59 ps")
 
 
 @dataclass
@@ -415,14 +398,15 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
     src, sample, detectors = config.source, config.sample, config.detectors
     source = replace(src, background_rate_signal=src.background_rate_signal
                      * sample.overall_conversion * sample.background_suppression)
-    modulation = resolve_modulation(config.modulation, src.amplitude)
+    unreachable = config.modulation.unreachable_mass(src.amplitude)
+    if unreachable > 1e-6:
+        log.warning("target waveform has %.3g unreachable mass", unreachable)
     gen_mod, gen_sample, gen_split, *gen_det = (rng.child(k).generator() for k in range(1, 7))
     states = [DetectorState() for _ in detectors]
     held_photons = [np.empty(0, dtype=np.int64) for _ in detectors]
     held_tags = [np.empty(0, dtype=np.int64) for _ in detectors]
     lead = slice_lead_ps(source)
     jitter = max(_jitter_reach_ps(det) for det in detectors)
-    n_outside = 0
     slices = stream_pairs(source, duration_ps, rng.child(0), segments)
     for k in range(segments):
         last = k == segments - 1
@@ -435,9 +419,7 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
         arrivals = [pairs.idler_arm_times()]
         signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
         del pairs  # signal views the slice's columns: free them once a stage copies
-        if isinstance(modulation, TabulatedDrive):
-            n_outside += modulation.outside(signal.t_rel_ns())
-        signal = apply_modulation(signal, modulation, gen_mod)
+        signal = apply_modulation(signal, config.modulation, gen_mod, source=src.amplitude)
         bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
         # the background was drawn already thinned by the sample
         photons = np.concatenate([
@@ -458,8 +440,6 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
         stream = TimeTagStream.from_channel_times(flushed, duration_ps)
         del arrivals, photons, new, tags, flushed  # the consumer holds only the stream
         yield stream
-    if n_outside:
-        log.warning("%d events outside the modulation grid held at edge values", n_outside)
 
 
 def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,

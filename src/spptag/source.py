@@ -61,6 +61,12 @@ class SourceConfig:
             raise ValueError("multipair_prob must lie in [0, 1)")
         if self.background_rate_signal < 0 or self.background_rate_idler < 0:
             raise ValueError("background rates must be nonnegative")
+        # tag times are int64 ps: a delay reaches 49.8 fwhm past the offset (one-sided
+        # decay at U_CLIP), and a multipair extra lies up to one fwhm further out
+        amp = self.amplitude
+        reach = {"offset_ns": abs(amp.offset_ns), "fwhm_ns": 51 * amp.fwhm_ns}
+        if not sum(reach.values()) * PS_PER_NS < 2**62:
+            raise ValueError(f"amplitude.{max(reach, key=reach.get)} puts delays beyond 2**62 ps")
 
 
 class PairEvents:

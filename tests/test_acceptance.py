@@ -36,7 +36,6 @@ from spptag.optics import (
     ModulationFunction,
     SampleConfig,
     apply_modulation,
-    resolve_modulation,
     run_experiment,
 )
 from spptag.source import PairKind, generate_pairs, poisson_times
@@ -168,10 +167,9 @@ def waveform_and_template(stream, modulation):
     wf = reconstruct_waveform(stream, 0, (1, 2), WAVEFORM_BIN_PS,
                               WAVEFORM_LO_PS, WAVEFORM_HI_PS)
     amp = default_config().experiment.source.amplitude
-    mod = resolve_modulation(modulation, amp)
 
     def density(t):
-        return evaluate_density(amp, t) * mod.amplitude(t) ** 2
+        return evaluate_density(amp, t) * modulation.amplitude(t, amp) ** 2
 
     n_bins = (WAVEFORM_HI_PS - WAVEFORM_LO_PS) // WAVEFORM_BIN_PS
     template = expected_waveform(density, WAVEFORM_LO_PS / PS_PER_NS,
@@ -222,8 +220,8 @@ class TestWaveformImprinting:
         # reshaping 50 ns two-sided exponential into a 40 ns gaussian:
         # transmission peaks where target/source is largest, symmetric pair
         amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
-        mod = resolve_modulation(ModulationFunction.gaussian_target(40.0), amp)
-        grid, values = mod.grid_ns, mod.values
+        grid = np.arange(-300.0, 300.05, 0.1)
+        values = ModulationFunction.gaussian_target(40.0).amplitude(grid, amp)
         passed = np.trapezoid(evaluate_density(amp, grid) * values**2, grid)
         # the drive saturates at unity where target/source peaks, t = sigma^2/tau0,
         # so throughput = source/target there

@@ -20,6 +20,7 @@ from spptag.config import default_config, parse_config
 from spptag.hom import hom_visibility
 from spptag.model import BiphotonAmplitude, Shape
 from spptag.spectrum import ArrayGeometry, FanoParameters, SpectrumConfig, fano_transmittance
+from spptag.tagfile import read_tags
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,6 +137,27 @@ class TestRejectedInput:
         "hom curve --range-points 0": "--range-points must lie",
     }
 
+    # config line -> the key its error names: delays and jitter shifts beyond int64 ps
+    CONFIG_PROBES = {
+        "detector1.jitter_sigma_ps = 1e300": "detector1: jitter_sigma_ps",
+        "amplitude.fwhm_ns = 1e300": "amplitude.fwhm_ns",
+        "amplitude.offset_ns = -1e300": "amplitude.offset_ns",
+    }
+
+    @pytest.mark.parametrize("duration", ["1s", "200s"])
+    @pytest.mark.parametrize("line", CONFIG_PROBES)
+    def test_config_value_exits_2_on_one_line(self, line, duration, tmp_path):
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        proc = subprocess.run([sys.executable, "-m", "spptag.cli", "simulate", "--config",
+                               "run.cfg", "--duration", duration, "--out", "t.spptag"],
+                              cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                              preexec_fn=_limit_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert self.CONFIG_PROBES[line] in proc.stderr, proc.stderr
+        assert not (tmp_path / "t.spptag").exists()
+
     @pytest.mark.parametrize("command", PROBES)
     def test_exits_2_without_traceback(self, command, pinned_tags, tmp_path):
         (tmp_path / "nan.csv").write_text("delay_ns,visibility\n0.0,1.0\n10.0,nan\n")
@@ -201,14 +223,16 @@ class TestSimulate:
         ("spectrum.peak_transmittance = 0.0001", "spectrum:"),
         ("modulation.kind = identity\nmodulation.edge_ns = nan", "line 2"),
         ("spectrum.grid_hi_nm = 700.0", "sample: photon wavelength 795.0 nm outside"),
-        # drive grids of 916 MiB and 72.8 TiB: refused before they are allocated
-        ("modulation.kind = gaussian\nmodulation.target_fwhm_ns = 1e6",
-         "error: modulation: gaussian drive grid of 1.2e+08 points"),
-        ("modulation.kind = gaussian\nmodulation.target_center_ns = 1e12",
-         "error: modulation: gaussian drive grid of 1e+13 points"),
+        # the target/source density ratio grows without bound: no drive reaches it
+        ("amplitude.shape = gaussian\nmodulation.kind = gaussian\n"
+         "modulation.target_fwhm_ns = 60.0",
+         "error: modulation: a gaussian target must be narrower than a gaussian source"),
+        # the ratio grows as |t| / tau0 with tau0 ~ 1e-300 ns
+        ("amplitude.fwhm_ns = 1e-300\nmodulation.kind = gaussian",
+         "error: modulation: the target/source density ratio overflows at its peak"),
     ], ids=["unbuildable_spectrum", "modulation_key_of_another_kind",
-            "wavelength_outside_spectrum", "gaussian_drive_grid_too_wide",
-            "gaussian_drive_grid_too_late"])
+            "wavelength_outside_spectrum", "gaussian_target_wider_than_source",
+            "gaussian_drive_peak_overflows"])
     def test_config_problem_exits_2_on_one_line(self, tmp_path, capsys, given, part):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(given + "\n")
@@ -220,6 +244,24 @@ class TestSimulate:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert part in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["modulation.target_fwhm_ns = 1e6",
+                                       "modulation.target_center_ns = 1e12"],
+                             ids=["gaussian_target_wide", "gaussian_target_late"])
+    def test_far_gaussian_target_passes_no_signal_photon(self, tmp_path, capsys, caplog,
+                                                         given):
+        # the drive is 0 at every photon, so the run is the one whose sample
+        # converts nothing: the signal detectors see only their dark counts
+        streams = []
+        for text in ("modulation.kind = gaussian\n" + given,
+                     "sample.overall_conversion = 0.0\nsample.background_suppression = 0.0"):
+            cfg, out = tmp_path / "run.cfg", tmp_path / "t.spptag"
+            cfg.write_text(text + "\n")
+            with caplog.at_level("WARNING"):
+                assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            streams.append(read_tags(out))
+        assert streams[0] == streams[1]
+        assert capsys.readouterr().err == "" and caplog.records == []
 
     def test_missing_config_exits_3(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),

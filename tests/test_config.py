@@ -25,7 +25,6 @@ from spptag.optics import (
     ModulationFunction,
     ModulationKind,
     SampleConfig,
-    drive_grid_ends,
 )
 from spptag.source import SourceConfig
 from spptag.spectrum import ArrayGeometry, FanoParameters, SpectrumConfig
@@ -74,8 +73,8 @@ def run_configs(draw):
         assert given[name] != getattr(ModulationFunction(), name), exc
         modulation = ModulationFunction(kind, **{f: given[f] for f in MODULATION_FIELDS[kind]})
     if modulation.kind is ModulationKind.GAUSSIAN:
-        try:  # the grid its drive is derived on stays bounded
-            drive_grid_ends(modulation, amplitude)
+        try:  # a gaussian source has a drive only for a narrower target
+            modulation.peak_ns(amplitude)
         except ValueError:
             reject()
     spectrum = draw(st.none() | spectra())

@@ -11,11 +11,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spptag import BiphotonAmplitude, RngSpec, Shape
 from spptag.config import default_config
-from spptag.model import U_CLIP, normal_quantile, sample_delay
+from spptag.model import U_CLIP, evaluate_density, normal_quantile, sample_delay
 from spptag.optics import (
     DetectorConfig,
     DetectorState,
@@ -23,14 +25,10 @@ from spptag.optics import (
     ModulationFunction,
     ModulationKind,
     SampleConfig,
-    TabulatedDrive,
     apply_modulation,
     apply_sample,
     beamsplit,
-    derive_modulation_for_target,
     detect,
-    drive_grid_ends,
-    resolve_modulation,
     run_experiment,
     stream_experiment,
     _dead_time_filter_mask,
@@ -83,39 +81,28 @@ class TestModulation:
         out = apply_modulation(ev, ModulationFunction.heaviside(5.0), RngSpec(1))
         assert len(out) == 1 and out.signal_ps[0] == 1_005_000
 
-    def test_constant_tabulated_survival_fraction(self):
-        ev = synthetic_events(40000, RngSpec(64))
-        m = TabulatedDrive(np.array([-1000.0, 1000.0]), np.array([0.5, 0.5]), 0.0)
-        out = apply_modulation(ev, m, RngSpec(65))
-        # amplitude 0.5 -> survival 0.25
-        n, p = 40000, 0.25
-        assert abs(len(out) - n * p) < 4.5 * np.sqrt(n * p * (1 - p))
-
     def test_gaussian_drive_peaks_at_density_ratio_maximum(self):
-        grid = np.arange(-300.0, 300.0, 0.1)
-        target = BiphotonAmplitude(Shape.GAUSSIAN, 40.0)
-        m = derive_modulation_for_target(AMP, target, grid)
-        t_star = grid[np.argmax(m.values)]
-        # ratio is symmetric with twin maxima at +-sigma^2/tau0 = +-8.0 ns
-        sigma = target.sigma_ns
-        assert abs(t_star) == pytest.approx(sigma**2 / AMP.tau0_ns, abs=0.1)
-        assert m.values.max() == pytest.approx(1.0, abs=1e-12)
-        assert m.clipped_mass == 0.0
+        # the ratio is symmetric with twin maxima at +-sigma^2/tau0 = +-8.0 ns
+        m = ModulationFunction.gaussian_target(40.0)
+        t_star = m.target.sigma_ns**2 / AMP.tau0_ns
+        assert t_star == pytest.approx(8.0, rel=1e-12)
+        assert abs(m.peak_ns(AMP)) == pytest.approx(t_star, rel=1e-12)
+        np.testing.assert_array_equal(m.amplitude([-t_star, t_star], AMP), 1.0)
+        assert np.all(m.amplitude([-t_star - 0.1, 0.0, t_star + 0.1], AMP) < 1.0)
+        assert m.unreachable_mass(AMP) == 0.0
 
     def test_derived_drive_reproduces_target_pointwise(self):
-        from spptag.model import evaluate_density
         grid = np.arange(-300.0, 300.0, 0.1)
-        target = BiphotonAmplitude(Shape.GAUSSIAN, 40.0)
-        m = derive_modulation_for_target(AMP, target, grid)
-        predicted = evaluate_density(AMP, grid) * m.values**2
-        scale = evaluate_density(target, 0.0) / predicted[np.argmin(np.abs(grid))]
+        m = ModulationFunction.gaussian_target(40.0)
+        predicted = evaluate_density(AMP, grid) * m.amplitude(grid, AMP) ** 2
+        scale = evaluate_density(m.target, 0.0) / predicted[np.argmin(np.abs(grid))]
         np.testing.assert_allclose(predicted * scale,
-                                   evaluate_density(target, grid), atol=1e-12)
+                                   evaluate_density(m.target, grid), atol=1e-12)
 
     def test_gaussian_modulated_survivors_follow_target(self):
         ev = synthetic_events(200_000, RngSpec(66))
         m = ModulationFunction.gaussian_target(40.0)
-        out = apply_modulation(ev, resolve_modulation(m, AMP), RngSpec(67))
+        out = apply_modulation(ev, m, RngSpec(67), source=AMP)
         t_rel = out.t_rel_ns()
         sigma = 40.0 / (2 * np.sqrt(2 * np.log(2)))
         res = stats.kstest(t_rel, stats.norm(scale=sigma).cdf)
@@ -125,45 +112,83 @@ class TestModulation:
 
     def test_gaussian_needs_source(self):
         ev = synthetic_events(10, RngSpec(68))
-        with pytest.raises(ValueError, match="must be resolved"):
+        with pytest.raises(ValueError, match="needs the source amplitude"):
             apply_modulation(ev, ModulationFunction.gaussian_target(40.0), RngSpec(69))
 
     def test_clipped_mass_for_unreachable_target(self):
         # one-sided input cannot make mass before its onset
         decay = BiphotonAmplitude(Shape.EXPONENTIAL_DECAY, 50.0)
-        target = BiphotonAmplitude(Shape.GAUSSIAN, 30.0, offset_ns=-10.0)
-        grid = np.arange(-200.0, 400.0, 0.05)
-        m = derive_modulation_for_target(decay, target, grid)
-        sigma = 30.0 / (2 * np.sqrt(2 * np.log(2)))
-        expected = stats.norm(loc=-10.0, scale=sigma).cdf(0.0)
-        assert m.clipped_mass == pytest.approx(expected, abs=1e-3)
+        m = ModulationFunction.gaussian_target(30.0, -10.0)
+        expected = stats.norm(loc=-10.0, scale=m.target.sigma_ns).cdf(0.0)
+        assert m.unreachable_mass(decay) == pytest.approx(expected, rel=1e-12)
+        assert m.amplitude(-1e-9, decay) == 0.0 < m.amplitude(0.0, decay)
 
-    def test_tabulated_held_at_edges(self):
-        m = TabulatedDrive(np.array([0.0, 10.0]), np.array([0.25, 0.75]), 0.0)
-        np.testing.assert_allclose(m.amplitude([-5.0, 15.0]), [0.25, 0.75])
-
-    def test_tabulated_validation(self):
-        # a tabulated drive is only derived, on a strictly increasing grid
-        target = BiphotonAmplitude(Shape.GAUSSIAN, 40.0)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            derive_modulation_for_target(AMP, target, [1.0, 0.0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            derive_modulation_for_target(AMP, target, [0.0])
+    def test_gaussian_target_validation(self):
         with pytest.raises(ValueError):
             ModulationFunction.gaussian_target(0.0)
+        # the target/source ratio of a target at least as wide grows without bound
+        ev = synthetic_events(10, RngSpec(68))
+        for fwhm_ns in (60.0, 61.0):
+            with pytest.raises(ValueError, match="narrower than a gaussian source"):
+                apply_modulation(ev, ModulationFunction.gaussian_target(fwhm_ns), RngSpec(69),
+                                 source=BiphotonAmplitude(Shape.GAUSSIAN, 60.0))
 
     @pytest.mark.parametrize("fwhm_ns, center_ns", [(1e6, 0.0), (40.0, 1e12)])
-    def test_drive_grid_bounded_before_allocating(self, fwhm_ns, center_ns):
+    def test_far_target_passes_no_photon(self, fwhm_ns, center_ns):
+        # the drive is 1 far from every photon, and exactly 0 at each of them
+        ev = synthetic_events(10_000, RngSpec(68))
         m = ModulationFunction.gaussian_target(fwhm_ns, center_ns)
-        with pytest.raises(ValueError, match="exceeds the limit of 16777216"):
-            resolve_modulation(m, AMP)
-        # 12 widths of 1e5 ns in 0.1 ns steps: 1.2e7 points, within the bound
-        lo, hi = drive_grid_ends(ModulationFunction.gaussian_target(1e5), AMP)
-        assert (hi - lo) / 0.1 == pytest.approx(1.2e7)
+        assert abs(m.peak_ns(AMP)) > 1e9
+        assert len(apply_modulation(ev, m, RngSpec(69), source=AMP)) == 0
 
-    def test_resolve_leaves_other_kinds_alone(self):
+    def test_source_ignored_by_other_kinds(self):
+        ev = synthetic_events(1000, RngSpec(60))
         m = ModulationFunction.heaviside(3.0)
-        assert resolve_modulation(m, AMP) is m
+        assert (apply_modulation(ev, m, RngSpec(61), source=AMP)
+                == apply_modulation(ev, m, RngSpec(61)))
+
+
+def _log_density(amp: BiphotonAmplitude, t) -> np.ndarray:
+    """Log delay density, written out: scipy.stats' Laplace logpdf underflows
+    beyond about 700 decay constants."""
+    x = np.asarray(t, dtype=float) - amp.offset_ns
+    if amp.shape is Shape.GAUSSIAN:
+        return -0.5 * (x / amp.sigma_ns) ** 2 - np.log(amp.sigma_ns * np.sqrt(2 * np.pi))
+    if amp.shape is Shape.DOUBLE_EXPONENTIAL:
+        return -np.abs(x) / amp.tau0_ns - np.log(2 * amp.tau0_ns)
+    return np.where(x >= 0, -x / amp.tau0_ns - np.log(amp.tau0_ns), -np.inf)
+
+
+class TestGaussianDriveProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.sampled_from(Shape), source_fwhm=st.floats(1.0, 200.0),
+           offset=st.floats(-50.0, 50.0), target_fwhm=st.floats(1.0, 200.0),
+           shift=st.floats(-2.0, 2.0))
+    def test_closed_form_drive(self, shape, source_fwhm, offset, target_fwhm, shift):
+        source = BiphotonAmplitude(shape, source_fwhm, offset)
+        # the target centre within two of its widths of the source offset
+        m = ModulationFunction.gaussian_target(target_fwhm, offset + shift * target_fwhm)
+        if shape is Shape.GAUSSIAN and not target_fwhm < source_fwhm:
+            with pytest.raises(ValueError, match="narrower than a gaussian source"):
+                m.peak_ns(source)
+            return
+        peak = m.peak_ns(source)
+        assert m.amplitude(peak, source) == 1.0
+        c, sigma = m.target.offset_ns, m.target.sigma_ns
+        lo = offset if shape is Shape.EXPONENTIAL_DECAY else -np.inf
+        t = np.linspace(max(c - 12 * sigma, lo), max(c + 12 * sigma, lo), 20_001)
+        drive = m.amplitude(t, source)
+        assert np.all((0.0 <= drive) & (drive <= 1.0))
+        # source * m^2 = target / M wherever the source has density
+        log_m = _log_density(m.target, peak) - _log_density(source, peak)
+        seen = drive > 1e-150
+        np.testing.assert_allclose(
+            _log_density(source, t[seen]) + 2 * np.log(drive[seen]),
+            _log_density(m.target, t[seen]) - log_m, rtol=0, atol=1e-8)
+        # so a fraction (1 - unreachable mass) / M survives
+        survival = np.trapezoid(evaluate_density(source, t) * drive**2, t)
+        expected = (1.0 - m.unreachable_mass(source)) * np.exp(-log_m)
+        assert survival == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
 
 class TestSample:
@@ -186,13 +211,13 @@ class TestSample:
         # the bench samples after modulating; the background is drawn already
         # sampled, before modulation, which is sound only if the order of the
         # two thinnings does not matter (Lewis & Shedler 1979)
-        m = resolve_modulation(ModulationFunction.gaussian_target(40.0), AMP)
+        m = ModulationFunction.gaussian_target(40.0)
         sample = SampleConfig(795.0, 0.44)
         ev = synthetic_events(150_000, RngSpec(75))
-        modulated = apply_modulation(ev, m, RngSpec(76))
+        modulated = apply_modulation(ev, m, RngSpec(76), source=AMP)
         a = apply_sample(modulated.signal_ps - modulated.idler_ps, sample, RngSpec(77))
         sampled = ev.select(apply_sample(np.arange(len(ev)), sample, RngSpec(77)))
-        b = apply_modulation(sampled, m, RngSpec(76)).t_rel_ns()
+        b = apply_modulation(sampled, m, RngSpec(76), source=AMP).t_rel_ns()
         res = stats.ks_2samp(a / 1000.0, b)
         assert res.pvalue > 0.01
         assert abs(len(a) - len(b)) < 4.5 * np.sqrt(len(a))
@@ -409,12 +434,17 @@ class TestStreamedRun:
         assert len(stream) > 5000
         assert not np.any(np.diff(stream.times_ps) < 0)
 
-    def test_outside_grid_warned_once_per_run(self, caplog):
-        exp = replace(self.DESK, modulation=ModulationFunction.gaussian_target(40.0))
+    def test_unreachable_mass_warned_once_per_run(self, caplog):
+        # a one-sided source has no density before its onset, where the target has some
+        decay = replace(self.DESK.source,
+                        amplitude=BiphotonAmplitude(Shape.EXPONENTIAL_DECAY, 50.0))
+        m = ModulationFunction.gaussian_target(30.0, -10.0)
+        exp = replace(self.DESK, source=decay, modulation=m)
         with caplog.at_level("WARNING", logger="spptag.optics"):
             run_experiment(exp, 3 * SECOND, RngSpec(107), segments=3)
-        warned = [r for r in caplog.records if "outside the modulation grid" in r.getMessage()]
-        assert len(warned) == 1
+        unreachable = stats.norm.cdf(10.0 / m.target.sigma_ns)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"target waveform has {unreachable:.3g} unreachable mass"]
 
     def test_memory_stays_flat_as_the_run_grows(self):
         peaks = []
