@@ -267,12 +267,12 @@ def cmd_spectrum_fano(args) -> int:
         raise ConfigError(f"--points must lie in [2, {MAX_POINTS}]")
     grid = np.linspace(args.lo_nm, args.hi_nm, args.points)
     spec = fano_spectrum(geom, grid, params)
+    at = None if args.at_nm is None else fano_transmittance(geom, args.at_nm, params)
     i = int(np.argmax(spec.total))
     print(f"peak transmittance {spec.total[i]:.4f} at "
           f"{spec.wavelength_nm[i]:.1f} nm")
-    if args.at_nm is not None:
-        print(f"T({args.at_nm:g} nm) = "
-              f"{fano_transmittance(geom, args.at_nm, params):.4f}")
+    if at is not None:
+        print(f"T({args.at_nm:g} nm) = {at:.4f}")
     if args.csv:
         _write_csv(args.csv, ["wavelength_nm", "total", "resonant", "direct"],
                    [spec.wavelength_nm, spec.total, spec.resonant, spec.direct])

@@ -32,36 +32,37 @@ from .model import BiphotonAmplitude, Shape
 TWO_PI_MHZ_TO_RAD_PER_NS = 2.0 * np.pi * 1e-3
 
 
-def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz: float,
-                    delay_ns: float = 0.0) -> float:
-    """Coincidence probability P_c for one detuning and arm delay.
-
-    detuning_mhz may be inf, giving the distinguishable-photon value 1/2.
+def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz, delay_ns=0.0):
+    """Coincidence probability P_c at each detuning and arm delay; the two
+    broadcast, and scalars give a float.  An infinite detuning gives the
+    distinguishable-photon value 1/2.
     """
-    if np.isinf(detuning_mhz):
-        return 0.5
-    omega = detuning_mhz * TWO_PI_MHZ_TO_RAD_PER_NS
-    d = delay_ns - amp.offset_ns
+    omega = np.asarray(detuning_mhz, dtype=float) * TWO_PI_MHZ_TO_RAD_PER_NS
+    far = np.isinf(omega)
+    omega = np.where(far, 0.0, omega)
+    d = np.asarray(delay_ns, dtype=float) - amp.offset_ns
     if amp.shape is Shape.GAUSSIAN:
         s = amp.sigma_ns
-        overlap = np.exp(-0.5 * (d / s) ** 2 - 0.5 * (omega * s) ** 2)
+        with np.errstate(over="ignore"):  # a square beyond the double range: no overlap
+            overlap = np.exp(-0.5 * (d / s) ** 2 - 0.5 * (omega * s) ** 2)
     elif amp.shape is Shape.DOUBLE_EXPONENTIAL:
-        t0, a = amp.tau0_ns, abs(d)
-        tail = ((np.cos(omega * a) / t0 - omega * np.sin(omega * a))
-                / (t0 ** -2 + omega ** 2))
+        t0, a = amp.tau0_ns, np.abs(d)
+        with np.errstate(over="ignore"):  # omega ** 2 = inf leaves no tail
+            if not all(np.finfo(float).smallest_normal <= p < np.inf for p in (t0**2, t0**-2)):
+                raise ValueError(f"fwhm_ns = {amp.fwhm_ns:g}: tau0 ** 2 or its inverse "
+                                 "is not a normal double")
+            tail = ((np.cos(omega * a) / t0 - omega * np.sin(omega * a))
+                    / (t0 ** -2 + omega ** 2))
         # a * np.sinc(omega a / pi) = sin(omega a) / omega, finite at omega = 0
         overlap = np.exp(-a / t0) * (a * np.sinc(omega * a / np.pi) + tail) / t0
-    else:  # exponential decay
-        if d <= 0.0:
-            # one-sided packets do not overlap after the swap
-            return 0.5
-        t0 = amp.tau0_ns
+    else:  # exponential decay: one-sided packets do not overlap after the swap for d <= 0
+        t0, d = amp.tau0_ns, np.maximum(d, 0.0)
         overlap = 2.0 * d * np.sinc(omega * d / np.pi) * np.exp(-d / t0) / t0
-    return float(0.5 * (1.0 - overlap))
+    return 0.5 * (1.0 - np.where(far, 0.0, overlap))
 
 
-def hom_visibility(amp: BiphotonAmplitude, delay_ns: float = 0.0) -> float:
-    """Dip visibility V = 1 - 2 P_c(0, delay)."""
+def hom_visibility(amp: BiphotonAmplitude, delay_ns=0.0):
+    """Dip visibility V = 1 - 2 P_c(0, delay) at each delay."""
     return 1.0 - 2.0 * hom_coincidence(amp, 0.0, delay_ns)
 
 
@@ -77,13 +78,11 @@ class HomCurve:
 def hom_curve(amp: BiphotonAmplitude, detunings_mhz,
               delay_ns: float = 0.0) -> HomCurve:
     det = np.asarray(detunings_mhz, dtype=float)
-    pc = np.array([hom_coincidence(amp, d, delay_ns) for d in det])
-    return HomCurve(det, pc, float(delay_ns))
+    return HomCurve(det, hom_coincidence(amp, det, delay_ns), float(delay_ns))
 
 
 def fit_coherence_time(delays_ns, visibilities, shape: Shape,
-                       errors=None, initial_fwhm_ns: float | None = None
-                       ) -> tuple[float, float]:
+                       errors=None) -> tuple[float, float]:
     """Least-squares FWHM from measured visibility-versus-delay points.
 
     Returns (fwhm_ns, standard error).  The model is hom_visibility for the
@@ -93,18 +92,15 @@ def fit_coherence_time(delays_ns, visibilities, shape: Shape,
     vis = np.asarray(visibilities, dtype=float)
     if delays.size != vis.size or delays.size < 2:
         raise FitError("need at least two visibility points")
-    if initial_fwhm_ns is None:
-        initial_fwhm_ns = max(2.0 * float(np.mean(np.abs(delays))), 1.0)
 
     def model(d, fwhm):
-        amp = BiphotonAmplitude(shape, fwhm)
-        return np.array([hom_visibility(amp, x) for x in np.atleast_1d(d)])
+        return hom_visibility(BiphotonAmplitude(shape, fwhm), d)
 
     from scipy.optimize import curve_fit
     try:
         popt, pcov = curve_fit(
-            model, delays, vis, p0=[initial_fwhm_ns], sigma=errors,
-            absolute_sigma=errors is not None, maxfev=200)
+            model, delays, vis, p0=[max(2.0 * float(np.mean(np.abs(delays))), 1.0)],
+            sigma=errors, absolute_sigma=errors is not None, maxfev=200)
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"coherence-time fit failed: {exc}") from exc
     fwhm = float(popt[0])

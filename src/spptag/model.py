@@ -107,24 +107,17 @@ class BiphotonAmplitude:
 def evaluate_density(amp: BiphotonAmplitude, tau_ns):
     """Delay density f(tau) [1/ns]; integrates to 1 over the real line.
 
-    Accepts scalar or array tau.
+    Accepts scalar or array tau; a scalar gives a float.
     """
-    tau = np.asarray(tau_ns, dtype=float)
-    x = tau - amp.offset_ns
-    if amp.shape is Shape.DOUBLE_EXPONENTIAL:
-        t0 = amp.tau0_ns
-        out = np.exp(-np.abs(x) / t0) / (2.0 * t0)
-    elif amp.shape is Shape.EXPONENTIAL_DECAY:
-        t0 = amp.tau0_ns
-        out = np.where(x >= 0.0, np.exp(-np.clip(x, 0.0, None) / t0) / t0, 0.0)
-    elif amp.shape is Shape.GAUSSIAN:
+    x = np.asarray(tau_ns, dtype=float) - amp.offset_ns
+    if amp.shape is Shape.GAUSSIAN:
         s = amp.sigma_ns
-        out = np.exp(-0.5 * (x / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown shape {amp.shape}")
-    if np.isscalar(tau_ns):
-        return float(out)
-    return out
+        return np.exp(-0.5 * (x / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    t0 = amp.tau0_ns
+    if amp.shape is Shape.DOUBLE_EXPONENTIAL:
+        return np.exp(-np.abs(x) / t0) / (2.0 * t0)
+    # exponential decay: the density times its onset mask
+    return np.exp(-np.clip(x, 0.0, None) / t0) / t0 * (x >= 0.0)
 
 
 def sample_delay(amp: BiphotonAmplitude, rng: RngSpec | np.random.Generator,
@@ -184,8 +177,10 @@ class TimeTagStream:
         chans = np.ascontiguousarray(channels, dtype=np.uint8)
         if times.shape != chans.shape or times.ndim != 1:
             raise ValueError("times and channels must be 1-d arrays of equal length")
-        if np.any(times[1:] < times[:-1]):
-            raise ValueError("tag times must be nondecreasing")
+        for start in range(0, times.size, BLOCK):  # with the previous block's last time
+            window = times[max(start - 1, 0):start + BLOCK]
+            if np.any(window[1:] < window[:-1]):
+                raise ValueError("tag times must be nondecreasing")
         duration_ps = int(duration_ps)
         if duration_ps <= 0:
             raise ValueError("duration must be positive")

@@ -49,8 +49,7 @@ class PermittivityTable:
         # interpolate the permittivity itself, not (n, k)
         re = np.interp(wl, self.wavelength_nm, self.epsilon.real)
         im = np.interp(wl, self.wavelength_nm, self.epsilon.imag)
-        out = re + 1j * im
-        return complex(out) if np.isscalar(wavelength_nm) else out
+        return re + 1j * im
 
 
 GOLD = PermittivityTable(_gold.GOLD_WAVELENGTH_NM, _gold.GOLD_EPSILON)
@@ -102,8 +101,11 @@ def bethe_hole_transmittance(geometry: ArrayGeometry, wavelength_nm) -> Union[fl
     if np.any(wl <= 0):
         raise ValueError("wavelength must be positive")
     kr = 2 * np.pi * geometry.hole_radius_nm / wl
-    t = 64.0 / (27.0 * np.pi**2) * kr**4
-    return float(t) if np.isscalar(wavelength_nm) else t
+    with np.errstate(over="ignore"):
+        t = 64.0 / (27.0 * np.pi**2) * kr**4
+    if not np.all(np.isfinite(t)):
+        raise ValueError("hole radius over wavelength too large for the small-hole law")
+    return t
 
 
 def bethe_transmittance(geometry: ArrayGeometry, wavelength_nm) -> Union[float, np.ndarray]:
@@ -120,9 +122,7 @@ def spp_effective_index(wavelength_nm, interface: Union[str, float] = "glass",
     """Real part of the bound-mode index at a metal/dielectric interface."""
     eps_d = _INTERFACES[interface] if isinstance(interface, str) else float(interface)
     eps_m = table.permittivity(wavelength_nm)
-    n_eff = np.sqrt(eps_m * eps_d / (eps_m + eps_d))
-    out = np.real(n_eff)
-    return float(out) if np.isscalar(wavelength_nm) else out
+    return np.real(np.sqrt(eps_m * eps_d / (eps_m + eps_d)))
 
 
 def _resonance_wavelength_for_index(geometry: ArrayGeometry, n_eff: float,
@@ -255,15 +255,18 @@ class FanoParameters:
 
 def _fano_channels(geometry: ArrayGeometry, wl: np.ndarray,
                    params: FanoParameters, strict: bool = True):
-    direct = np.asarray(bethe_transmittance(geometry, wl), dtype=float)
+    direct = bethe_transmittance(geometry, wl)
     half = 0.5 * params.fwhm_nm
     peak_direct = bethe_transmittance(geometry, params.peak_wavelength_nm)
     amplitude = (params.peak_transmittance - peak_direct) / (1.0 + params.q**2)
     if strict and amplitude < 0:
         raise ValueError("peak transmittance below the direct background")
     x = wl - params.resonance_nm
-    resonant = amplitude * (params.q * half + x) ** 2 / (half**2 + x**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resonant = amplitude * (params.q * half + x) ** 2 / (half**2 + x**2)
     total = resonant + direct
+    if strict and not np.all(np.isfinite(total)):
+        raise ValueError("parameters give a non-finite transmittance")
     if strict and np.any(total > 1 + 1e-9):
         raise ValueError("parameters give transmittance above unity")
     return total, resonant, direct
@@ -272,9 +275,7 @@ def _fano_channels(geometry: ArrayGeometry, wl: np.ndarray,
 def fano_transmittance(geometry: ArrayGeometry, wavelength_nm,
                        params: FanoParameters = FanoParameters()):
     """Total array transmittance at the given wavelength(s), no grid."""
-    wl = np.atleast_1d(np.asarray(wavelength_nm, dtype=float))
-    total, _, _ = _fano_channels(geometry, wl, params)
-    return float(total[0]) if np.isscalar(wavelength_nm) else total
+    return _fano_channels(geometry, np.asarray(wavelength_nm, dtype=float), params)[0]
 
 
 def fano_spectrum(geometry: ArrayGeometry, wavelength_nm,
@@ -286,8 +287,6 @@ def fano_spectrum(geometry: ArrayGeometry, wavelength_nm,
     lineshape maximum (resonance + G / (2 q)) equals params.peak_transmittance.
     """
     wl = np.asarray(wavelength_nm, dtype=float)
-    if wl.ndim != 1:
-        wl = np.atleast_1d(wl)
     total, resonant, direct = _fano_channels(geometry, wl, params)
     return TransmissionSpectrum(wl, total, resonant, direct)
 

@@ -135,6 +135,16 @@ class TestRejectedInput:
         "hom curve --range-points 1000000000": "--range-points must lie in [1, 16777216]",
         "hom curve --range-points -1": "--range-points must lie",
         "hom curve --range-points 0": "--range-points must lie",
+        # tau0 ** -2 overflows, is subnormal, or tau0 ** 2 overflows
+        "hom curve --fwhm-ns 1e-200": "fwhm_ns",
+        "hom curve --fwhm-ns 1e160": "fwhm_ns",
+        "hom curve --fwhm-ns 1e300": "fwhm_ns",
+        "spectrum fano --at-nm 1e300": "non-finite transmittance",
+        "spectrum fano --fwhm-nm 1e-300": "non-finite transmittance",
+        "spectrum fano --resonance-nm 1e300": "non-finite transmittance",
+        "spectrum bethe --wavelength-nm 1e-300": "small-hole law",
+        "spectrum bethe --pitch-nm 1e300 --hole-diameter-nm 1e299": "small-hole law",
+        "spectrum fano --lo-nm 1e-300 --hi-nm 1e-299 --points 3": "small-hole law",
     }
 
     # config line -> the key its error names: delays and jitter shifts beyond int64 ps
@@ -170,6 +180,7 @@ class TestRejectedInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "error: " in proc.stderr, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr  # pytest's filter misses children
         assert self.PROBES[command] in proc.stderr, proc.stderr
         if command == self.PAIRS_PROBE:  # rejected before any pair is expanded
             assert elapsed < 1.0
@@ -401,6 +412,13 @@ class TestHom:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         assert main(["hom", "fit", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("flags", [["--fwhm-ns", "1e300"], ["--range-hi-mhz", "1e300"]])
+    def test_gaussian_limits_without_warning(self, flags, capsys):
+        # an overlap exponent beyond the double range is the limit: no overlap
+        assert main(["hom", "curve", "--shape", "gaussian", "--range-points", "3", *flags]) == 0
+        pc = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
+        assert pc == [0.0, 0.5, 0.5]
 
     def test_bad_shape_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -133,6 +133,51 @@ class TestHomCurve:
         assert a.coincidence.shape == det.shape
 
 
+class TestBroadcasting:
+    # offset 12.5 ns: delays on both sides of the center and of the decay onset
+    DETUNINGS = np.array([-np.inf, -20.0, -4.41, 0.0, 1e-6, 3.0, 12.0, 5000.0, np.inf])
+    DELAYS = np.array([-300.0, -40.0, 0.0, 12.5 - 1e-9, 12.5, 12.5 + 1e-9, 20.0, 55.0, 400.0])
+
+    @pytest.mark.parametrize("shape", Shape)
+    def test_grid_matches_per_point_calls(self, shape):
+        amp = BiphotonAmplitude(shape, 50.0, 12.5)
+        grid = hom_coincidence(amp, self.DETUNINGS[:, None], self.DELAYS[None, :])
+        points = [[hom_coincidence(amp, m, d) for d in self.DELAYS] for m in self.DETUNINGS]
+        assert grid.shape == (self.DETUNINGS.size, self.DELAYS.size)
+        np.testing.assert_array_max_ulp(grid, np.array(points), maxulp=2)
+        np.testing.assert_array_equal(grid[[0, -1]], 0.5)  # infinite detuning
+
+    @pytest.mark.parametrize("amp", [DEXP, DECAY, GAUSS])
+    def test_curve_is_one_broadcast_call(self, amp):
+        curve = hom_curve(amp, self.DETUNINGS, 8.0)
+        np.testing.assert_array_equal(curve.coincidence,
+                                      hom_coincidence(amp, self.DETUNINGS, 8.0))
+
+    @pytest.mark.parametrize("amp", [DEXP, DECAY, GAUSS])
+    def test_visibility_over_delays(self, amp):
+        vis = hom_visibility(amp, self.DELAYS)
+        np.testing.assert_array_max_ulp(
+            vis, np.array([hom_visibility(amp, d) for d in self.DELAYS]), maxulp=2)
+
+    @pytest.mark.parametrize("amp", [DEXP, DECAY, GAUSS])
+    def test_scalars_give_floats(self, amp):
+        assert isinstance(hom_coincidence(amp, 3.0, 8.0), float)
+        assert isinstance(hom_coincidence(amp, np.inf, -8.0), float)
+        assert isinstance(hom_visibility(amp, 8.0), float)
+
+    @pytest.mark.parametrize("fwhm", [1e-200, 1e160, 1e300])
+    def test_double_exponential_width_out_of_range(self, fwhm):
+        amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, fwhm)
+        with pytest.raises(ValueError, match="fwhm_ns"):
+            hom_coincidence(amp, 0.0, 0.0)
+
+    def test_gaussian_limits(self):
+        # squares beyond the double range reach the limit of no overlap
+        wide = BiphotonAmplitude(Shape.GAUSSIAN, 1e300)
+        np.testing.assert_array_equal(hom_coincidence(wide, [0.0, 0.5], 0.0), [0.0, 0.5])
+        np.testing.assert_array_equal(hom_coincidence(GAUSS, [0.0, 1e300], 0.0), [0.0, 0.5])
+
+
 class TestFitCoherenceTime:
     DELAYS = np.array([5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0])
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream
+from helpers import at_each_block
+from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream, model
 from spptag.model import U_CLIP, evaluate_density, normal_quantile, sample_delay
 
 FWHM = 50.0
@@ -86,8 +87,11 @@ class TestDensity:
                                        evaluate_density(a0, tau), rtol=1e-12)
 
     def test_scalar_in_scalar_out(self):
-        amp = BiphotonAmplitude(Shape.GAUSSIAN, FWHM)
-        assert isinstance(evaluate_density(amp, 1.5), float)
+        for shape in Shape:
+            amp = BiphotonAmplitude(shape, FWHM)
+            for tau in (-1.5, 0.0, 1.5):  # both sides of the exponential decay's onset
+                assert isinstance(evaluate_density(amp, tau), float)
+                assert evaluate_density(amp, tau) == evaluate_density(amp, np.array([tau]))[0]
 
     def test_rejects_bad_fwhm(self):
         with pytest.raises(ValueError):
@@ -202,6 +206,15 @@ class TestTimeTagStream:
             TimeTagStream([5], [0, 1], 100)              # length mismatch
         with pytest.raises(ValueError):
             TimeTagStream([], [], 0)                     # empty duration
+
+    def test_ordering_checked_across_blocks(self):
+        for _ in at_each_block(model):
+            TimeTagStream(np.arange(1, 10), np.zeros(9), 10)
+            for i in range(1, 9):  # one step back at each position, block edges included
+                times = np.arange(1, 10)
+                times[i] -= 2
+                with pytest.raises(ValueError, match="nondecreasing"):
+                    TimeTagStream(times, np.zeros(9), 10)
 
     def test_equality(self):
         a = TimeTagStream([1, 2], [0, 1], 10)

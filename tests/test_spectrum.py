@@ -56,6 +56,10 @@ class TestBethe:
         with pytest.raises(ValueError):
             bethe_transmittance(GEOM, 0.0)
 
+    def test_non_finite_result_rejected(self):
+        with pytest.raises(ValueError, match="small-hole law"):
+            bethe_hole_transmittance(GEOM, 1e-300)
+
 
 class TestGeometry:
     def test_hole_must_fit_in_cell(self):
@@ -242,6 +246,33 @@ class TestFano:
         with pytest.raises(ValueError):
             fano_spectrum(GEOM, np.linspace(450.0, 550.0, 101), params)
 
+    @pytest.mark.parametrize("wl,params", [
+        (1e300, FanoParameters()),
+        (806.0, FanoParameters(fwhm_nm=1e-300)),  # 0 / 0 at the resonance
+        (800.0, FanoParameters(resonance_nm=1e300)),
+    ])
+    def test_non_finite_result_rejected(self, wl, params):
+        with pytest.raises(ValueError, match="non-finite"):
+            fano_transmittance(GEOM, wl, params)
+
+
+class TestScalarInScalarOut:
+    def test_real_functions_give_floats(self):
+        assert isinstance(bethe_hole_transmittance(GEOM, 795.0), float)
+        assert isinstance(bethe_transmittance(GEOM, 795.0), float)
+        assert isinstance(spp_effective_index(795.0), float)
+        assert isinstance(fano_transmittance(GEOM, 795.0), float)
+
+    def test_permittivity_gives_complex(self):
+        assert isinstance(gold_permittivity(795.0), complex)
+
+    def test_arrays_match_scalars(self):
+        wl = np.array([600.0, 795.0, 1000.0])
+        for f in (gold_permittivity, spp_effective_index,
+                  lambda w: bethe_hole_transmittance(GEOM, w),
+                  lambda w: fano_transmittance(GEOM, w)):
+            np.testing.assert_array_equal(f(wl), [f(w) for w in wl])
+
 
 class TestFanoFit:
     def test_noise_free_round_trip(self):
@@ -279,3 +310,8 @@ class TestFanoFit:
     def test_too_few_points(self):
         with pytest.raises(FitError):
             fit_fano(np.array([700.0, 800.0]), np.array([0.1, 0.2]), GEOM)
+
+    def test_non_finite_model_ends_in_fit_error(self):
+        # the squares of the lineshape overflow at the first guess
+        with pytest.raises(FitError, match="not finite"):
+            fit_fano(np.linspace(1e299, 1e300, 9), np.full(9, 0.1), GEOM)
