@@ -34,30 +34,36 @@ TWO_PI_MHZ_TO_RAD_PER_NS = 2.0 * np.pi * 1e-3
 
 def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz, delay_ns=0.0):
     """Coincidence probability P_c at each detuning and arm delay; the two
-    broadcast, and scalars give a float.  An infinite detuning gives the
-    distinguishable-photon value 1/2.
+    broadcast, and scalars give a float.  An infinite detuning, or a phase
+    beyond the double range, gives the distinguishable-photon value 1/2.
     """
     omega = np.asarray(detuning_mhz, dtype=float) * TWO_PI_MHZ_TO_RAD_PER_NS
-    far = np.isinf(omega)
-    omega = np.where(far, 0.0, omega)
     d = np.asarray(delay_ns, dtype=float) - amp.offset_ns
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a phase omega * d beyond the double range leaves an overlap of order 1 / omega: none
+        far = np.isinf(omega) | np.isinf(omega * d)
+    omega = np.where(far, 0.0, omega)
     if amp.shape is Shape.GAUSSIAN:
         s = amp.sigma_ns
         with np.errstate(over="ignore"):  # a square beyond the double range: no overlap
             overlap = np.exp(-0.5 * (d / s) ** 2 - 0.5 * (omega * s) ** 2)
     elif amp.shape is Shape.DOUBLE_EXPONENTIAL:
         t0, a = amp.tau0_ns, np.abs(d)
-        with np.errstate(over="ignore"):  # omega ** 2 = inf leaves no tail
+        # omega ** 2 = inf leaves no tail, and a / t0 = inf no overlap
+        with np.errstate(over="ignore"):
             if not all(np.finfo(float).smallest_normal <= p < np.inf for p in (t0**2, t0**-2)):
                 raise ValueError(f"fwhm_ns = {amp.fwhm_ns:g}: tau0 ** 2 or its inverse "
                                  "is not a normal double")
             tail = ((np.cos(omega * a) / t0 - omega * np.sin(omega * a))
                     / (t0 ** -2 + omega ** 2))
-        # a * np.sinc(omega a / pi) = sin(omega a) / omega, finite at omega = 0
-        overlap = np.exp(-a / t0) * (a * np.sinc(omega * a / np.pi) + tail) / t0
+            # a * np.sinc(omega a / pi) = sin(omega a) / omega, finite at omega = 0
+            overlap = np.exp(-a / t0) * (a * np.sinc(omega * a / np.pi) + tail) / t0
     else:  # exponential decay: one-sided packets do not overlap after the swap for d <= 0
         t0, d = amp.tau0_ns, np.maximum(d, 0.0)
-        overlap = 2.0 * d * np.sinc(omega * d / np.pi) * np.exp(-d / t0) / t0
+        with np.errstate(over="ignore"):
+            x = d / t0
+        x = np.where(np.isinf(x), 0.0, x)  # x exp(-x) is 0 past the double range, as at x = 0
+        overlap = 2.0 * x * np.exp(-x) * np.sinc(omega * d / np.pi)
     return 0.5 * (1.0 - np.where(far, 0.0, overlap))
 
 

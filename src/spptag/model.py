@@ -157,11 +157,68 @@ def _delay_quantile(amp: BiphotonAmplitude, u: np.ndarray) -> np.ndarray:
     return out + amp.offset_ns
 
 
+# Wichura's AS241 (PPND16), Appl. Statist. 37, 477 (1988): rational
+# approximations (numerator, denominator), highest power first, for
+# |p - 1/2| <= 0.425, then in s = sqrt(-log(min(p, 1 - p))) for s <= 5 and s > 5
+_CENTRAL = ((2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+             4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+             1.3314166789178437745e+2, 3.3871328727963666080e+0),
+            (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+             2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+             4.2313330701600911252e+1, 1.0))
+_NEAR_TAIL = ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+               1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+               4.63033784615654529590e+0, 1.42343711074968357734e+0),
+              (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+               1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+               2.05319162663775882187e+0, 1.0))
+_FAR_TAIL = ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+              2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+              5.46378491116411436990e+0, 6.65790464350110377720e+0),
+             (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+              7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+              5.99832206555887937690e-1, 1.0))
+QUANTILE_BLOCK = 1 << 14  # small enough that a block's few buffers stay in cache
+
+
+def _rational(x: np.ndarray, coeffs, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """numerator(x) / denominator(x) by in-place Horner steps; the result is in num."""
+    for poly, acc in zip(coeffs, (num, den)):
+        np.multiply(x, poly[0], out=acc)
+        for c in poly[1:-1]:
+            acc += c
+            acc *= x
+        acc += poly[-1]
+    return np.divide(num, den, out=num)
+
+
 def normal_quantile(u) -> np.ndarray:
     """Standard normal inverse CDF at u clipped to [U_CLIP, 1 - U_CLIP]: every
-    Gaussian draw, and every bound assumed of one, goes through here."""
-    from scipy.special import ndtri  # imported on first use: it is slow to load
-    return ndtri(np.clip(u, U_CLIP, 1.0 - U_CLIP))
+    Gaussian draw, and every bound assumed of one, goes through here.  AS241 in
+    blocks; only the tails |u - 1/2| > 0.425 take a log.  A scalar gives a scalar.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    r, num, den = (np.empty(min(u.size, QUANTILE_BLOCK)) for _ in range(3))
+    for start in range(0, u.size, QUANTILE_BLOCK):
+        q = flat_out[start:start + QUANTILE_BLOCK]  # p - 1/2 first, then the quantile
+        rb, nb, db = r[:q.size], num[:q.size], den[:q.size]
+        p = np.clip(flat_u[start:start + QUANTILE_BLOCK], U_CLIP, 1.0 - U_CLIP, out=rb)
+        np.subtract(p, 0.5, out=q)
+        tail = np.flatnonzero(np.abs(q, out=nb) > 0.425)
+        tail_p, tail_q = p[tail], q[tail]  # min(p, 1 - p) from p: p - 1/2 is rounded for small p
+        np.multiply(q, q, out=rb)
+        np.subtract(0.180625, rb, out=rb)
+        q *= _rational(rb, _CENTRAL, nb, db)
+        if tail.size:
+            s = np.sqrt(-np.log(np.minimum(tail_p, 1.0 - tail_p)))
+            x = _rational(s - 1.6, _NEAR_TAIL, *np.empty((2, tail.size)))
+            far = np.flatnonzero(s > 5.0)
+            if far.size:
+                x[far] = _rational(s[far] - 5.0, _FAR_TAIL, *np.empty((2, far.size)))
+            q[tail] = np.copysign(x, tail_q)
+    return out if out.ndim else out[()]
 
 
 class TimeTagStream:

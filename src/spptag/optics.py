@@ -337,14 +337,22 @@ def _dead_time_filter_mask(times: np.ndarray, dead_ps: int,
     keep = np.diff(times, prepend=prev) >= dead_ps
     if keep.all():
         return keep
+    # tags closer than dead_ps to their predecessor form runs after a kept tag; all
+    # runs advance together, one fire per step, to the first tag dead_ps after
+    # their last fire, and a run ends when that tag lies past it
     contested = np.flatnonzero(~keep)
-    runs = np.split(contested, np.flatnonzero(np.diff(contested) > 1) + 1)
-    for run in runs:
-        last = times[run[0] - 1] if run[0] else prev
-        for i in run:
-            if times[i] - last >= dead_ps:
-                keep[i] = True
-                last = times[i]
+    first = np.flatnonzero(np.diff(contested, prepend=-2) > 1)
+    starts = contested[first]
+    ends = np.append(contested[first[1:] - 1], contested[-1]) + 1
+    last = np.where(starts > 0, times[starts - 1], prev)
+    # beyond the span of the tags no dead time lets one fire; capping keeps last + dead in int64
+    dead = min(math.ceil(dead_ps), int(times[-1] - last.min()) + 1)
+    while last.size:
+        nxt = np.searchsorted(times, last + dead)
+        live = nxt < ends
+        nxt, ends = nxt[live], ends[live]
+        keep[nxt] = True
+        last = times[nxt]
     return keep
 
 

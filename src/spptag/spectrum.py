@@ -89,7 +89,7 @@ class ArrayGeometry:
 
     @property
     def open_area_fraction(self) -> float:
-        return np.pi * self.hole_radius_nm**2 / self.pitch_nm**2
+        return np.pi * (self.hole_radius_nm / self.pitch_nm) ** 2  # the ratio is below 1/2
 
 
 def bethe_hole_transmittance(geometry: ArrayGeometry, wavelength_nm) -> Union[float, np.ndarray]:

@@ -370,7 +370,9 @@ class TestImports:
     @pytest.mark.parametrize("command", [
         "analyze g2 --tags {tags}", "analyze cs --tags {tags}",
         "analyze waveform --tags {tags}", "hom curve", "spectrum bethe",
-        "spectrum resonance", "spectrum fano", "repro fig5"])
+        "spectrum resonance", "spectrum fano", "repro fig5",
+        "simulate --duration 1s --out run.spptag", "repro table1 --duration 1s",
+        "repro fig3 --duration 1s", "repro fig4 --duration 1s"])
     def test_command_leaves_scipy_unloaded(self, command, pinned_tags, tmp_path):
         argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
         code = ("import sys; import spptag.cli as cli; loaded = 'scipy' in sys.modules; "
@@ -420,6 +422,15 @@ class TestHom:
         pc = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
         assert pc == [0.0, 0.5, 0.5]
 
+    @pytest.mark.parametrize("shape", list(Shape))
+    def test_phase_beyond_double_range_is_no_overlap(self, shape, capsys):
+        # omega * delay overflows: the limit 1/2, as for an infinite detuning, not nan
+        assert main(["hom", "curve", "--shape", shape.value, "--range-hi-mhz", "1e300",
+                     "--delay-ns", "1e11", "--range-points", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert [float(line.split()[-1]) for line in out.splitlines()] == [0.5, 0.5, 0.5]
+        assert err == ""
+
     def test_bad_shape_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["hom", "curve", "--shape", "boxcar"])
@@ -439,6 +450,13 @@ class TestSpectrum:
         assert main(["spectrum", "bethe", "--wavelength-nm", "795"]) == 0
         out = capsys.readouterr().out
         assert "0.0937" in out and "0.0159" in out
+
+    def test_bethe_open_fraction_of_huge_array(self, capsys):
+        # squaring the pitch alone would overflow; the ratio squared does not
+        assert main(["spectrum", "bethe", "--pitch-nm", "1e200", "--hole-diameter-nm", "1e199",
+                     "--wavelength-nm", "1e300"]) == 0
+        out, err = capsys.readouterr()
+        assert "hole 0.000000, array 0.000000 (open fraction 0.0079)" in out and err == ""
 
     def test_resonance(self, capsys):
         assert main(["spectrum", "resonance", "--orders", "1,0",

@@ -177,6 +177,16 @@ class TestBroadcasting:
         np.testing.assert_array_equal(hom_coincidence(wide, [0.0, 0.5], 0.0), [0.0, 0.5])
         np.testing.assert_array_equal(hom_coincidence(GAUSS, [0.0, 1e300], 0.0), [0.0, 0.5])
 
+    @pytest.mark.parametrize("shape", list(Shape))
+    @pytest.mark.parametrize("fwhm", [1e-150, 50.0])
+    def test_products_beyond_double_range_are_no_overlap(self, shape, fwhm):
+        # delays far beyond the width, where detuning x delay or delay / width may
+        # overflow: the limit 1/2, no nan and no warning (the suite raises warnings)
+        amp = BiphotonAmplitude(shape, fwhm)
+        pc = hom_coincidence(amp, np.array([[0.0], [1.0], [1e100], [1e300]]),
+                             [1e11, 1e300, 1e308])
+        np.testing.assert_array_equal(pc, np.full((4, 3), 0.5))
+
 
 class TestFitCoherenceTime:
     DELAYS = np.array([5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from helpers import at_each_block
 from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream, model
@@ -147,6 +147,45 @@ class TestSampling:
                                    rtol=1e-12)
         assert normal_quantile(0.0) == normal_quantile(U_CLIP)
         assert normal_quantile(1.0) == normal_quantile(1.0 - U_CLIP)
+
+
+def _ulps_from_ndtri(u):
+    want = special.ndtri(np.clip(u, U_CLIP, 1.0 - U_CLIP))
+    return np.abs(normal_quantile(u) - want) / np.spacing(np.abs(want))
+
+
+class TestNormalQuantile:
+    """normal_quantile (AS241 in numpy) against scipy's ndtri."""
+
+    def test_within_8_ulp_over_uniforms(self):
+        u = RngSpec(2024).generator().random(10**6)
+        assert _ulps_from_ndtri(u).max() <= 8
+
+    def test_within_8_ulp_over_both_tails(self):
+        # the clip flattens probabilities below U_CLIP, so this also covers the clip
+        p = np.logspace(-300, np.log10(0.5), 20_000)
+        assert _ulps_from_ndtri(p).max() <= 8
+        assert _ulps_from_ndtri(1.0 - p).max() <= 8
+        assert _ulps_from_ndtri(np.logspace(-16, -1, 20_000, base=2.0) + 0.5).max() <= 8
+
+    def test_jitter_shifts_match_ndtri(self):
+        # the detector's rint(sigma * x) at sigma = 350 ps, over 10^7 draws in blocks
+        gen = RngSpec(350).generator()
+        for _ in range(10):
+            u = gen.random(10**6)
+            np.testing.assert_array_equal(
+                np.rint(350.0 * normal_quantile(u)),
+                np.rint(350.0 * special.ndtri(np.clip(u, U_CLIP, 1.0 - U_CLIP))))
+
+    def test_scalar_and_nan(self):
+        x = normal_quantile(0.975)
+        assert isinstance(x, np.float64) and np.ndim(x) == 0
+        assert x == pytest.approx(1.959963984540054, rel=1e-15)
+        assert np.isnan(normal_quantile(np.nan))
+        out = normal_quantile(np.array([[0.5, np.nan], [0.025, 0.975]]))
+        assert out.shape == (2, 2) and np.isnan(out[0, 1])
+        assert out[0, 0] == 0.0 and out[1, 0] == pytest.approx(-out[1, 1], rel=1e-14)
+        assert normal_quantile(np.empty(0)).shape == (0,)
 
 
 class TestRngSpec:

@@ -257,9 +257,9 @@ class TestBeamsplit:
             ExperimentConfig(SourceConfig(1000.0, AMP), split_ratio=ratio)
 
 
-def _greedy_dead_time(times, dead):
+def _greedy_dead_time(times, dead, last=None):
+    """Tags kept by a non-paralyzable dead time, one at a time; last is a fire before times."""
     kept = []
-    last = None
     for t in times:
         if last is None or t - last >= dead:
             kept.append(t)
@@ -275,6 +275,17 @@ class TestDetect:
         for dead in (0, 100, 1000, 5000, 50_000):
             mask = _dead_time_filter_mask(times, dead)
             np.testing.assert_array_equal(times[mask], _greedy_dead_time(times, dead))
+
+    @settings(max_examples=300, deadline=None)
+    @given(times=st.lists(st.integers(0, 60), max_size=40).map(sorted),
+           dead=st.integers(0, 15), back=st.none() | st.integers(0, 20))
+    def test_dead_time_mask_matches_greedy_oracle_with_ties(self, times, dead, back):
+        # times from 0 to 60 ps: many ties, runs of every length and gaps of exactly
+        # the dead time; back puts a carried last fire that far before the first tag
+        times = np.array(times, dtype=np.int64)
+        last = None if back is None or not times.size else int(times[0]) - back
+        mask = _dead_time_filter_mask(times, dead, last)
+        np.testing.assert_array_equal(times[mask], _greedy_dead_time(times, dead, last))
 
     def test_dead_time_carries_across_windows(self):
         gen = RngSpec(98).generator()
