@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .model import BiphotonAmplitude, Shape
+from .model import BiphotonAmplitude, Shape, least_squares
 
 TWO_PI_MHZ_TO_RAD_PER_NS = 2.0 * np.pi * 1e-3
 
@@ -92,25 +92,19 @@ def fit_coherence_time(delays_ns, visibilities, shape: Shape,
     """Least-squares FWHM from measured visibility-versus-delay points.
 
     Returns (fwhm_ns, standard error).  The model is hom_visibility for the
-    given shape with the density centered at zero delay.
+    given shape with the density centered at zero delay.  Errors, if given,
+    divide the residuals, and the standard error is then absolute.
     """
     delays = np.asarray(delays_ns, dtype=float)
     vis = np.asarray(visibilities, dtype=float)
     if delays.size != vis.size or delays.size < 2:
         raise FitError("need at least two visibility points")
-
-    def model(d, fwhm):
-        return hom_visibility(BiphotonAmplitude(shape, fwhm), d)
-
-    from scipy.optimize import curve_fit
-    try:
-        popt, pcov = curve_fit(
-            model, delays, vis, p0=[max(2.0 * float(np.mean(np.abs(delays))), 1.0)],
-            sigma=errors, absolute_sigma=errors is not None, maxfev=200)
-    except (RuntimeError, ValueError) as exc:
+    sigma = 1.0 if errors is None else np.asarray(errors, dtype=float)
+    try:  # a trial width at or below zero is a ValueError of BiphotonAmplitude
+        p, cov, _ = least_squares(
+            lambda p: (hom_visibility(BiphotonAmplitude(shape, p[0]), delays) - vis) / sigma,
+            [max(2.0 * float(np.mean(np.abs(delays))), 1.0)], max_evals=200,
+            absolute_sigma=errors is not None)
+    except (FitError, ValueError) as exc:
         raise FitError(f"coherence-time fit failed: {exc}") from exc
-    fwhm = float(popt[0])
-    err = float(np.sqrt(pcov[0, 0])) if np.isfinite(pcov[0, 0]) else np.inf
-    if fwhm <= 0:
-        raise FitError("fit converged to a nonpositive width")
-    return fwhm, err
+    return float(p[0]), float(np.sqrt(cov[0, 0]))

@@ -1,4 +1,4 @@
-"""Core types: biphoton delay densities, RNG streams, time-tag containers.
+"""Core types: biphoton delay densities, RNG streams, time-tag containers, least squares.
 
 Conventions used throughout the package:
 
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import FitError
 
 PS_PER_NS = 1000.0
 U_CLIP = 1e-15  # uniforms are clipped to [U_CLIP, 1 - U_CLIP] before inverse CDFs
@@ -67,6 +69,57 @@ def as_generator(rng: RngSpec | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngSpec):
         return rng.generator()
     return rng
+
+
+TOL = 1.49012e-8  # MINPACK's default relative tolerance on the cost and on the step
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000, absolute_sigma=False):
+    """Bounded Levenberg-Marquardt (More 1978): (x, covariance, residual at x) for the x
+    in [lo, hi] that minimizes sum(residual(x) ** 2).  Forward differences step x by
+    sqrt(eps) max(1, |x|); steps solve (J'J + lam diag(J'J)) dx = -J'r with Nielsen's lam,
+    hold x at a bound the descent presses on, are clipped to the box, and stop at one that
+    lowers the cost or moves x by less than TOL relative (J is kept after it).  The
+    covariance is curve_fit's: inv(J'J), times sum(r**2) / (m - n) unless absolute_sigma.
+    FitError on a cost not finite at x0, on a zero column of J, or at max_evals.
+    """
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    boxed = np.isfinite(lo).any() or np.isfinite(hi).any()
+    hi, eye = np.broadcast_to(hi, x.shape), np.eye(x.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a cost that is not finite fails every test
+        r = residual(x)
+        cost, evals, lam, nu, done = float(r @ r), 1, 1e-3, 2.0, False
+        if not math.isfinite(cost):
+            raise FitError("sum of squared residuals is not finite at the start point")
+        while not done:
+            jac = np.empty((r.size, x.size))
+            for k in range(x.size):  # backward where the forward point would pass hi
+                xk = x.copy()
+                h = SQRT_EPS * max(1.0, abs(xk[k]))
+                xk[k] += h if xk[k] + h <= hi[k] else -h
+                jac[:, k] = (residual(xk) - r) / (xk[k] - x[k])
+            a, g, drop, evals = jac.T @ jac, jac.T @ r, 0.0, evals + x.size
+            if not a.diagonal().all():
+                raise FitError("the data do not determine the parameters")
+            pin = np.where(g > 0, x <= lo, x >= hi) if boxed else None
+            m, rhs = (a, -g) if pin is None or not pin.any() else (
+                np.where(pin | pin[:, None], eye, a), np.where(pin, 0.0, -g))
+            while not (drop > 0 or done):  # trial steps, more damped after each that fails
+                if evals >= max_evals:
+                    raise FitError(f"no convergence in {max_evals} evaluations")
+                x_new = x + np.linalg.solve(m * (1.0 + lam * eye), rhs)
+                x_new = np.minimum(np.maximum(x_new, lo), hi) if boxed else x_new
+                step, r_new, evals = x_new - x, residual(x_new), evals + 1
+                drop, predicted = cost - float(r_new @ r_new), -float((2.0 * g + a @ step) @ step)
+                rho = drop / predicted if predicted > 0 else 0.0
+                done = (drop < TOL * cost and rho > 0.25
+                        or math.sqrt(step @ step) < TOL * (TOL + math.sqrt(x @ x)))
+                lam, nu = ((lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0) if drop > 0
+                           else (lam * nu, 2.0 * nu))
+            if drop > 0:
+                x, r, cost = x_new, r_new, cost - drop
+    return x, np.linalg.inv(a) * (1.0 if absolute_sigma else cost / (r.size - x.size)), r
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,8 @@ class DetectorConfig:
             raise ValueError("detector parameters must be nonnegative")
         if not 8.0 * self.jitter_sigma_ps < 2**62:  # shifts reach |ndtri(U_CLIP)| = 7.94 sigma
             raise ValueError("jitter_sigma_ps must stay below 2**59 ps")
+        if not self.dead_time_ps <= 2**62:  # it is subtracted from int64 tag times
+            raise ValueError("dead_time_ps must not exceed 2**62 ps")
 
 
 @dataclass

@@ -7,14 +7,14 @@ Three ingredients:
 * surface-plasmon grating resonances of the array for either interface,
 * a Fano lineshape that superposes the resonant channel on the direct one.
 """
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import _gold
 from .errors import DomainError, FitError
-from .model import check_finite
+from .model import check_finite, least_squares
 
 EPSILON_AIR = 1.0
 EPSILON_GLASS = 2.25
@@ -159,34 +159,31 @@ def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
     """Self-consistent grating-coupling resonance wavelength [nm].
 
     The mode index depends on wavelength through the metal permittivity, so
-    the momentum-matching condition is iterated (damped fixed point) until
-    the wavelength reproduces itself to 1e-10 relative, for at most 200 steps.
+    the momentum-matching wavelength target(wl) is solved for target(wl) = wl
+    by secant steps, until a step is below 1e-10 relative or for 200 steps.
     """
     i, j = order
     if (i, j) == (0, 0):
         raise ValueError("order (0,0) is the directly transmitted beam")
     eps_d = _INTERFACES[interface] if isinstance(interface, str) else float(interface)
 
+    def excess(wl):  # target(wl) - wl
+        return _resonance_wavelength_for_index(geometry, spp_effective_index(wl, eps_d, table),
+                                               order, theta_deg, polarization) - wl
+
     # start from a lossless-metal guess slightly above the light line
     wl = geometry.pitch_nm * (np.sqrt(eps_d) + 0.05) / np.hypot(i, j)
-    wl = float(np.clip(wl, table.wavelength_nm[0], table.wavelength_nm[-1]))
+    prev = float(np.clip(wl, table.wavelength_nm[0], table.wavelength_nm[-1]))
+    g_prev = excess(prev)
+    wl = prev + 0.5 * g_prev  # a damped fixed-point step gives the second secant point
     for _ in range(200):
-        n_eff = spp_effective_index(wl, eps_d, table)
-        target = _resonance_wavelength_for_index(geometry, n_eff, order,
-                                                 theta_deg, polarization)
-        nxt = 0.5 * wl + 0.5 * target
-        if not table.wavelength_nm[0] <= nxt <= table.wavelength_nm[-1]:
-            raise DomainError(
-                f"({i},{j}) resonance iterates outside the permittivity table"
-            )
-        if abs(nxt - wl) <= 1e-10 * wl:
-            wl = nxt
+        if not table.wavelength_nm[0] <= wl <= table.wavelength_nm[-1]:
+            raise DomainError(f"({i},{j}) resonance iterates outside the permittivity table")
+        g = excess(wl)
+        if abs(wl - prev) <= 1e-10 * wl or g == g_prev:
             break
-        wl = nxt
-    n_eff = spp_effective_index(wl, eps_d, table)
-    target = _resonance_wavelength_for_index(geometry, n_eff, order,
-                                             theta_deg, polarization)
-    if abs(target - wl) > 1e-6 * wl:
+        prev, g_prev, wl = wl, g, wl - g * (wl - prev) / (g - g_prev)
+    if abs(g) > 1e-6 * wl:
         raise FitError(f"resonance iteration did not converge for order ({i},{j})")
     return wl
 
@@ -253,29 +250,29 @@ class FanoParameters:
         return self.resonance_nm + 0.5 * self.fwhm_nm / self.q
 
 
-def _fano_channels(geometry: ArrayGeometry, wl: np.ndarray,
-                   params: FanoParameters, strict: bool = True):
-    direct = bethe_transmittance(geometry, wl)
-    half = 0.5 * params.fwhm_nm
-    peak_direct = bethe_transmittance(geometry, params.peak_wavelength_nm)
-    amplitude = (params.peak_transmittance - peak_direct) / (1.0 + params.q**2)
+def _fano_channels(geometry: ArrayGeometry, wl: np.ndarray, direct: np.ndarray,
+                   p, strict: bool = True):  # p: the FanoParameters fields, in order
+    resonance, fwhm, q, peak = p
+    half = 0.5 * fwhm
+    amplitude = (peak - bethe_transmittance(geometry, resonance + half / q)) / (1.0 + q**2)
     if strict and amplitude < 0:
         raise ValueError("peak transmittance below the direct background")
-    x = wl - params.resonance_nm
+    x = wl - resonance
     with np.errstate(over="ignore", invalid="ignore"):
-        resonant = amplitude * (params.q * half + x) ** 2 / (half**2 + x**2)
+        resonant = amplitude * (q * half + x) ** 2 / (half**2 + x**2)
     total = resonant + direct
     if strict and not np.all(np.isfinite(total)):
         raise ValueError("parameters give a non-finite transmittance")
     if strict and np.any(total > 1 + 1e-9):
         raise ValueError("parameters give transmittance above unity")
-    return total, resonant, direct
+    return total, resonant
 
 
 def fano_transmittance(geometry: ArrayGeometry, wavelength_nm,
                        params: FanoParameters = FanoParameters()):
     """Total array transmittance at the given wavelength(s), no grid."""
-    return _fano_channels(geometry, np.asarray(wavelength_nm, dtype=float), params)[0]
+    wl = np.asarray(wavelength_nm, dtype=float)
+    return _fano_channels(geometry, wl, bethe_transmittance(geometry, wl), astuple(params))[0]
 
 
 def fano_spectrum(geometry: ArrayGeometry, wavelength_nm,
@@ -287,7 +284,8 @@ def fano_spectrum(geometry: ArrayGeometry, wavelength_nm,
     lineshape maximum (resonance + G / (2 q)) equals params.peak_transmittance.
     """
     wl = np.asarray(wavelength_nm, dtype=float)
-    total, resonant, direct = _fano_channels(geometry, wl, params)
+    direct = bethe_transmittance(geometry, wl)
+    total, resonant = _fano_channels(geometry, wl, direct, astuple(params))
     return TransmissionSpectrum(wl, total, resonant, direct)
 
 
@@ -342,23 +340,15 @@ def fit_fano(wavelength_nm, transmittance, geometry: ArrayGeometry,
             peak_transmittance=float(np.clip(t[i_max], 1e-3, 1.0)),
         )
 
-    def model(x, resonance, fwhm, q, peak):
-        p = FanoParameters(resonance, fwhm, q, peak)
-        total, _, _ = _fano_channels(geometry, np.asarray(x, dtype=float), p,
-                                     strict=False)
-        return total
-
-    p0 = [initial.resonance_nm, initial.fwhm_nm, initial.q,
-          initial.peak_transmittance]
+    direct = bethe_transmittance(geometry, wl)  # the same at every trial point
     lo = [wl[0] - (wl[-1] - wl[0]), 1e-3, 0.05, 1e-6]
     hi = [wl[-1] + (wl[-1] - wl[0]), 10 * (wl[-1] - wl[0]), 1e4, 1.0]
-    from scipy.optimize import curve_fit
-    try:
-        popt, pcov = curve_fit(
-            model, wl, t, p0=p0, bounds=(lo, hi), maxfev=20000)
-    except (RuntimeError, ValueError) as exc:
+    try:  # a trial peak at or below zero wavelength is a ValueError of the Bethe term
+        p, cov, resid = least_squares(
+            lambda p: _fano_channels(geometry, wl, direct, p, strict=False)[0] - t,
+            astuple(initial), lo, hi, max_evals=20000)
+    except (FitError, ValueError) as exc:
         raise FitError(f"Fano fit failed: {exc}") from exc
-    params = FanoParameters(*[float(v) for v in popt])
-    stderr = np.sqrt(np.clip(np.diag(pcov), 0, None))
-    resid = model(wl, *popt) - t
+    params = FanoParameters(*[float(v) for v in p])
+    stderr = np.sqrt(np.clip(np.diag(cov), 0, None))
     return FanoFit(params, stderr, float(np.sqrt(np.mean(resid**2))))

@@ -152,6 +152,7 @@ class TestRejectedInput:
         "detector1.jitter_sigma_ps = 1e300": "detector1: jitter_sigma_ps",
         "amplitude.fwhm_ns = 1e300": "amplitude.fwhm_ns",
         "amplitude.offset_ns = -1e300": "amplitude.offset_ns",
+        "detector1.dead_time_ps = 100000000000000000000000": "detector1: dead_time_ps",
     }
 
     @pytest.mark.parametrize("duration", ["1s", "200s"])
@@ -184,6 +185,17 @@ class TestRejectedInput:
         assert self.PROBES[command] in proc.stderr, proc.stderr
         if command == self.PAIRS_PROBE:  # rejected before any pair is expanded
             assert elapsed < 1.0
+
+    def test_fit_that_leaves_the_width_free_exits_5(self, tmp_path):
+        # both rows at zero delay: every width gives the same visibility
+        (tmp_path / "v.csv").write_text("delay_ns,visibility\n0,0.5\n0,0.5\n")
+        proc = subprocess.run([sys.executable, "-m", "spptag.cli", "hom", "fit", "--input",
+                               "v.csv"], cwd=tmp_path, env=_child_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "do not determine" in proc.stderr
 
 
 class TestSimulate:
@@ -372,14 +384,21 @@ class TestImports:
         "analyze waveform --tags {tags}", "hom curve", "spectrum bethe",
         "spectrum resonance", "spectrum fano", "repro fig5",
         "simulate --duration 1s --out run.spptag", "repro table1 --duration 1s",
-        "repro fig3 --duration 1s", "repro fig4 --duration 1s"])
-    def test_command_leaves_scipy_unloaded(self, command, pinned_tags, tmp_path):
+        "repro fig3 --duration 1s", "repro fig4 --duration 1s",
+        "hom fit --input vis.csv", "spectrum fit --input spec.csv"])
+    def test_command_leaves_scipy_unloaded(self, command, pinned_tags, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_fit_inputs()
         argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
         code = ("import sys; import spptag.cli as cli; loaded = 'scipy' in sys.modules; "
                 f"rc = cli.main({argv!r}); print(loaded, rc, 'scipy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
                              capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1] == "False 0 False"
+
+    def test_no_source_file_names_scipy(self):
+        sources = sorted(Path(spptag.__file__).parent.glob("*.py"))
+        assert sources and not [p.name for p in sources if "scipy" in p.read_text()]
 
 
 class TestHom:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from helpers import riemann_hom_coincidence
 from spptag import BiphotonAmplitude, FitError, RngSpec, Shape
@@ -208,3 +209,37 @@ class TestFitCoherenceTime:
     def test_rejects_degenerate_input(self):
         with pytest.raises(FitError):
             fit_coherence_time([5.0], [0.9], Shape.DOUBLE_EXPONENTIAL)
+
+    def test_rejects_a_nonpositive_width(self):
+        # zero visibility away from zero delay drives the width through zero
+        with pytest.raises(FitError, match="fwhm_ns must be positive"):
+            fit_coherence_time([10.0, 20.0, 30.0], [0.0, 0.0, 0.0], Shape.DOUBLE_EXPONENTIAL)
+
+    def test_rejects_points_that_leave_the_width_free(self):
+        # every shape has the same visibility at zero delay, whatever its width
+        with pytest.raises(FitError, match="do not determine"):
+            fit_coherence_time([0.0, 0.0], [0.5, 0.5], Shape.DOUBLE_EXPONENTIAL)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(Shape), fwhm=st.floats(5.0, 200.0),
+           points=st.integers(5, 25), noise=st.floats(0.0, 0.02),
+           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_curve_fit(self, shape, fwhm, points, noise, weighted, seed):
+        """Same start point and sigma as curve_fit (MINPACK): the same width and error."""
+        delays = np.linspace(0.0, 1.5 * fwhm, points)
+        vis = hom_visibility(BiphotonAmplitude(shape, fwhm), delays)
+        vis = vis * (1.0 + noise * np.random.default_rng(seed).standard_normal(points))
+        errors = 0.02 * np.abs(vis) + 0.005 if weighted else None
+        try:
+            popt, pcov = curve_fit(
+                lambda d, w: hom_visibility(BiphotonAmplitude(shape, w), d), delays, vis,
+                p0=[max(2.0 * float(np.mean(delays)), 1.0)], sigma=errors,
+                absolute_sigma=weighted, maxfev=200)
+        except ValueError:  # a trial step to a nonpositive width, in both solvers
+            with pytest.raises(FitError):
+                fit_coherence_time(delays, vis, shape, errors=errors)
+            return
+        fwhm_fit, err = fit_coherence_time(delays, vis, shape, errors=errors)
+        assert fwhm_fit == pytest.approx(popt[0], rel=1e-6)
+        # without noise both errors are round-off: below 1e-8 of the width they need not agree
+        assert err == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-4, abs=1e-8 * popt[0])

@@ -11,7 +11,8 @@ from scipy import integrate, special, stats
 
 from helpers import at_each_block
 from spptag import BiphotonAmplitude, RngSpec, Shape, TimeTagStream, model
-from spptag.model import U_CLIP, evaluate_density, normal_quantile, sample_delay
+from spptag.errors import FitError
+from spptag.model import U_CLIP, evaluate_density, least_squares, normal_quantile, sample_delay
 
 FWHM = 50.0
 
@@ -186,6 +187,38 @@ class TestNormalQuantile:
         assert out.shape == (2, 2) and np.isnan(out[0, 1])
         assert out[0, 0] == 0.0 and out[1, 0] == pytest.approx(-out[1, 1], rel=1e-14)
         assert normal_quantile(np.empty(0)).shape == (0,)
+
+
+class TestLeastSquares:
+    """The solver on problems with known answers; the fits check it against scipy."""
+
+    X = np.linspace(0.0, 1.0, 11)
+    Y = 1.0 + 2.0 * X + 0.01 * np.sin(37.0 * X)  # a line and a small misfit
+
+    def test_line_matches_the_normal_equations(self):
+        design = np.column_stack([np.ones_like(self.X), self.X])
+        x, cov, r = least_squares(lambda p: design @ p - self.Y, [0.0, 0.0])
+        want, ssr = np.linalg.lstsq(design, self.Y, rcond=None)[:2]
+        np.testing.assert_allclose(x, want, rtol=1e-7)
+        np.testing.assert_allclose(r, design @ x - self.Y)
+        np.testing.assert_allclose(cov, np.linalg.inv(design.T @ design) * ssr[0] / 9, rtol=1e-6)
+        abs_cov = least_squares(lambda p: design @ p - self.Y, [0.0, 0.0],
+                                absolute_sigma=True)[1]
+        np.testing.assert_allclose(abs_cov, np.linalg.inv(design.T @ design), rtol=1e-6)
+
+    def test_stays_in_the_box(self):
+        # the unbounded slope is 2; the box holds it at 1.5 and the intercept refits
+        x, _, _ = least_squares(lambda p: p[0] + p[1] * self.X - self.Y, [0.0, 0.0],
+                                lo=[-10.0, 0.0], hi=[10.0, 1.5])
+        assert x[1] == 1.5
+        assert x[0] == pytest.approx(np.mean(self.Y - 1.5 * self.X), rel=1e-6)
+
+    def test_reaches_the_evaluation_cap(self):
+        def rosenbrock(p):  # a third, constant residual leaves one degree of freedom
+            return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0], 0.0])
+        with pytest.raises(FitError, match="no convergence in 12 evaluations"):
+            least_squares(rosenbrock, [-1.2, 1.0], max_evals=12)
+        assert least_squares(rosenbrock, [-1.2, 1.0])[0] == pytest.approx([1.0, 1.0], rel=1e-6)
 
 
 class TestRngSpec:

@@ -1,6 +1,11 @@
 """Hole-array transmission: direct term, plasmon resonances, Fano lineshape."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, curve_fit
 
 from spptag.errors import DomainError, FitError
 from spptag.spectrum import (
@@ -9,6 +14,8 @@ from spptag.spectrum import (
     FanoParameters,
     PermittivityTable,
     bethe_hole_transmittance,
+    _fano_channels,
+    _resonance_wavelength_for_index,
     bethe_transmittance,
     fano_spectrum,
     fano_transmittance,
@@ -197,6 +204,37 @@ class TestResonance:
             spp_resonance_wavelength(GEOM, (3, 3), "glass")
 
 
+class TestResonanceAgainstBrentq:
+    """The secant solve lands on a root of target(wl) - wl that brentq brackets."""
+
+    @staticmethod
+    def _excess(wl, order, interface, theta_deg, polarization):
+        try:
+            n_eff = spp_effective_index(wl, interface)
+            return _resonance_wavelength_for_index(GEOM, n_eff, order, theta_deg,
+                                                   polarization) - wl
+        except DomainError:  # no propagating mode at this wavelength
+            return np.nan
+
+    @pytest.mark.parametrize("polarization", ["tm", "te"])
+    @pytest.mark.parametrize("theta_deg", [0.0, 8.0, 12.0])
+    @pytest.mark.parametrize("interface", ["glass", "air"])
+    @pytest.mark.parametrize("order", [(1, 0), (1, 1), (2, 1), (-1, 0)])
+    def test_matches_brentq_root(self, order, interface, theta_deg, polarization):
+        args = (order, interface, theta_deg, polarization)
+        grid = np.linspace(GOLD.wavelength_nm[0], GOLD.wavelength_nm[-1], 400)
+        ex = np.array([self._excess(wl, *args) for wl in grid])
+        brackets = [(a, b) for a, b, fa, fb in zip(grid, grid[1:], ex, ex[1:]) if fa * fb <= 0]
+        try:
+            got = spp_resonance_wavelength(GEOM, *args)
+        except DomainError:
+            assert not brackets  # the table holds no root
+            return
+        a, b = next((a, b) for a, b in brackets if a <= got <= b)
+        want = brentq(self._excess, a, b, args=args, xtol=1e-13 * a, rtol=1e-15)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestFano:
     def test_default_value_near_line_center(self):
         assert fano_transmittance(GEOM, 795.0) == pytest.approx(0.3355, abs=5e-3)
@@ -315,3 +353,24 @@ class TestFanoFit:
         # the squares of the lineshape overflow at the first guess
         with pytest.raises(FitError, match="not finite"):
             fit_fano(np.linspace(1e299, 1e300, 9), np.full(9, 0.1), GEOM)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(resonance=st.floats(700.0, 900.0), fwhm=st.floats(40.0, 150.0),
+           q=st.floats(3.0, 25.0), peak=st.floats(0.25, 0.5), points=st.integers(20, 401),
+           noise=st.floats(0.0, 0.02), seed=st.integers(0, 2**32 - 1))
+    def test_matches_curve_fit(self, resonance, fwhm, q, peak, points, noise, seed):
+        """Same start point and bounds as curve_fit (TRF): the same parameters and errors."""
+        wl = np.linspace(600.0, 1000.0, points)
+        t = fano_transmittance(GEOM, wl, FanoParameters(resonance, fwhm, q, peak))
+        t = t * (1.0 + noise * np.random.default_rng(seed).standard_normal(points))
+        fit = fit_fano(wl, t, GEOM)
+        i = int(np.argmax(t))
+        p0 = (wl[i], 100.0, 10.0, np.clip(t[i], 1e-3, 1.0))  # fit_fano's start point
+        direct = bethe_transmittance(GEOM, wl)  # fit_fano's model, unchecked at trial points
+        popt, pcov = curve_fit(lambda x, *p: _fano_channels(GEOM, x, direct, p, strict=False)[0],
+                               wl, t, p0=p0, bounds=([200.0, 1e-3, 0.05, 1e-6],
+                                                     [1400.0, 4000.0, 1e4, 1.0]))
+        np.testing.assert_allclose(astuple(fit.params), popt, rtol=1e-6)
+        # without noise both errors are round-off: below 1e-8 of the parameter they need not agree
+        want = np.sqrt(np.diag(pcov))
+        assert np.all(np.abs(fit.stderr - want) <= 1e-4 * want + 1e-8 * np.abs(popt))
