@@ -82,10 +82,9 @@ def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000, absolute_
     hold x at a bound the descent presses on, are clipped to the box, and stop at one that
     lowers the cost or moves x by less than TOL relative (J is kept after it).  The
     covariance is curve_fit's: inv(J'J), times sum(r**2) / (m - n) unless absolute_sigma.
-    FitError on a cost not finite at x0, on a zero column of J, or at max_evals.
+    FitError on a cost not finite at x0, a singular J'J, or at max_evals.
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
-    boxed = np.isfinite(lo).any() or np.isfinite(hi).any()
     hi, eye = np.broadcast_to(hi, x.shape), np.eye(x.size)
     with np.errstate(over="ignore", invalid="ignore"):  # a cost that is not finite fails every test
         r = residual(x)
@@ -100,16 +99,15 @@ def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000, absolute_
                 xk[k] += h if xk[k] + h <= hi[k] else -h
                 jac[:, k] = (residual(xk) - r) / (xk[k] - x[k])
             a, g, drop, evals = jac.T @ jac, jac.T @ r, 0.0, evals + x.size
-            if not a.diagonal().all():
-                raise FitError("the data do not determine the parameters")
-            pin = np.where(g > 0, x <= lo, x >= hi) if boxed else None
-            m, rhs = (a, -g) if pin is None or not pin.any() else (
-                np.where(pin | pin[:, None], eye, a), np.where(pin, 0.0, -g))
+            if not a.diagonal().all():  # a zero column of J: inv(a) below raises
+                break
+            pin = np.where(g > 0, x <= lo, x >= hi)
+            m, rhs = np.where(pin | pin[:, None], eye, a), np.where(pin, 0.0, -g)
             while not (drop > 0 or done):  # trial steps, more damped after each that fails
                 if evals >= max_evals:
                     raise FitError(f"no convergence in {max_evals} evaluations")
                 x_new = x + np.linalg.solve(m * (1.0 + lam * eye), rhs)
-                x_new = np.minimum(np.maximum(x_new, lo), hi) if boxed else x_new
+                x_new = np.minimum(np.maximum(x_new, lo), hi)
                 step, r_new, evals = x_new - x, residual(x_new), evals + 1
                 drop, predicted = cost - float(r_new @ r_new), -float((2.0 * g + a @ step) @ step)
                 rho = drop / predicted if predicted > 0 else 0.0
@@ -119,7 +117,11 @@ def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000, absolute_
                            else (lam * nu, 2.0 * nu))
             if drop > 0:
                 x, r, cost = x_new, r_new, cost - drop
-    return x, np.linalg.inv(a) * (1.0 if absolute_sigma else cost / (r.size - x.size)), r
+    try:
+        cov = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise FitError("the data do not determine the parameters") from None
+    return x, cov * (1.0 if absolute_sigma else cost / (r.size - x.size)), r
 
 
 @dataclass(frozen=True)

@@ -325,30 +325,43 @@ class FanoFit:
 
 def fit_fano(wavelength_nm, transmittance, geometry: ArrayGeometry,
              initial: Optional[FanoParameters] = None) -> FanoFit:
-    """Least-squares Fano fit of a measured array transmission spectrum."""
+    """Least-squares Fano fit of a measured array transmission spectrum.
+
+    Wavelengths must increase.  Without `initial`, up to three start points are tried.
+    """
     wl = np.asarray(wavelength_nm, dtype=float)
     t = np.asarray(transmittance, dtype=float)
     if wl.ndim != 1 or wl.shape != t.shape or wl.size < 5:
         raise FitError("need matching 1-d arrays with at least 5 samples")
-    if initial is None:
-        i_max = int(np.argmax(t))
-        span = wl[-1] - wl[0]
-        initial = FanoParameters(
-            resonance_nm=float(wl[i_max]),
-            fwhm_nm=max(span / 4.0, 1.0),
-            q=10.0,
-            peak_transmittance=float(np.clip(t[i_max], 1e-3, 1.0)),
-        )
+    if not np.all(np.diff(wl) > 0):
+        raise FitError("wavelengths must increase")
+    span = wl[-1] - wl[0]
+    if initial is not None:
+        starts = [astuple(initial)]
+    else:  # at the peak sample; the width above half the peak, or q = 1, catch lines missed
+        i = int(np.argmax(t))
+        at, quarter, peak = float(wl[i]), max(span / 4.0, 1.0), float(np.clip(t[i], 1e-3, 1.0))
+        half = max(span * float(np.mean(t > 0.5 * (t[i] + t.min()))), 1.0)
+        starts = [(at, quarter, 10.0, peak), (at, half, 10.0, peak), (at, quarter, 1.0, peak)]
 
     direct = bethe_transmittance(geometry, wl)  # the same at every trial point
-    lo = [wl[0] - (wl[-1] - wl[0]), 1e-3, 0.05, 1e-6]
-    hi = [wl[-1] + (wl[-1] - wl[0]), 10 * (wl[-1] - wl[0]), 1e4, 1.0]
-    try:  # a trial peak at or below zero wavelength is a ValueError of the Bethe term
-        p, cov, resid = least_squares(
-            lambda p: _fano_channels(geometry, wl, direct, p, strict=False)[0] - t,
-            astuple(initial), lo, hi, max_evals=20000)
-    except (FitError, ValueError) as exc:
-        raise FitError(f"Fano fit failed: {exc}") from exc
+    lo = np.array([wl[0] - span, 1e-3, 0.05, 1e-6])
+    hi = np.array([wl[-1] + span, 10 * span, 1e4, 1.0])
+    fits, error = [], None
+    for start in starts:  # until a fit ends inside the box with a line wider than the sampling
+        try:  # a trial peak at or below zero wavelength is a ValueError of the Bethe term
+            fits.append(least_squares(
+                lambda p: _fano_channels(geometry, wl, direct, p, strict=False)[0] - t,
+                start, lo, hi, max_evals=20000))
+        except (FitError, ValueError) as exc:
+            error = error or exc
+        else:
+            x = fits[-1][0]
+            if np.all((lo < x) & (x < hi)) and x[1] > np.diff(wl).max():
+                break
+    if not fits:
+        raise FitError(f"Fano fit failed: {error}") from error
+    p, cov, resid = min(fits, key=lambda f: f[2] @ f[2])
     params = FanoParameters(*[float(v) for v in p])
     stderr = np.sqrt(np.clip(np.diag(cov), 0, None))
     return FanoFit(params, stderr, float(np.sqrt(np.mean(resid**2))))

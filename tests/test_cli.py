@@ -197,6 +197,16 @@ class TestRejectedInput:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "do not determine" in proc.stderr
 
+    def test_fit_on_descending_wavelengths_exits_5(self, tmp_path):
+        # spectrometers often write the grid from red to blue
+        rows = "".join(f"{wl},0.3\n" for wl in range(1000, 590, -10))
+        (tmp_path / "s.csv").write_text("wavelength_nm,transmittance\n" + rows)
+        proc = subprocess.run([sys.executable, "-m", "spptag.cli", "spectrum", "fit", "--input",
+                               "s.csv"], cwd=tmp_path, env=_child_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr == "error: wavelengths must increase\n"
+
 
 class TestSimulate:
     def test_writes_tag_file(self, tmp_path, capsys):

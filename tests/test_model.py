@@ -213,6 +213,11 @@ class TestLeastSquares:
         assert x[1] == 1.5
         assert x[0] == pytest.approx(np.mean(self.Y - 1.5 * self.X), rel=1e-6)
 
+    def test_rejects_parameters_that_enter_only_together(self):
+        # J has no zero column, but J'J is singular: only the sum is determined
+        with pytest.raises(FitError, match="do not determine"):
+            least_squares(lambda p: p[0] + p[1] - self.Y, [0.3, 5.0])
+
     def test_reaches_the_evaluation_cap(self):
         def rosenbrock(p):  # a third, constant residual leaves one degree of freedom
             return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0], 0.0])

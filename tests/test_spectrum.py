@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, curve_fit
 
@@ -364,13 +364,54 @@ class TestFanoFit:
         t = fano_transmittance(GEOM, wl, FanoParameters(resonance, fwhm, q, peak))
         t = t * (1.0 + noise * np.random.default_rng(seed).standard_normal(points))
         fit = fit_fano(wl, t, GEOM)
-        i = int(np.argmax(t))
-        p0 = (wl[i], 100.0, 10.0, np.clip(t[i], 1e-3, 1.0))  # fit_fano's start point
-        direct = bethe_transmittance(GEOM, wl)  # fit_fano's model, unchecked at trial points
-        popt, pcov = curve_fit(lambda x, *p: _fano_channels(GEOM, x, direct, p, strict=False)[0],
-                               wl, t, p0=p0, bounds=([200.0, 1e-3, 0.05, 1e-6],
-                                                     [1400.0, 4000.0, 1e4, 1.0]))
+        popt, pcov = _curve_fit_fano(wl, t)
         np.testing.assert_allclose(astuple(fit.params), popt, rtol=1e-6)
         # without noise both errors are round-off: below 1e-8 of the parameter they need not agree
         want = np.sqrt(np.diag(pcov))
         assert np.all(np.abs(fit.stderr - want) <= 1e-4 * want + 1e-8 * np.abs(popt))
+
+    # a wide line through a narrow window and a narrow line near a window's edge, which once
+    # ended at the q = 0.05 bound and in a singular J'J; a low-q line at a window's edge; and
+    # a line wider than its window, where the last start ends far worse than an earlier one
+    @example(751.3, 111.7, 0.265, 179.2, 17.25, 0.333, 210, 0.0044, 2)
+    @example(644.9, 508.6, 0.919, 28.7, 16.29, 0.327, 226, 0.0072, 2)
+    @example(921.6, 111.5, 0.0, 20.0, 1.0, 0.204, 205, 0.0083, 1439008691)
+    @example(1100.0, 454.8, 0.781, 200.0, 25.0, 0.558, 401, 0.02, 289648012)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lo=st.floats(450.0, 1100.0), width=st.floats(100.0, 750.0), at=st.floats(0.0, 1.0),
+           fwhm=st.floats(20.0, 200.0), q=st.floats(1.0, 25.0), peak=st.floats(0.2, 0.6),
+           points=st.integers(20, 401), noise=st.floats(0.0, 0.02),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reaches_curve_fit_minimum(self, lo, width, at, fwhm, q, peak, points, noise, seed):
+        """Any window in 450-1200 nm: where TRF fits the data to their noise from fit_fano's
+        first start, fit_fano reaches the same minimum or a deeper one.
+
+        Where the line is wider than the window or runs past its edge, the cost is flat along
+        some direction and the two stopping rules end apart by up to 1e-4 standard errors.
+        """
+        wl = np.linspace(lo, min(lo + width, 1200.0), points)
+        t = fano_transmittance(GEOM, wl, FanoParameters(wl[0] + at * (wl[-1] - wl[0]),
+                                                        fwhm, q, peak))
+        t = t * (1.0 + noise * np.random.default_rng(seed).standard_normal(points))
+        fit = fit_fano(wl, t, GEOM)
+        popt, pcov = _curve_fit_fano(wl, t)
+        trf_rms, t_rms = np.sqrt(np.mean((_fano_model(wl, *popt) - t) ** 2)), np.sqrt(np.mean(t**2))
+        if trf_rms > (1.5 * noise + 1e-9) * t_rms or fit.residual_rms < (1.0 - 1e-6) * trf_rms:
+            return  # TRF missed the line, or stopped in a shallower minimum
+        want = np.sqrt(np.diag(pcov))
+        assert np.all(np.abs(astuple(fit.params) - popt) <= 1e-6 * np.abs(popt) + 1e-3 * want)
+        assert np.all(np.abs(fit.stderr - want) <= 1e-2 * want + 1e-8 * np.abs(popt))
+
+
+def _fano_model(wl, *p):
+    """fit_fano's model, unchecked at trial points."""
+    return _fano_channels(GEOM, wl, bethe_transmittance(GEOM, wl), p, strict=False)[0]
+
+
+def _curve_fit_fano(wl, t):
+    """curve_fit (TRF) from fit_fano's first start point, inside fit_fano's bounds."""
+    i, span = int(np.argmax(t)), wl[-1] - wl[0]
+    return curve_fit(_fano_model, wl, t,
+                     p0=(wl[i], max(span / 4.0, 1.0), 10.0, np.clip(t[i], 1e-3, 1.0)),
+                     bounds=([wl[0] - span, 1e-3, 0.05, 1e-6],
+                             [wl[-1] + span, 10 * span, 1e4, 1.0]))
