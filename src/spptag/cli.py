@@ -96,7 +96,9 @@ def _override(obj, args):
 
 
 def _config(args) -> RunConfig:
-    return load_config(args.config) if args.config else default_config()
+    if not args.config:
+        return default_config()
+    return load_config(args.config, getattr(args, "duration_ps", None))
 
 
 def _write_csv(path, header, columns):
@@ -309,17 +311,16 @@ def _bench(modulated: bool, converted: bool) -> RunConfig:
 
 
 def cmd_repro_table1(args) -> int:
-    arrangements = [
-        ("unshaped incident", False, False),
-        ("shaped incident", True, False),
-        ("unshaped reemitted", False, True),
-        ("shaped reemitted", True, True),
+    arrangements = [  # each checked against the event budget before any output
+        ("unshaped incident", replace(_bench(False, False), duration_ps=args.duration_ps)),
+        ("shaped incident", replace(_bench(True, False), duration_ps=args.duration_ps)),
+        ("unshaped reemitted", replace(_bench(False, True), duration_ps=args.duration_ps)),
+        ("shaped reemitted", replace(_bench(True, True), duration_ps=args.duration_ps)),
     ]
     print(f"heralded g2(0), {args.duration_ps / 1e12:g} s per arrangement, "
           f"seed {args.seed}")
     rows = []
-    for k, (label, modulated, converted) in enumerate(arrangements):
-        run = _bench(modulated, converted)
+    for k, (label, run) in enumerate(arrangements):
         stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, k))
         res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS,
                                window_ps=run.analysis.herald_window_ps)
@@ -333,7 +334,7 @@ def cmd_repro_table1(args) -> int:
 
 
 def cmd_repro_fig3(args) -> int:
-    run = _bench(modulated=False, converted=True)
+    run = replace(_bench(modulated=False, converted=True), duration_ps=args.duration_ps)
     stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, 0))
     res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, run.analysis.bin_ps,
                          int(-25 * PS_PER_NS), int(25 * PS_PER_NS),
@@ -354,8 +355,8 @@ def cmd_repro_fig4(args) -> int:
     bin_ps, lo_ns, hi_ns = 1000, -75.0, 75.0
     lo, hi = int(lo_ns * PS_PER_NS), int(hi_ns * PS_PER_NS)
     n_bins = (hi - lo) // bin_ps
-    arrangements = [("unshaped", _bench(False, True)),
-                    ("shaped", _bench(True, True))]
+    arrangements = [(label, replace(_bench(modulated, True), duration_ps=args.duration_ps))
+                    for label, modulated in (("unshaped", False), ("shaped", True))]
     columns, names = [], ["tau_ns"]
     print(f"heralded waveforms, {args.duration_ps / 1e12:g} s per arrangement:")
     for k, (label, run) in enumerate(arrangements):

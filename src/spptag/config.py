@@ -40,11 +40,13 @@ from .optics import (
     ModulationKind,
     SampleConfig,
 )
-from .source import SourceConfig
+from .source import SourceConfig, segment_count
 from .spectrum import SpectrumConfig
 
 PS_PER_SECOND = 1_000_000_000_000
 MAX_DURATION_PS = 2**63 - 1  # tag times are int64 picoseconds
+MAX_SLICE_EVENTS = 2**24  # a slice in flight takes up to about 80 bytes per event
+MAX_RUN_TAGS = 2**26  # the whole stream is held, about 20 bytes per tag
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,25 @@ class RunConfig:
     analysis: AnalysisConfig
 
     def __post_init__(self):
+        """Bound the events of one slice and the tags of the run before any draw."""
         if self.duration_ps <= 0:
             raise ValueError("duration must be positive")
+        src, sample = self.experiment.source, self.experiment.sample
+        rates = {"source.pair_rate": src.pair_rate * (1.0 + src.multipair_prob),
+                 "source.background_rate_signal": src.background_rate_signal
+                 * sample.overall_conversion * sample.background_suppression,
+                 "source.background_rate_idler": src.background_rate_idler,
+                 **{f"detector{ch}.dark_rate": d.dark_rate
+                    for ch, d in enumerate(self.experiment.detectors)}}
+        seconds, events = self.duration_ps * 1e-12, sum(rates.values())
+        for n, limit, what in (
+                (events * seconds / segment_count(self.duration_ps), MAX_SLICE_EVENTS,
+                 "expected events in one slice"),
+                ((events + rates["source.pair_rate"]) * seconds, MAX_RUN_TAGS,  # two per pair
+                 "tags at most")):
+            if n > limit:
+                raise ValueError(f"run: {n:.3g} {what}, above the budget of {limit}; "
+                                 f"most come from {max(rates, key=rates.get)}")
 
 
 def default_config() -> RunConfig:
@@ -223,13 +242,15 @@ def format_duration(duration_ps: int) -> str:
     return f"{duration_ps} ps"
 
 
-def parse_config(text: str) -> RunConfig:
-    """Build a run configuration from flat `section.key = value` text."""
+def parse_config(text: str, duration_ps: int | None = None) -> RunConfig:
+    """Build a run configuration from flat `section.key = value` text; a
+    duration_ps given replaces run.duration before the event budget is checked."""
     base = default_config()
     exp = base.experiment
     entries = _Entries(text)
 
-    duration_ps = entries.take("run.duration", parse_duration, base.duration_ps)
+    in_file = entries.take("run.duration", parse_duration, base.duration_ps)
+    duration_ps = in_file if duration_ps is None else duration_ps
     rng = RngSpec(seed=entries.take("rng.seed", _uint, base.rng.seed),
                   stream_id=entries.take("rng.stream", _uint, base.rng.stream_id))
     amplitude = _take_fields(entries, "amplitude", exp.source.amplitude)
@@ -292,6 +313,6 @@ def format_config(run: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, duration_ps: int | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), duration_ps)

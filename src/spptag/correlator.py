@@ -3,23 +3,24 @@
 Every analysis counts the tag pairs, anchor a on one channel set and partner
 b on a disjoint one, with t_b - t_a in a window [lo, hi) of integer ps; each
 pair counts exactly once.  One primitive, _windows, serves them all on the
-merged, time-ordered stream, with no per-channel copies.  A partner lies
-within reach = max(|lo|, |hi - 1|), so the anchor's stream neighbour on that
-side does too: the neighbour gaps drop the anchors with both neighbours
-farther (exact; about 4 in 5 heralds on the desk bench at 150 ns).  Two
-searchsorted calls give each remaining anchor its stream index range, and a
-running count of partner tags turns ranges into pair counts; histograms
-keep the delays of the partner tags inside.  Cost: O(n) over n tags,
-O(k log n) for the k anchors kept, O(m) for the m tags in histogram windows.
-Memory: a few bytes per tag (channel masks, the running count) plus O(k)
-and O(m) index arrays; anything wider per tag (gaps, cast copies, routing
-uniforms) is worked through BLOCK tags at a time.
+merged, time-ordered stream, with no per-channel copies, one BLOCK of stream
+positions at a time.  A partner lies within reach = max(|lo|, |hi - 1|), so
+the anchor's nearest tag of either set on that side does too: the gaps
+between those tags drop the anchors with both neighbours farther (exact).
+Two searchsorted calls, inside the range that two scalar searches give the
+block, give each remaining anchor its stream index range.  _Below turns the
+ranges into partner counts: the partners of the blocks before an index plus
+a running count inside its block, each block counted once as indices grow.
+Histograms expand a block's (anchor, window tag) pairs BLOCK at a time.
+Cost: O(n) over n tags for any window, O(k log n) for the k anchors kept,
+O(m) for the m tags in histogram windows.  Memory: O(BLOCK) beyond the
+stream and the result, a few MB at BLOCK = 2**16, whatever the window.
 
 Every binned result is a CorrelationHistogram, with int64 counts: the
 herald-relative waveform (reconstruct_waveform) and the cross-correlation
 behind C(tau) (cauchy_schwarz) alike.  coincidence_histogram is its one
-constructor and bounds its bins (MAX_BINS) and the pairs it expands
-(MAX_PAIRS) before allocating either.
+constructor and bounds its bins (MAX_BINS) before allocating them, and the
+pairs it expands (MAX_PAIRS), which bounds its time.
 
 Window edges: coincidence_histogram, reconstruct_waveform and the cross-
 correlation of cauchy_schwarz count [tau_min, tau_max); auto_g2_zero (g_ii
@@ -32,58 +33,115 @@ first order in W/T.
 """
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import AnalysisError
-from .model import BLOCK, PS_PER_NS, RngSpec, TimeTagStream, as_generator
+from .model import BLOCK, PS_PER_NS, RngSpec, TimeTagStream, as_generator, in_channels
 
 log = logging.getLogger(__name__)
 
 MAX_BINS = 2**24  # 128 MiB of int64 counts
-MAX_PAIRS = 2**24  # (anchor, window tag) pairs a histogram expands into index arrays
+MAX_PAIRS = 2**24  # (anchor, window tag) pairs a histogram expands before it gives up
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def _windows(stream: TimeTagStream, ch_a, ch_b,
-             lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Count the ch_a tags and find the windows of those that can pair.
-
-    Returns (n_a, first, last, t_a): for each ch_a tag with a neighbour
-    within reach, the stream index range [first, last) of the tags with
-    t_a + lo <= t < t_a + hi, and its time t_a.  No delay between two tags
-    lies outside [-top, top], top = min(T, int64 max) for duration T, so the
-    edges are clamped to it.  Each range end counts the tags at or before
-    t_a + edge - 1, a sum that saturates at int64 max, past every tag.
-    """
+def _pairing(ch_a, ch_b) -> np.ndarray:
+    """The channels of anchors and partners together; the two sets must be disjoint."""
     if np.intersect1d(ch_a, ch_b).size:
         raise AnalysisError("channel sets must be disjoint for pair counting")
+    return np.union1d(ch_a, ch_b)
+
+
+def _masks(stream: TimeTagStream, channel):
+    """Per BLOCK of stream positions, the mask of its tags on channel (one or several)."""
+    for start in range(0, len(stream), BLOCK):
+        yield in_channels(stream.channels[start:start + BLOCK], channel)
+
+
+def _routes(stream: TimeTagStream, channel: int, gen: np.random.Generator, detector: int):
+    """_masks of the channel's tags that a 50:50 splitter sends to detector 0 or 1:
+    each tag, in stream order, draws a uniform from gen and goes to 1 at 0.5 or more."""
+    for on in _masks(stream, channel):  # a boolean index on[on] is slower
+        on[np.flatnonzero(on)] = (gen.random(np.count_nonzero(on)) >= 0.5) == detector
+        yield on
+
+
+def _windows(stream: TimeTagStream, anchors, pairing, lo: int, hi: int):
+    """Per BLOCK of stream positions, the windows of the anchors that can pair.
+
+    anchors yields each block's anchor mask; pairing holds the channels of
+    anchors and partners.  Yields (n_a, n_b, first, last, t_a): the block's
+    anchor and partner counts, and for each anchor with a pairing tag within
+    reach (a block's last pairing tag counts as near), the stream index
+    range [first, last) of the tags with t_a + lo <= t < t_a + hi.  Edges are
+    clamped to [-top, top], top = min(T, int64 max), which holds every delay,
+    and each range end, the tags at or before t_a + edge - 1, saturates.
+    """
     top = min(stream.duration_ps, INT64_MAX)
     lo, hi = (min(max(x - 1, -top - 1), top) for x in (lo, hi))  # now inclusive edges
     reach = max(abs(lo + 1), abs(hi))
-    t = stream.times_ps
-    near = np.zeros(t.size + 1, dtype=bool)  # near[i]: tags i - 1 and i within reach
-    for start in range(1, t.size, BLOCK):
-        stop = min(start + BLOCK, t.size)
-        np.less_equal(t[start:stop] - t[start - 1:stop - 1], reach, out=near[start:stop])
-    is_a = stream.channel_mask(ch_a)
-    t_a = t[is_a & (near[:-1] | near[1:])]  # gap to the previous or the next tag
-    first, last = (np.searchsorted(t, np.minimum(t_a, INT64_MAX - d) + d if d > 0 else t_a + d,
-                                   side="right") for d in (lo, hi))
-    return int(np.count_nonzero(is_a)), first, last, t_a
+    t, previous = stream.times_ps, -reach - 1  # the last pairing tag's time before the block
+    for start, is_a in zip(range(0, t.size, BLOCK), anchors):
+        pair = in_channels(stream.channels[start:start + is_a.size], pairing)
+        n_a, n_pair = np.count_nonzero(is_a), np.count_nonzero(pair)
+        at = slice(None) if n_pair == pair.size else np.flatnonzero(pair)  # a view when all pair
+        t_p = t[start:start + is_a.size][at]
+        near = np.ones(t_p.size + 1, dtype=bool)  # near[k]: pairing tags k - 1 and k within reach
+        near[0] = t_p.size > 0 and int(t_p[0]) - previous <= reach
+        np.less_equal(np.diff(t_p), reach, out=near[1:-1])
+        previous = int(t_p[-1]) if t_p.size else previous
+        t_a = t_p[np.flatnonzero(is_a[at] & (near[:-1] | near[1:]))]  # faster than a mask
+        r0, r1 = ((np.searchsorted(t, min(int(x) + d, INT64_MAX), side="right")
+                   for x, d in ((t_a[0], lo), (t_a[-1], hi))) if t_a.size else (0, 0))
+        first, last = (np.searchsorted(t[r0:r1], np.minimum(t_a, INT64_MAX - d) + d if d > 0
+                                       else t_a + d, side="right") + r0 for d in (lo, hi))
+        yield int(n_a), int(n_pair - n_a), first, last, t_a
 
 
-def _partners(is_b: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per window [first, last) of stream indices: how many tags it has in is_b."""
-    running = np.zeros(is_b.size + 1, dtype=np.min_scalar_type(is_b.size))
-    for start in range(0, is_b.size, BLOCK):  # a whole-array cumsum copies is_b to running's type
-        block = running[start + 1:start + 1 + BLOCK]
-        np.cumsum(is_b[start:start + BLOCK], dtype=running.dtype, out=block)
-        block += running[start]
-    return running[last] - running[first]
+class _Below:
+    """Partners below stream index q, for q that never decrease from call to call.
+
+    side() starts a sweep of per-block partner masks.  Windows that hold their
+    anchor are asked start first, then end, so the next starts find the two
+    blocks counted last while no window holds BLOCK tags; starts behind those
+    go to a sweep of their own.
+    """
+
+    def __init__(self, side):
+        self.side, self.masks, self.behind = side, side(), None
+        self.counted = {}  # block -> (partners before it, running count inside it)
+        self.next = self.passed = 0  # the next block of the sweep, and the partners before it
+
+    def _block(self, b: int):
+        if b in self.counted:
+            return self.counted[b]
+        if b < self.next:
+            self.behind = self.behind or _Below(self.side)
+            return self.behind._block(b)
+        for _ in range(b - self.next):
+            self.passed += int(np.count_nonzero(next(self.masks)))
+        mask = next(self.masks, np.zeros(0, dtype=bool))  # past the last block: q = n
+        running = np.zeros(mask.size + 1, dtype=np.int32)
+        np.cumsum(mask, dtype=np.int32, out=running[1:])
+        self.counted = {k: v for k, v in self.counted.items() if k == b - 1}
+        self.counted[b] = self.passed, running
+        self.passed, self.next = self.passed + int(running[-1]), b + 1
+        return self.counted[b]
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        out = np.empty(q.size, dtype=np.int64)
+        blocks = q // BLOCK
+        cuts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist() + [q.size]
+        for i, j in zip(cuts, cuts[1:]):
+            base, running = self._block(int(blocks[i]))
+            np.add(running[q[i:j] - blocks[i] * BLOCK], base, out=out[i:j])
+        return out
 
 
 @dataclass
@@ -126,22 +184,36 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     n_bins = (tau_max_ps - tau_min_ps) // bin_width_ps
     if n_bins > MAX_BINS:
         raise ValueError(f"histogram of {n_bins} bins exceeds the limit of {MAX_BINS}")
-    n_a, first, lens, t_a = _windows(stream, ch_a, ch_b, tau_min_ps, tau_max_ps)
-    lens -= first  # window lengths, in the window ends' array
-    is_b = stream.channel_mask(ch_b)
-    n_b = int(np.count_nonzero(is_b))
-    if n_a == 0 or n_b == 0:
-        log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
-    n_pairs = int(lens.sum())
+    pairing = _pairing(ch_a, ch_b)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    n_a = n_b = n_pairs = 0
+    for na, nb, first, last, t_a in _windows(stream, _masks(stream, ch_a), pairing,
+                                             tau_min_ps, tau_max_ps):
+        n_a, n_b, lens = n_a + na, n_b + nb, last - first
+        if n_pairs + lens.sum() <= MAX_PAIRS:  # past the limit only the count goes on
+            _add_delays(counts, stream, ch_b, first, lens, t_a, tau_min_ps, bin_width_ps)
+        n_pairs += int(lens.sum())
     if n_pairs > MAX_PAIRS:
         raise ValueError(f"histogram windows hold {n_pairs} tag pairs, "
                          f"above the limit of {MAX_PAIRS}")
-    idx = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(n_pairs)
-    keep = is_b[idx]
-    delays = stream.times_ps[idx[keep]] - np.repeat(t_a, lens)[keep]
-    counts = np.bincount((delays - tau_min_ps) // bin_width_ps, minlength=n_bins)
-    return CorrelationHistogram(bin_width_ps, tau_min_ps, counts.astype(np.int64),
-                                n_a, n_b, stream.duration_ps)
+    if n_a == 0 or n_b == 0:
+        log.warning("empty channel in coincidence histogram (%s vs %s)", ch_a, ch_b)
+    return CorrelationHistogram(bin_width_ps, tau_min_ps, counts, n_a, n_b, stream.duration_ps)
+
+
+def _add_delays(counts, stream, ch_b, first, lens, t_a, tau_min_ps, bin_width_ps) -> None:
+    """Bin the delays from t_a of the ch_b tags in windows [first, first + lens),
+    laid end to end and expanded BLOCK tags at a time."""
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    for p0 in range(0, int(ends[-1]) if ends.size else 0, BLOCK):
+        p1 = min(p0 + BLOCK, int(ends[-1]))
+        w0, w1 = np.searchsorted(ends, p0, side="right"), np.searchsorted(starts, p1)
+        piece = np.minimum(ends[w0:w1], p1) - np.maximum(starts[w0:w1], p0)
+        idx = np.repeat(first[w0:w1] - starts[w0:w1], piece) + np.arange(p0, p1)
+        keep = in_channels(stream.channels[idx], ch_b)
+        delays = stream.times_ps[idx[keep]] - np.repeat(t_a[w0:w1], piece)[keep]
+        np.add.at(counts, (delays - tau_min_ps) // bin_width_ps, 1)
 
 
 LOW_STATS_COUNTS = 10
@@ -177,15 +249,23 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     the count of independent uniform tags (module docstring), so
     uncorrelated tags give 1 however wide the window.
     """
+    return _auto_g2(stream, partial(_masks, stream, ch_a), partial(_masks, stream, ch_b),
+                    _pairing(ch_a, ch_b), window_ps)
+
+
+def _auto_g2(stream: TimeTagStream, anchors, partners, pairing, window_ps: int) -> ZeroDelayG2:
+    """auto_g2_zero of the anchors() and partners() masks, all on the pairing channels."""
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    n_a, first, last = _windows(stream, ch_a, ch_b, -window_ps, window_ps)[:3]
-    is_b = stream.channel_mask(ch_b)
-    n_b = int(np.count_nonzero(is_b))
+    below = _Below(partners)
+    n_a = n_b = pairs = 0
+    for na, nb, first, last, _ in _windows(stream, anchors(), pairing, -window_ps, window_ps):
+        n_a, n_b = n_a + na, n_b + nb
+        before = below(first)
+        pairs += int(below(last).sum() - before.sum())
     if n_a == 0 or n_b == 0:
         raise AnalysisError("zero-delay g2 undefined: empty channel")
-    pairs = int(_partners(is_b, first, last).sum())
     x = min(window_ps, stream.duration_ps) / stream.duration_ps
     denom = n_a * n_b * x * (2.0 - x)
     return ZeroDelayG2(pairs / denom, math.sqrt(max(pairs, 1)) / denom, pairs)
@@ -203,10 +283,8 @@ def split_channel(stream: TimeTagStream, channel: int,
     t = stream.channel_times(channel)
     if t.size == 0:
         raise AnalysisError(f"channel {channel} is empty, nothing to split")
-    chans = np.empty(t.size, dtype=np.uint8)
-    for start in range(0, t.size, BLOCK):  # one uniform per tag, in time order
-        block = chans[start:start + BLOCK]
-        np.greater_equal(gen.random(block.size), 0.5, out=block)  # below 0.5 goes to 0
+    to_1 = np.concatenate(list(_routes(stream, channel, gen, 1)))[stream.channels == channel]
+    chans = to_1.view(np.uint8)
     if np.any(t[1:] == t[:-1]):  # ties in time go in channel order
         chans = chans[np.lexsort((chans, t))]
     return TimeTagStream(t, chans, stream.duration_ps)
@@ -235,14 +313,19 @@ def cauchy_schwarz(stream: TimeTagStream, herald_ch: int, reemit_chs: tuple[int,
 
     The cross-correlation is herald against both reemit detectors merged.
     g_ii(0) comes from a software split of the herald channel (the rng draws
-    the routing), g_rr(0) from the two reemit detectors, both over
-    +-auto_window where the marginals are flat.  Classical light obeys
-    C <= 1; errors propagate in quadrature from the three factors.
+    the routing, as split_channel does, but the split is counted in place),
+    g_rr(0) from the two reemit detectors, both over +-auto_window where the
+    marginals are flat.  Classical light obeys C <= 1; errors propagate in
+    quadrature from the three factors.
     """
     hist = coincidence_histogram(stream, herald_ch, reemit_chs, bin_width_ps,
                                  tau_min_ps, tau_max_ps)
     g, g_err = normalize(hist)
-    g_ii = auto_g2_zero(split_channel(stream, herald_ch, rng), 0, 1, auto_window_ps)
+    gen = as_generator(rng)
+    start = copy.deepcopy(gen)  # each partner sweep draws the routing again from here
+    g_ii = _auto_g2(stream, partial(_routes, stream, herald_ch, gen, 0),
+                    lambda: _routes(stream, herald_ch, copy.deepcopy(start), 1), herald_ch,
+                    auto_window_ps)
     g_rr = auto_g2_zero(stream, reemit_chs[0], reemit_chs[1], auto_window_ps)
     if g_ii.value <= 0 or g_rr.value <= 0:
         raise AnalysisError("zero-delay autocorrelation vanished; C undefined")
@@ -284,13 +367,18 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    n_h, first, last = _windows(stream, herald_ch, (ch_a, ch_b),
-                                -window_ps, window_ps + 1)[:3]
+    pairing = _pairing(herald_ch, (ch_a, ch_b))
+    below_a, below_b = (_Below(partial(_masks, stream, ch)) for ch in (ch_a, ch_b))
+    n_h = n_a = n_b = n_ab = 0
+    for n, _, first, last, _ in _windows(stream, _masks(stream, herald_ch), pairing,
+                                         -window_ps, window_ps + 1):
+        has_a, has_b = below_a(first) < below_a(last), below_b(first) < below_b(last)
+        n_h += n
+        n_a += int(np.count_nonzero(has_a))
+        n_b += int(np.count_nonzero(has_b))
+        n_ab += int(np.count_nonzero(has_a & has_b))
     if n_h == 0:
         raise AnalysisError("no heralds in stream")
-    has_a = _partners(stream.channels == ch_a, first, last) > 0
-    has_b = _partners(stream.channels == ch_b, first, last) > 0
-    n_a, n_b, n_ab = (int(np.count_nonzero(x)) for x in (has_a, has_b, has_a & has_b))
     if n_a == 0 or n_b == 0:
         raise AnalysisError("a signal channel never fired inside the window")
     value = n_ab * n_h / (n_a * n_b)

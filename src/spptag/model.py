@@ -276,6 +276,18 @@ def normal_quantile(u) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
+def in_channels(channels: np.ndarray, channel: int | tuple[int, ...]) -> np.ndarray:
+    """Mask of the channel entries equal to one channel or to any of several.
+
+    An OR of equality tests: an order of magnitude faster than np.isin
+    on the few channels a stream has.
+    """
+    mask = np.zeros(channels.shape, dtype=bool)
+    for ch in np.fromiter(channel, np.int64) if np.iterable(channel) else [channel]:
+        mask |= channels == ch
+    return mask
+
+
 class TimeTagStream:
     """Multi-channel detection record over a fixed observation time.
 
@@ -320,20 +332,9 @@ class TimeTagStream:
     def __len__(self) -> int:
         return int(self.times_ps.size)
 
-    def channel_mask(self, channel: int | tuple[int, ...]) -> np.ndarray:
-        """Mask of the tags on one channel or any of several.
-
-        An OR of equality tests: an order of magnitude faster than np.isin
-        on the few channels a stream has.
-        """
-        mask = np.zeros(len(self), dtype=bool)
-        for ch in np.fromiter(channel, np.int64) if np.iterable(channel) else [channel]:
-            mask |= self.channels == ch
-        return mask
-
     def channel_times(self, channel: int | tuple[int, ...]) -> np.ndarray:
         """Sorted tag times [ps] on one channel (or merged over several)."""
-        return self.times_ps[self.channel_mask(channel)]
+        return self.times_ps[in_channels(self.channels, channel)]
 
     def count(self, channel) -> int:
         return int(self.channel_times(channel).size)

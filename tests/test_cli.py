@@ -145,6 +145,8 @@ class TestRejectedInput:
         "spectrum bethe --wavelength-nm 1e-300": "small-hole law",
         "spectrum bethe --pitch-nm 1e300 --hole-diameter-nm 1e299": "small-hole law",
         "spectrum fano --lo-nm 1e-300 --hi-nm 1e-299 --points 3": "small-hole law",
+        # 1.9e10 tags over the run: the stream alone would take about 380 GB
+        "repro table1 --duration 1000000s": "most come from source.background_rate_signal",
     }
 
     # config line -> the key its error names: delays and jitter shifts beyond int64 ps
@@ -167,6 +169,23 @@ class TestRejectedInput:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert self.CONFIG_PROBES[line] in proc.stderr, proc.stderr
+        assert not (tmp_path / "t.spptag").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--print-config"]], ids=["simulate", "print_config"])
+    def test_event_budget_exits_2_before_any_draw(self, extra, tmp_path):
+        # 1.54e8 background photons in one 1 ms slice: drawing them ran out of memory
+        (tmp_path / "run.cfg").write_text("source.background_rate_signal = 1e12\n")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "spptag.cli", "simulate", "--config",
+                               "run.cfg", "--duration", "1ms", "--out", "t.spptag", *extra],
+                              cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                              preexec_fn=_limit_address_space)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "most come from source.background_rate_signal" in proc.stderr, proc.stderr
+        assert elapsed < 1.0
         assert not (tmp_path / "t.spptag").exists()
 
     @pytest.mark.parametrize("command", PROBES)

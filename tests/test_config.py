@@ -1,5 +1,6 @@
 """Flat-text run configuration: parsing, defaults, exact round trips."""
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -88,10 +89,13 @@ def run_configs(draw):
     experiment = ExperimentConfig(source, modulation, sample, detectors,
                                   draw(floats(0.0, 1.0)))
     positive = st.integers(1, 2**62)
-    return RunConfig(experiment, RngSpec(draw(st.integers(0, 2**64 - 1)),
-                                         draw(st.integers(0, 2**64 - 1))),
-                     draw(st.integers(1, 2**63 - 1)),
-                     AnalysisConfig(draw(positive), draw(positive), draw(positive)))
+    rng = RngSpec(draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1)))
+    duration_ps = draw(st.integers(1, 2**63 - 1))
+    analysis = AnalysisConfig(draw(positive), draw(positive), draw(positive))
+    try:
+        return RunConfig(experiment, rng, duration_ps, analysis)
+    except ValueError:  # over the event budget; any rates drawn here fit in 1 ms
+        return RunConfig(experiment, rng, draw(st.integers(1, 10**9)), analysis)
 
 
 class TestDuration:
@@ -371,3 +375,37 @@ class TestValidation:
         run = default_config()
         with pytest.raises(ValueError):
             dataclasses.replace(run, duration_ps=0)
+
+    @pytest.mark.parametrize("key,value,duration_ps,message", [
+        # 1.54e11 thinned background photons per second in one 1 ms slice
+        ("source.background_rate_signal", 1e12, 10**9, "1.54e+08 expected events in one slice"),
+        ("detector2.dark_rate", 1e300, 1, "1e+288 expected events in one slice"),
+        # 100 s slices of the desk bench, but up to 6466 tags per second over 2e4 s
+        ("source.background_rate_signal", 14600.0, 2 * 10**16, "1.29e+08 tags at most"),
+    ])
+    def test_event_budget_names_the_largest_rate(self, key, value, duration_ps, message):
+        section, field = key.split(".")
+        run = default_config()
+        exp = run.experiment
+        if section == "source":
+            exp = dataclasses.replace(exp, source=dataclasses.replace(exp.source, **{field: value}))
+        else:
+            dets = list(exp.detectors)
+            dets[2] = dataclasses.replace(dets[2], **{field: value})
+            exp = dataclasses.replace(exp, detectors=tuple(dets))
+        with pytest.raises(ValueError, match=re.escape(f"run: {message}, above the budget")
+                           + f".*; most come from {re.escape(key)}$"):
+            dataclasses.replace(run, experiment=exp, duration_ps=duration_ps)
+
+    def test_event_budget_holds_at_its_edge(self):
+        # the background alone fills a 10 ms slice to just below 2**24 events
+        text = "source.background_rate_signal = 1.08e10\nsource.pair_rate = 0.0\n"
+        assert parse_config(text, duration_ps=10**10).duration_ps == 10**10
+        with pytest.raises(ValueError, match="expected events in one slice"):
+            parse_config(text, duration_ps=11 * 10**9)
+
+    def test_duration_given_replaces_the_file_duration_before_the_budget(self):
+        text = "run.duration = 10 s\nsource.background_rate_signal = 1e9\n"
+        with pytest.raises(ValueError, match="source.background_rate_signal"):
+            parse_config(text)
+        assert parse_config(text, duration_ps=10**9).duration_ps == 10**9

@@ -98,6 +98,15 @@ class TestCoincidenceHistogram:
         with pytest.raises(AnalysisError):
             coincidence_histogram(s, 0, (0, 1), 1000, -1000, 1000)
 
+    def test_pair_limit_message_counts_every_window(self, monkeypatch):
+        # windows wider than the stream: each of 300 anchors sees all 900 tags; with
+        # small blocks the first blocks are expanded before the limit is passed
+        s = random_stream(RngSpec(115))
+        monkeypatch.setattr(correlator, "MAX_PAIRS", 1000)
+        for _ in at_each_block(correlator):
+            with pytest.raises(ValueError, match="270000 tag pairs, above the limit of 1000"):
+                coincidence_histogram(s, 0, (1, 2), 4 * 10**9, -2 * 10**9, 2 * 10**9)
+
     def test_empty_channel_flagged_not_fatal(self):
         s = TimeTagStream([100, 200], [0, 0], 10**6)
         hist = coincidence_histogram(s, 0, 1, 100, -1000, 1000)
@@ -331,6 +340,14 @@ class TestCauchySchwarz:
         assert abs(res.g_ii0.value - 1.0) < 4 * res.g_ii0.error
         assert abs(res.g_rr0.value - 1.0) < 4 * res.g_rr0.error
 
+    def test_routing_draws_as_split_channel_draws(self):
+        # a live generator leaves cauchy_schwarz where split_channel leaves it
+        s = self._correlated_stream(168, duration=SECOND // 10)
+        gen, same = RngSpec(169).generator(), RngSpec(169).generator()
+        res = cauchy_schwarz(s, 0, (1, 2), 2000, -20_000, 20_000, gen)
+        assert res.g_ii0 == auto_g2_zero(split_channel(s, 0, same), 0, 1, 10_000_000)
+        assert gen.random() == same.random()
+
     def test_deterministic_given_rng(self):
         s = self._correlated_stream(164)
         r1 = cauchy_schwarz(s, 0, (1, 2), 2000, -200_000, 200_000, RngSpec(165))
@@ -358,6 +375,10 @@ def tie_streams(draw):
     return TimeTagStream(times, chans, 200)
 
 
+# half widths from one tag wide (ties are 0 ps apart) to beyond the 200 ps streams
+WIDTHS = st.integers(1, 40) | st.integers(41, 250)
+
+
 @st.composite
 def windows(draw):
     """(bin, lo, hi) with hi - lo a whole number of bins; 0 need not be inside."""
@@ -368,7 +389,8 @@ def windows(draw):
 
 class TestPropertiesAgainstBruteForce:
     """Each property holds at every block size: at the small ones a stream
-    crosses many block edges."""
+    crosses many block edges, and windows from one tag wide to wider than
+    the whole stream reach across many blocks."""
 
     @settings(max_examples=150, deadline=None)
     @given(s=tie_streams(), win=windows(), merged=st.booleans())
@@ -382,7 +404,7 @@ class TestPropertiesAgainstBruteForce:
             assert (hist.n_a, hist.n_b) == (s.count(0), s.count(ch_b))
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), w=st.integers(1, 40))
+    @given(s=tie_streams(), w=WIDTHS)
     def test_auto_g2_pairs(self, s, w):
         t_a, t_b = s.channel_times(1), s.channel_times(2)
         for _ in at_each_block(correlator):
@@ -393,7 +415,7 @@ class TestPropertiesAgainstBruteForce:
                 assert auto_g2_zero(s, 1, 2, w).n_pairs == brute_pairs_within(t_a, t_b, w)
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), w=st.integers(1, 40))
+    @given(s=tie_streams(), w=WIDTHS)
     def test_heralded_counts(self, s, w):
         h, t_a, t_b = (s.channel_times(ch) for ch in (0, 1, 2))
         n_a, n_b, n_ab = brute_heralded_counts(h, t_a, t_b, w)
@@ -406,7 +428,7 @@ class TestPropertiesAgainstBruteForce:
                 assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (h.size, n_a, n_b, n_ab)
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), w=st.integers(1, 40), seed=st.integers(0, 2**32))
+    @given(s=tie_streams(), w=WIDTHS, seed=st.integers(0, 2**32))
     def test_split_and_cauchy_schwarz_pairs(self, s, w, seed):
         h = s.channel_times(0)
         to_a = RngSpec(seed).generator().random(h.size) < 0.5
@@ -424,6 +446,8 @@ class TestPropertiesAgainstBruteForce:
                 assert 0 in (to_a.sum(), (~to_a).sum(), s.count(1), s.count(2), g_ii, g_rr)
                 continue
             assert (res.g_ii0.n_pairs, res.g_rr0.n_pairs) == (g_ii, g_rr)
+            # g_ii counted in place equals auto_g2_zero of the split stream
+            assert res.g_ii0 == auto_g2_zero(split_channel(s, 0, RngSpec(seed)), 0, 1, w)
 
 
 class TestWaveform:
@@ -457,8 +481,12 @@ class TestWaveform:
 
 
 class TestMemory:
-    """The analyses hold no per-tag temporaries wider than a few bytes: each
-    peaks at most at the stream's own bytes above what it was given."""
+    """The analyses hold no per-tag temporaries: each works through the
+    stream and the (anchor, window tag) pairs in blocks, and peaks at a
+    fixed few MB above what it was given, however long the stream and wide
+    the window."""
+
+    LIMIT = 6_000_000  # bytes; the stream below is 10.1 MB
 
     @pytest.fixture(scope="class")
     def stream(self):
@@ -483,7 +511,9 @@ class TestMemory:
         lambda s: heralded_g2_zero(s, 0, 1, 2, window_ps=150_000),
         lambda s: cauchy_schwarz(s, 0, (1, 2), 1000, -25_000, 25_000, RngSpec(171)),
         lambda s: reconstruct_waveform(s, 0, (1, 2), 1000, -25_000, 75_000),
-    ], ids=["heralded_g2", "cauchy_schwarz", "waveform"])
+        # 0.9M window tags: expanded whole, they took 30 B each
+        lambda s: reconstruct_waveform(s, 0, (1, 2), 1000, -100_000_000, 100_000_000),
+    ], ids=["heralded_g2", "cauchy_schwarz", "waveform", "waveform_100us"])
     def test_peak_at_most_the_stream(self, stream, analysis):
         assert len(stream) >= 1_000_000
         analysis(stream)  # first calls import and cache; only the second is measured
@@ -493,7 +523,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= stream.times_ps.nbytes + stream.channels.nbytes
+        assert peak <= self.LIMIT
 
 
 class TestCosineSimilarity:
