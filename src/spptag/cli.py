@@ -64,6 +64,7 @@ SIGNAL_CHS = (1, 2)
 _EXIT_CODES = {ConfigError: 2, TagFileError: 3, OSError: 3, AnalysisError: 4,
                DomainError: 4, FitError: 5, ValueError: 2, OverflowError: 2}
 MAX_POINTS = 2**24  # grid points a --points or --range-points flag may ask for
+CSV_ROWS = 4096  # rows a CSV write holds as Python objects at a time
 
 
 def _finite(text) -> float:
@@ -102,10 +103,13 @@ def _config(args) -> RunConfig:
 
 
 def _write_csv(path, header, columns):
+    """Write the columns side by side, CSV_ROWS rows at a time."""
+    columns = [np.asarray(col) for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+        for start in range(0, min(col.size for col in columns), CSV_ROWS):
+            writer.writerows(zip(*(col[start:start + CSV_ROWS].tolist() for col in columns)))
     print(f"wrote {path}")
 
 

@@ -33,7 +33,7 @@ from decimal import Decimal
 from typing import Callable, get_type_hints
 
 from .errors import ConfigError
-from .model import BiphotonAmplitude, RngSpec, Shape
+from .model import BiphotonAmplitude, RngSpec, Shape, check_ps
 from .optics import (
     ExperimentConfig,
     ModulationFunction,
@@ -59,8 +59,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         for name in ("bin_ps", "herald_window_ps", "cs_window_ps"):
-            if not 0 < getattr(self, name) < 2**63:  # tag times are int64 ps
-                raise ValueError(f"{name} must be positive and below 2**63 ps")
+            check_ps(getattr(self, name), name, 2**63 - 1, low=0)
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,7 @@ class RunConfig:
 
     def __post_init__(self):
         """Bound the events of one slice and the tags of the run before any draw."""
-        if self.duration_ps <= 0:
-            raise ValueError("duration must be positive")
+        check_ps(self.duration_ps, "run.duration", MAX_DURATION_PS, low=0)
         src, sample = self.experiment.source, self.experiment.sample
         rates = {"source.pair_rate": src.pair_rate * (1.0 + src.multipair_prob),
                  "source.background_rate_signal": src.background_rate_signal
@@ -225,8 +223,7 @@ def parse_duration(text: str) -> int:
                 raise ValueError(f"bad duration {text!r}") from None
             if not exact.is_finite():
                 raise ValueError(f"duration {text!r} must be finite")
-            if exact > MAX_DURATION_PS:
-                raise ValueError(f"duration {text!r} exceeds {MAX_DURATION_PS} ps")
+            check_ps(exact, f"duration {text!r}", MAX_DURATION_PS)
             ps = int(exact.to_integral_value())
             if ps <= 0:
                 raise ValueError("duration must be positive")

@@ -8,13 +8,15 @@ positions at a time.  A partner lies within reach = max(|lo|, |hi - 1|), so
 the anchor's nearest tag of either set on that side does too: the gaps
 between those tags drop the anchors with both neighbours farther (exact).
 Two searchsorted calls, inside the range that two scalar searches give the
-block, give each remaining anchor its stream index range.  _Below turns the
-ranges into partner counts: the partners of the blocks before an index plus
-a running count inside its block, each block counted once as indices grow.
-Histograms expand a block's (anchor, window tag) pairs BLOCK at a time.
-Cost: O(n) over n tags for any window, O(k log n) for the k anchors kept,
-O(m) for the m tags in histogram windows.  Memory: O(BLOCK) beyond the
-stream and the result, a few MB at BLOCK = 2**16, whatever the window.
+block, give each remaining anchor its stream index range.  _Rank turns the
+ranges into partner counts, for indices in any order: the partners of the
+blocks before an index, counted once up front, plus a running count inside
+its block, kept for the few blocks asked last.  Histograms expand a block's
+(anchor, window tag) pairs BLOCK at a time.  Cost: O(n) over n tags for any
+window, O(k log n) for the k anchors kept, O(m) for the m tags in histogram
+windows.  Memory: O(BLOCK) beyond the stream and the result, a few MB at
+BLOCK = 2**16, whatever the window, and while cauchy_schwarz counts g_ii,
+the 1 B per tag of labels of its software split (_split).
 
 Every binned result is a CorrelationHistogram, with int64 counts: the
 herald-relative waveform (reconstruct_waveform) and the cross-correlation
@@ -33,11 +35,10 @@ first order in W/T.
 """
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,40 +59,37 @@ def _pairing(ch_a, ch_b) -> np.ndarray:
     return np.union1d(ch_a, ch_b)
 
 
-def _masks(stream: TimeTagStream, channel):
-    """Per BLOCK of stream positions, the mask of its tags on channel (one or several)."""
+def _split(stream: TimeTagStream, channel: int, gen: np.random.Generator) -> TimeTagStream:
+    """The stream as a 50:50 splitter onto detectors 0 and 1 sees channel: each of its
+    tags draws a uniform from gen, in stream order a BLOCK at a time, and takes label 1
+    at 0.5 or more, 0 below; every other tag takes label 2.  The times are shared."""
+    labels = np.full(len(stream), 2, dtype=np.uint8)
     for start in range(0, len(stream), BLOCK):
-        yield in_channels(stream.channels[start:start + BLOCK], channel)
+        on = np.flatnonzero(stream.channels[start:start + BLOCK] == channel) + start
+        labels[on] = gen.random(on.size) >= 0.5
+    return TimeTagStream(stream.times_ps, labels, stream.duration_ps)
 
 
-def _routes(stream: TimeTagStream, channel: int, gen: np.random.Generator, detector: int):
-    """_masks of the channel's tags that a 50:50 splitter sends to detector 0 or 1:
-    each tag, in stream order, draws a uniform from gen and goes to 1 at 0.5 or more."""
-    for on in _masks(stream, channel):  # a boolean index on[on] is slower
-        on[np.flatnonzero(on)] = (gen.random(np.count_nonzero(on)) >= 0.5) == detector
-        yield on
+def _windows(stream: TimeTagStream, ch_a, pairing, lo: int, hi: int):
+    """Per BLOCK of stream positions, the windows of the ch_a anchors that can pair.
 
-
-def _windows(stream: TimeTagStream, anchors, pairing, lo: int, hi: int):
-    """Per BLOCK of stream positions, the windows of the anchors that can pair.
-
-    anchors yields each block's anchor mask; pairing holds the channels of
-    anchors and partners.  Yields (n_a, n_b, first, last, t_a): the block's
-    anchor and partner counts, and for each anchor with a pairing tag within
-    reach (a block's last pairing tag counts as near), the stream index
-    range [first, last) of the tags with t_a + lo <= t < t_a + hi.  Edges are
-    clamped to [-top, top], top = min(T, int64 max), which holds every delay,
-    and each range end, the tags at or before t_a + edge - 1, saturates.
+    pairing holds the channels of anchors and partners.  Yields (n_a, n_b, first,
+    last, t_a): the block's anchor and partner counts, and for each anchor with a
+    pairing tag within reach (a block's last pairing tag counts as near), the stream
+    index range [first, last) of the tags with t_a + lo <= t < t_a + hi.  Edges are
+    clamped to [-top, top], top = min(T, int64 max), which holds every delay, and
+    each range end, the tags at or before t_a + edge - 1, saturates.
     """
     top = min(stream.duration_ps, INT64_MAX)
     lo, hi = (min(max(x - 1, -top - 1), top) for x in (lo, hi))  # now inclusive edges
     reach = max(abs(lo + 1), abs(hi))
     t, previous = stream.times_ps, -reach - 1  # the last pairing tag's time before the block
-    for start, is_a in zip(range(0, t.size, BLOCK), anchors):
-        pair = in_channels(stream.channels[start:start + is_a.size], pairing)
+    for start in range(0, t.size, BLOCK):
+        chans = stream.channels[start:start + BLOCK]
+        is_a, pair = in_channels(chans, ch_a), in_channels(chans, pairing)
         n_a, n_pair = np.count_nonzero(is_a), np.count_nonzero(pair)
         at = slice(None) if n_pair == pair.size else np.flatnonzero(pair)  # a view when all pair
-        t_p = t[start:start + is_a.size][at]
+        t_p = t[start:start + BLOCK][at]
         near = np.ones(t_p.size + 1, dtype=bool)  # near[k]: pairing tags k - 1 and k within reach
         near[0] = t_p.size > 0 and int(t_p[0]) - previous <= reach
         np.less_equal(np.diff(t_p), reach, out=near[1:-1])
@@ -104,44 +102,39 @@ def _windows(stream: TimeTagStream, anchors, pairing, lo: int, hi: int):
         yield int(n_a), int(n_pair - n_a), first, last, t_a
 
 
-class _Below:
-    """Partners below stream index q, for q that never decrease from call to call.
+RECENT = 4  # running counts a _Rank keeps: the blocks of a block's window starts and ends
 
-    side() starts a sweep of per-block partner masks.  Windows that hold their
-    anchor are asked start first, then end, so the next starts find the two
-    blocks counted last while no window holds BLOCK tags; starts behind those
-    go to a sweep of their own.
+
+class _Rank:
+    """The count of channel tags below stream index q, for indices in any order.
+
+    The tags of the blocks before q's are counted once up front; the running
+    count inside q's block is kept for the RECENT blocks asked last.
     """
 
-    def __init__(self, side):
-        self.side, self.masks, self.behind = side, side(), None
-        self.counted = {}  # block -> (partners before it, running count inside it)
-        self.next = self.passed = 0  # the next block of the sweep, and the partners before it
-
-    def _block(self, b: int):
-        if b in self.counted:
-            return self.counted[b]
-        if b < self.next:
-            self.behind = self.behind or _Below(self.side)
-            return self.behind._block(b)
-        for _ in range(b - self.next):
-            self.passed += int(np.count_nonzero(next(self.masks)))
-        mask = next(self.masks, np.zeros(0, dtype=bool))  # past the last block: q = n
-        running = np.zeros(mask.size + 1, dtype=np.int32)
-        np.cumsum(mask, dtype=np.int32, out=running[1:])
-        self.counted = {k: v for k, v in self.counted.items() if k == b - 1}
-        self.counted[b] = self.passed, running
-        self.passed, self.next = self.passed + int(running[-1]), b + 1
-        return self.counted[b]
+    def __init__(self, stream: TimeTagStream, channel):
+        channels = stream.channels  # the cache below must not hold self, or it outlives a call
+        counts = [np.count_nonzero(in_channels(channels[start:start + BLOCK], channel))
+                  for start in range(0, len(stream), BLOCK)]
+        self.before = np.cumsum([0, *counts], dtype=np.int64)  # one past the last block too
+        self.running = lru_cache(RECENT)(
+            lambda b: _running(channels[b * BLOCK:(b + 1) * BLOCK], channel))
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        out = np.empty(q.size, dtype=np.int64)
         blocks = q // BLOCK
+        out = self.before[blocks]
         cuts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist() + [q.size]
-        for i, j in zip(cuts, cuts[1:]):
-            base, running = self._block(int(blocks[i]))
-            np.add(running[q[i:j] - blocks[i] * BLOCK], base, out=out[i:j])
+        for i, j in zip(cuts, cuts[1:]):  # runs of indices in one block
+            b = int(blocks[i])
+            out[i:j] += self.running(b)[q[i:j] - b * BLOCK]
         return out
+
+
+def _running(channels: np.ndarray, channel) -> np.ndarray:
+    """The count of channel tags before each position of channels, and after the last."""
+    running = np.zeros(channels.size + 1, dtype=np.int32)
+    np.cumsum(in_channels(channels, channel), dtype=np.int32, out=running[1:])
+    return running
 
 
 @dataclass
@@ -174,9 +167,7 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
 
     ch_b may be a tuple of channels, merged before pairing.
     """
-    bin_width_ps = int(bin_width_ps)
-    tau_min_ps = int(tau_min_ps)
-    tau_max_ps = int(tau_max_ps)
+    bin_width_ps, tau_min_ps, tau_max_ps = int(bin_width_ps), int(tau_min_ps), int(tau_max_ps)
     if bin_width_ps <= 0:
         raise ValueError("bin width must be positive")
     if (tau_max_ps - tau_min_ps) % bin_width_ps or tau_max_ps <= tau_min_ps:
@@ -187,8 +178,7 @@ def coincidence_histogram(stream: TimeTagStream, ch_a, ch_b, bin_width_ps: int,
     pairing = _pairing(ch_a, ch_b)
     counts = np.zeros(n_bins, dtype=np.int64)
     n_a = n_b = n_pairs = 0
-    for na, nb, first, last, t_a in _windows(stream, _masks(stream, ch_a), pairing,
-                                             tau_min_ps, tau_max_ps):
+    for na, nb, first, last, t_a in _windows(stream, ch_a, pairing, tau_min_ps, tau_max_ps):
         n_a, n_b, lens = n_a + na, n_b + nb, last - first
         if n_pairs + lens.sum() <= MAX_PAIRS:  # past the limit only the count goes on
             _add_delays(counts, stream, ch_b, first, lens, t_a, tau_min_ps, bin_width_ps)
@@ -249,18 +239,13 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     the count of independent uniform tags (module docstring), so
     uncorrelated tags give 1 however wide the window.
     """
-    return _auto_g2(stream, partial(_masks, stream, ch_a), partial(_masks, stream, ch_b),
-                    _pairing(ch_a, ch_b), window_ps)
-
-
-def _auto_g2(stream: TimeTagStream, anchors, partners, pairing, window_ps: int) -> ZeroDelayG2:
-    """auto_g2_zero of the anchors() and partners() masks, all on the pairing channels."""
+    pairing = _pairing(ch_a, ch_b)
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    below = _Below(partners)
+    below = _Rank(stream, ch_b)
     n_a = n_b = pairs = 0
-    for na, nb, first, last, _ in _windows(stream, anchors(), pairing, -window_ps, window_ps):
+    for na, nb, first, last, _ in _windows(stream, ch_a, pairing, -window_ps, window_ps):
         n_a, n_b = n_a + na, n_b + nb
         before = below(first)
         pairs += int(below(last).sum() - before.sum())
@@ -279,12 +264,11 @@ def split_channel(stream: TimeTagStream, channel: int,
     onto two ideal detectors; used to measure an autocorrelation when only
     one physical detector watched the field.
     """
-    gen = as_generator(rng)
-    t = stream.channel_times(channel)
+    split = _split(stream, channel, as_generator(rng))
+    on = split.channels < 2
+    t, chans = stream.times_ps[on], split.channels[on]
     if t.size == 0:
         raise AnalysisError(f"channel {channel} is empty, nothing to split")
-    to_1 = np.concatenate(list(_routes(stream, channel, gen, 1)))[stream.channels == channel]
-    chans = to_1.view(np.uint8)
     if np.any(t[1:] == t[:-1]):  # ties in time go in channel order
         chans = chans[np.lexsort((chans, t))]
     return TimeTagStream(t, chans, stream.duration_ps)
@@ -312,20 +296,16 @@ def cauchy_schwarz(stream: TimeTagStream, herald_ch: int, reemit_chs: tuple[int,
     """Classical-bound curve from one three-channel stream.
 
     The cross-correlation is herald against both reemit detectors merged.
-    g_ii(0) comes from a software split of the herald channel (the rng draws
-    the routing, as split_channel does, but the split is counted in place),
-    g_rr(0) from the two reemit detectors, both over +-auto_window where the
-    marginals are flat.  Classical light obeys C <= 1; errors propagate in
-    quadrature from the three factors.
+    g_ii(0) comes from a software split of the herald channel, the stream
+    relabelled with the routing split_channel draws, g_rr(0) from the two
+    reemit detectors, both over +-auto_window where the marginals are flat.
+    Classical light obeys C <= 1; errors propagate in quadrature from the
+    three factors.
     """
     hist = coincidence_histogram(stream, herald_ch, reemit_chs, bin_width_ps,
                                  tau_min_ps, tau_max_ps)
     g, g_err = normalize(hist)
-    gen = as_generator(rng)
-    start = copy.deepcopy(gen)  # each partner sweep draws the routing again from here
-    g_ii = _auto_g2(stream, partial(_routes, stream, herald_ch, gen, 0),
-                    lambda: _routes(stream, herald_ch, copy.deepcopy(start), 1), herald_ch,
-                    auto_window_ps)
+    g_ii = auto_g2_zero(_split(stream, herald_ch, as_generator(rng)), 0, 1, auto_window_ps)
     g_rr = auto_g2_zero(stream, reemit_chs[0], reemit_chs[1], auto_window_ps)
     if g_ii.value <= 0 or g_rr.value <= 0:
         raise AnalysisError("zero-delay autocorrelation vanished; C undefined")
@@ -368,10 +348,9 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     if window_ps <= 0:
         raise ValueError("window must be positive")
     pairing = _pairing(herald_ch, (ch_a, ch_b))
-    below_a, below_b = (_Below(partial(_masks, stream, ch)) for ch in (ch_a, ch_b))
+    below_a, below_b = _Rank(stream, ch_a), _Rank(stream, ch_b)
     n_h = n_a = n_b = n_ab = 0
-    for n, _, first, last, _ in _windows(stream, _masks(stream, herald_ch), pairing,
-                                         -window_ps, window_ps + 1):
+    for n, _, first, last, _ in _windows(stream, herald_ch, pairing, -window_ps, window_ps + 1):
         has_a, has_b = below_a(first) < below_a(last), below_b(first) < below_b(last)
         n_h += n
         n_a += int(np.count_nonzero(has_a))

@@ -100,11 +100,15 @@ def fit_coherence_time(delays_ns, visibilities, shape: Shape,
     if delays.size != vis.size or delays.size < 2:
         raise FitError("need at least two visibility points")
     sigma = 1.0 if errors is None else np.asarray(errors, dtype=float)
-    try:  # a trial width at or below zero is a ValueError of BiphotonAmplitude
-        p, cov, _ = least_squares(
-            lambda p: (hom_visibility(BiphotonAmplitude(shape, p[0]), delays) - vis) / sigma,
-            [max(2.0 * float(np.mean(np.abs(delays))), 1.0)], max_evals=200,
-            absolute_sigma=errors is not None)
+
+    def residuals(p):  # a trial width at or below zero fails, as a cost that is not finite does
+        if p[0] <= 0:
+            return np.full(delays.size, np.inf)
+        return (hom_visibility(BiphotonAmplitude(shape, p[0]), delays) - vis) / sigma
+
+    try:
+        p, cov, _ = least_squares(residuals, [max(2.0 * float(np.mean(np.abs(delays))), 1.0)],
+                                  max_evals=200, absolute_sigma=errors is not None)
     except (FitError, ValueError) as exc:
         raise FitError(f"coherence-time fit failed: {exc}") from exc
     return float(p[0]), float(np.sqrt(cov[0, 0]))

@@ -65,6 +65,12 @@ def check_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def check_ps(ps, name: str, top: int = 2**62 - 1, low: float = -math.inf) -> None:
+    """Raise ValueError naming name unless low < ps <= top, a span int64 ps tag times allow."""
+    if not low < ps <= top:
+        raise ValueError(f"{name} gives {ps} ps, outside ({low}, {top}]")
+
+
 def as_generator(rng: RngSpec | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngSpec):
         return rng.generator()

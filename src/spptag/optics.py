@@ -32,6 +32,7 @@ from .model import (
     TimeTagStream,
     as_generator,
     check_finite,
+    check_ps,
     normal_quantile,
 )
 from .source import (
@@ -260,10 +261,8 @@ class DetectorConfig:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.dark_rate < 0 or self.jitter_sigma_ps < 0 or self.dead_time_ps < 0:
             raise ValueError("detector parameters must be nonnegative")
-        if not 8.0 * self.jitter_sigma_ps < 2**62:  # shifts reach |ndtri(U_CLIP)| = 7.94 sigma
-            raise ValueError("jitter_sigma_ps must stay below 2**59 ps")
-        if not self.dead_time_ps <= 2**62:  # it is subtracted from int64 tag times
-            raise ValueError("dead_time_ps must not exceed 2**62 ps")
+        check_ps(8.0 * self.jitter_sigma_ps, "jitter_sigma_ps")  # shifts reach 7.94 sigma
+        check_ps(self.dead_time_ps, "dead_time_ps", 2**62)  # it is subtracted from tag times
 
 
 @dataclass

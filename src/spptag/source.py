@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PS_PER_NS, BiphotonAmplitude, RngSpec, check_finite, delay_range,
-                    sample_delay)
+from .model import (PS_PER_NS, BiphotonAmplitude, RngSpec, check_finite, check_ps,
+                    delay_range, sample_delay)
 
 SEGMENT_PS = 100 * 10**12  # runs are drawn in 100 s slices
 
@@ -61,12 +61,9 @@ class SourceConfig:
             raise ValueError("multipair_prob must lie in [0, 1)")
         if self.background_rate_signal < 0 or self.background_rate_idler < 0:
             raise ValueError("background rates must be nonnegative")
-        # tag times are int64 ps: a delay reaches 49.8 fwhm past the offset (one-sided
-        # decay at U_CLIP), and a multipair extra lies up to one fwhm further out
-        amp = self.amplitude
-        reach = {"offset_ns": abs(amp.offset_ns), "fwhm_ns": 51 * amp.fwhm_ns}
-        if not sum(reach.values()) * PS_PER_NS < 2**62:
-            raise ValueError(f"amplitude.{max(reach, key=reach.get)} puts delays beyond 2**62 ps")
+        amp = self.amplitude  # delays reach 49.8 fwhm past the offset, extras 1 fwhm more
+        reach = {"amplitude.offset_ns": abs(amp.offset_ns), "amplitude.fwhm_ns": 51 * amp.fwhm_ns}
+        check_ps(sum(reach.values()) * PS_PER_NS, max(reach, key=reach.get))
 
 
 class PairEvents:

@@ -375,6 +375,10 @@ class TestValidation:
         run = default_config()
         with pytest.raises(ValueError):
             dataclasses.replace(run, duration_ps=0)
+        # beyond int64 ps the slice boundaries cannot be drawn
+        with pytest.raises(ValueError, match="run.duration"):
+            dataclasses.replace(run, duration_ps=2**63)
+        assert dataclasses.replace(run, duration_ps=1).duration_ps == 1
 
     @pytest.mark.parametrize("key,value,duration_ps,message", [
         # 1.54e11 thinned background photons per second in one 1 ms slice

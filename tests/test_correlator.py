@@ -428,6 +428,17 @@ class TestPropertiesAgainstBruteForce:
                 assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (h.size, n_a, n_b, n_ab)
 
     @settings(max_examples=150, deadline=None)
+    @given(s=tie_streams(), channel=st.sampled_from([0, 3, (1, 2)]), data=st.data())
+    def test_rank_in_any_order(self, s, channel, data):
+        q = np.array(data.draw(st.permutations(range(len(s) + 1))), dtype=np.int64)
+        on = np.isin(s.channels, channel)
+        expected = [int(np.count_nonzero(on[:k])) for k in q]
+        for _ in at_each_block(correlator):
+            rank = correlator._Rank(s, channel)
+            assert rank(q).tolist() == expected  # one call, the indices shuffled
+            assert [int(rank(q[i:i + 1])[0]) for i in range(q.size)] == expected
+
+    @settings(max_examples=150, deadline=None)
     @given(s=tie_streams(), w=WIDTHS, seed=st.integers(0, 2**32))
     def test_split_and_cauchy_schwarz_pairs(self, s, w, seed):
         h = s.channel_times(0)

@@ -211,9 +211,17 @@ class TestFitCoherenceTime:
             fit_coherence_time([5.0], [0.9], Shape.DOUBLE_EXPONENTIAL)
 
     def test_rejects_a_nonpositive_width(self):
-        # zero visibility away from zero delay drives the width through zero
-        with pytest.raises(FitError, match="fwhm_ns must be positive"):
+        # zero visibility away from zero delay drives the width toward zero, where the
+        # visibility and its slope underflow to zero and no width is determined
+        with pytest.raises(FitError, match="do not determine"):
             fit_coherence_time([10.0, 20.0, 30.0], [0.0, 0.0, 0.0], Shape.DOUBLE_EXPONENTIAL)
+
+    def test_a_trial_step_through_zero_width_fails_and_is_damped(self):
+        # the first trial step from the start width crosses zero; a truth of 22.5 ns
+        fwhm, err = fit_coherence_time([20.616, 29.063, 29.54, 37.861],
+                                       [0.6184, 0.4631, 0.4801, 0.3143], Shape.DOUBLE_EXPONENTIAL)
+        assert fwhm == pytest.approx(22.45, abs=0.005)
+        assert err == pytest.approx(0.40, abs=0.005)
 
     def test_rejects_points_that_leave_the_width_free(self):
         # every shape has the same visibility at zero delay, whatever its width
