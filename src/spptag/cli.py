@@ -19,6 +19,7 @@ from .config import (
     RunConfig,
     default_config,
     format_config,
+    load_analysis,
     load_config,
     parse_duration,
 )
@@ -96,10 +97,10 @@ def _override(obj, args):
     return replace(obj, **{name: v for name, v in given.items() if v is not None})
 
 
-def _config(args) -> RunConfig:
-    if not args.config:
-        return default_config()
-    return load_config(args.config, getattr(args, "duration_ps", None))
+def _analysis(args):
+    """analyze simulates nothing: it takes the file's analysis section, not its run."""
+    return _override(load_analysis(args.config) if args.config
+                     else default_config().analysis, args)
 
 
 def _write_csv(path, header, columns):
@@ -148,7 +149,8 @@ def _add_field_flags(parser, cls):
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    run = _override(_config(args), args)
+    run = _override(load_config(args.config, args.duration_ps) if args.config
+                    else default_config(), args)
     run = replace(run, rng=_override(run.rng, args))
     if args.print_config:
         print(format_config(run), end="")
@@ -165,7 +167,7 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- analyze
 
 def cmd_analyze_g2(args) -> int:
-    window_ps = _override(_config(args).analysis, args).herald_window_ps
+    window_ps = _analysis(args).herald_window_ps
     stream = read_tags(args.tags)
     res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS, window_ps=window_ps)
     print(f"heralded g2(0) = {res.value:.4f} +/- {res.error:.4f}  "
@@ -175,7 +177,7 @@ def cmd_analyze_g2(args) -> int:
 
 
 def cmd_analyze_cs(args) -> int:
-    analysis = _override(_config(args).analysis, args)
+    analysis = _analysis(args)
     stream = read_tags(args.tags)
     lo = int(round(args.tau_min_ns * PS_PER_NS))
     hi = int(round(args.tau_max_ns * PS_PER_NS))
@@ -195,7 +197,7 @@ def cmd_analyze_cs(args) -> int:
 
 
 def cmd_analyze_waveform(args) -> int:
-    bin_ps = _override(_config(args).analysis, args).bin_ps
+    bin_ps = _analysis(args).bin_ps
     stream = read_tags(args.tags)
     lo = int(round(args.tau_min_ns * PS_PER_NS))
     hi = int(round(args.tau_max_ns * PS_PER_NS))

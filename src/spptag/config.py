@@ -242,6 +242,10 @@ def format_duration(duration_ps: int) -> str:
 def parse_config(text: str, duration_ps: int | None = None) -> RunConfig:
     """Build a run configuration from flat `section.key = value` text; a
     duration_ps given replaces run.duration before the event budget is checked."""
+    return RunConfig(**_parse_fields(text, duration_ps))
+
+
+def _parse_fields(text: str, duration_ps: int | None = None) -> dict:  # RunConfig's kwargs
     base = default_config()
     exp = base.experiment
     entries = _Entries(text)
@@ -276,8 +280,7 @@ def parse_config(text: str, duration_ps: int | None = None) -> RunConfig:
                               modulation=modulation, sample=sample, detectors=detectors)
     analysis = _take_fields(entries, "analysis", base.analysis)
     entries.finish()
-    return RunConfig(experiment=experiment, rng=rng, duration_ps=duration_ps,
-                     analysis=analysis)
+    return dict(experiment=experiment, rng=rng, duration_ps=duration_ps, analysis=analysis)
 
 
 def format_config(run: RunConfig) -> str:
@@ -313,3 +316,9 @@ def format_config(run: RunConfig) -> str:
 def load_config(path, duration_ps: int | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), duration_ps)
+
+
+def load_analysis(path) -> AnalysisConfig:
+    """A file's analysis section, every line checked but no event budget applied."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_fields(fh.read())["analysis"]

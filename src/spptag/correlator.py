@@ -351,7 +351,8 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     below_a, below_b = _Rank(stream, ch_a), _Rank(stream, ch_b)
     n_h = n_a = n_b = n_ab = 0
     for n, _, first, last, _ in _windows(stream, herald_ch, pairing, -window_ps, window_ps + 1):
-        has_a, has_b = below_a(first) < below_a(last), below_b(first) < below_b(last)
+        a, b = (rank(np.concatenate((first, last))) for rank in (below_a, below_b))
+        has_a, has_b = a[:first.size] < a[first.size:], b[:first.size] < b[first.size:]
         n_h += n
         n_a += int(np.count_nonzero(has_a))
         n_b += int(np.count_nonzero(has_b))

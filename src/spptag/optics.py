@@ -1,19 +1,19 @@
 """Signal-arm optics chain: waveform imprinting, sample, split, detection.
 
-Photon loss is modeled as Bernoulli thinning; nothing here evolves
-amplitudes.  The electro-optic modulator acts on the arrival time of a
-signal photon relative to its herald, so it takes the source's event table
-(PairEvents, signal_ps the photon time and idler_ps its herald reference)
-and keeps each event with the squared amplitude transmission m(t_rel)^2; a
-gaussian target's m is a closed form of the source's delay density.
-The stages after it (sample, beamsplitter) take and return int64 photon
-times only.  Detectors turn photon times into tag times with efficiency
-thinning, dark counts, Gaussian timestamp jitter, and a non-paralyzable
-dead time; the three detectors' tags are labelled with their channels
-once, where they are merged.  stream_experiment runs the whole bench one
-100 s slice at a time and yields each slice's final tags, so memory does
-not grow with the run beyond the tags its consumer keeps; run_experiment
-keeps them all.
+Photon loss is modeled as Bernoulli thinning, survivors kept by index (a
+quarter of the cost of a random boolean mask); nothing here evolves
+amplitudes.  The electro-optic modulator acts on the arrival time of a signal
+photon relative to its herald, so it takes the source's event table
+(PairEvents, signal_ps the photon time and idler_ps its herald reference) and
+keeps each event with the squared amplitude transmission m(t_rel)^2; a
+gaussian target's m is a closed form of the source's delay density.  The
+stages after it (sample, beamsplitter) take and return int64 photon times
+only.  Detectors turn photon times into tag times with efficiency thinning,
+dark counts, Gaussian timestamp jitter, and a non-paralyzable dead time; the
+three detectors' tags are labelled with their channels once, where they are
+merged.  stream_experiment runs the whole bench one 100 s slice at a time and
+yields each slice's final tags, so memory does not grow with the run beyond
+the tags its consumer keeps; run_experiment keeps them all.
 """
 from __future__ import annotations
 
@@ -179,15 +179,16 @@ def apply_modulation(events: PairEvents, modulation: ModulationFunction,
                      source: BiphotonAmplitude | None = None) -> PairEvents:
     """Bernoulli-thin signal photons with probability m(t_rel)^2.
 
-    Identity passes the stream through untouched without consuming random
-    numbers.  A gaussian target's drive needs the source amplitude.
+    Identity (untouched) and heaviside (t_rel >= edge, as m^2 is 0 or 1) consume
+    no random numbers.  A gaussian target's drive needs the source amplitude.
     """
     if modulation.kind is ModulationKind.IDENTITY:
         return events
-    gen = as_generator(rng)
-    p = modulation.amplitude(events.t_rel_ns(), source) ** 2
-    keep = gen.random(len(events)) < p
-    return events.select(keep)
+    t_rel = events.t_rel_ns()
+    if modulation.kind is ModulationKind.HEAVISIDE:
+        return events.select(t_rel >= modulation.edge_ns)
+    u = as_generator(rng).random(len(events))
+    return events.select(u < modulation.amplitude(t_rel, source) ** 2)
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def apply_sample(photons_ps: np.ndarray, sample: SampleConfig,
     thinned by the conversion and background_suppression.
     """
     gen = as_generator(rng)
-    return photons_ps[gen.random(photons_ps.size) < sample.overall_conversion]
+    return np.compress(gen.random(photons_ps.size) < sample.overall_conversion, photons_ps)
 
 
 def beamsplit(photons_ps: np.ndarray, ratio: float,
@@ -243,7 +244,7 @@ def beamsplit(photons_ps: np.ndarray, ratio: float,
         raise ValueError("split ratio must lie in [0, 1]")
     gen = as_generator(rng)
     to_a = gen.random(photons_ps.size) < ratio
-    return photons_ps[to_a], photons_ps[~to_a]
+    return np.compress(to_a, photons_ps), np.compress(~to_a, photons_ps)
 
 
 @dataclass(frozen=True)
@@ -298,25 +299,24 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, duration_ps: int,
     times = np.asarray(times_ps, dtype=np.int64)
     if np.any(times[1:] < times[:-1]):
         raise ValueError("input photon times must be sorted")
-    accepted = gen.random(times.size) < detector.efficiency
-    jitter_u = gen.random(times.size)[accepted]
-    physical = times[accepted]
+    accepted = np.flatnonzero(gen.random(times.size) < detector.efficiency)
+    jitter_u = gen.random(times.size).take(accepted)
+    physical = times.take(accepted)
     darks = poisson_times(detector.dark_rate, state.start_ps, end_ps, gen)
-    # darks go after photons at the same time; they carry no jitter
-    at = np.searchsorted(physical, darks, side="right")
-    physical = np.insert(physical, at, darks)
-    jitter_u = np.insert(jitter_u, at, 0.5)
-    alive = _dead_time_filter_mask(physical, detector.dead_time_ps, state.last_fire_ps)
-    physical = physical[alive]
-    jitter_u = jitter_u[alive]
+    if darks.size:  # darks go after photons at the same time; they carry no jitter
+        at = np.searchsorted(physical, darks, side="right")
+        physical = np.insert(physical, at, darks)
+        jitter_u = np.insert(jitter_u, at, 0.5)
+    alive = np.flatnonzero(_dead_time_filter_mask(physical, detector.dead_time_ps,
+                                                  state.last_fire_ps))
+    physical, jitter_u = physical.take(alive), jitter_u.take(alive)
     state.start_ps = end_ps
     if physical.size:
         state.last_fire_ps = int(physical[-1])
     if detector.jitter_sigma_ps > 0:
-        shift = np.rint(detector.jitter_sigma_ps * normal_quantile(jitter_u))
-        physical = physical + shift.astype(np.int64)
-    inside = (physical >= 0) & (physical <= duration_ps)
-    return np.sort(physical[inside], kind="stable")
+        physical += np.rint(detector.jitter_sigma_ps * normal_quantile(jitter_u)).astype(np.int64)
+    tags = np.sort(physical, kind="stable")  # timsort: jitter leaves them nearly sorted
+    return tags[np.searchsorted(tags, 0):np.searchsorted(tags, duration_ps, side="right")]
 
 
 def _jitter_reach_ps(detector: DetectorConfig) -> int:
@@ -425,7 +425,7 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
         # the kind column is in draw order (pairs, extras, signal and idler background),
         # so the signal arm and, after modulation, its pairs and background are runs
         pairs = next(slices)  # not enumerate(slices): its cached tuple would keep the slice
-        arrivals = [pairs.idler_arm_times()]
+        arrivals = [pairs.idler_ps[pairs.kind != PairKind.BACKGROUND_SIGNAL]]  # sorted below
         signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
         del pairs  # signal views the slice's columns: free them once a stage copies
         signal = apply_modulation(signal, config.modulation, gen_mod, source=src.amplitude)

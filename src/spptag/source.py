@@ -97,8 +97,9 @@ class PairEvents:
     def __len__(self):
         return int(self.idler_ps.size)
 
-    def select(self, mask) -> "PairEvents":
-        return PairEvents(self.idler_ps[mask], self.signal_ps[mask], self.kind[mask])
+    def select(self, which) -> "PairEvents":  # a random mask is 4x faster as indices
+        at = np.flatnonzero(which) if getattr(which, "dtype", None) == bool else which
+        return PairEvents(self.idler_ps[at], self.signal_ps[at], self.kind[at])
 
     def t_rel_ns(self) -> np.ndarray:
         """Signal arrival time relative to its herald reference [ns]."""
@@ -134,15 +135,17 @@ def poisson_times(rate_per_s: float, t0_ps: float, t1_ps: float,
     chunk = max(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, 64)
     offset = 0.0
     out = []
-    while True:
-        offsets = offset + np.cumsum(-np.log1p(-gen.random(chunk)) / rate_per_ps)
+    while True:  # offset + cumsum(-log1p(-u) / rate), rounded, in one buffer
+        offsets = np.log1p(-gen.random(chunk))
+        np.cumsum(np.divide(offsets, -rate_per_ps, out=offsets), out=offsets)
+        offsets += offset
         offset = float(offsets[-1])
-        rounded = np.rint(offsets)
-        inside = rounded < span
-        out.append(rounded[inside])
-        if not inside.all():
+        rounded = np.rint(offsets, out=offsets)  # nondecreasing, so the inside is a prefix
+        inside = int(np.searchsorted(rounded, span))
+        out.append(rounded[:inside])
+        if inside < chunk:
             break
-    return np.concatenate(out).astype(np.int64) + np.int64(t0_ps)
+    return np.concatenate(out, dtype=np.int64, casting="unsafe") + np.int64(t0_ps)
 
 
 def segment_count(duration_ps: int) -> int:
@@ -182,11 +185,9 @@ def herald_references(times_ps: np.ndarray, heralds_ps: np.ndarray) -> np.ndarra
     """
     if heralds_ps.size == 0:
         return np.zeros(times_ps.size, dtype=np.int64)
-    right = np.searchsorted(heralds_ps, times_ps)
-    left = np.clip(right - 1, 0, heralds_ps.size - 1)
-    np.clip(right, 0, heralds_ps.size - 1, out=right)
-    left, right = heralds_ps[left], heralds_ps[right]
-    return np.where(np.abs(right - times_ps) < np.abs(times_ps - left), right, left)
+    at = np.searchsorted(heralds_ps, times_ps)
+    right, left = heralds_ps.take(at, mode="clip"), heralds_ps.take(at - 1, mode="clip")
+    return np.where(right - times_ps < times_ps - left, right, left)  # left <= t <= right, or equal
 
 
 def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
@@ -226,20 +227,17 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
                 & (extra_idlers >= 0) & (extra_idlers <= duration_ps))
     extra_idlers, extra_signals = extra_idlers[extra_ok], extra_signals[extra_ok]
 
-    kind_col = np.concatenate([
-        np.full(idlers.size, PairKind.TRUE_PAIR, dtype=np.uint8),
-        np.full(extra_idlers.size, PairKind.MULTIPAIR_EXTRA, dtype=np.uint8),
-        np.full(bg_sig.size, PairKind.BACKGROUND_SIGNAL, dtype=np.uint8),
-        np.full(bg_idl.size, PairKind.BACKGROUND_IDLER, dtype=np.uint8),
-    ])
+    kind_col = np.repeat(np.array(list(PairKind), dtype=np.uint8),  # in draw order
+                         [idlers.size, extra_idlers.size, bg_sig.size, bg_idl.size])
     return PairEvents(np.concatenate([idlers, extra_idlers, bg_sig, bg_idl]),
                       np.concatenate([signals, extra_signals, bg_sig, bg_idl]),
                       kind_col)
 
 
 def _with_references(events: PairEvents, heralds_ps: np.ndarray) -> PairEvents:
-    """Set each background photon's reference in place to its nearest herald."""
-    bg = events.kind == PairKind.BACKGROUND_SIGNAL
+    """Set each background photon's reference in place to its nearest herald; in a
+    slice the kinds are in draw order, so the background photons are a run."""
+    bg = slice(*events.kind.searchsorted([PairKind.BACKGROUND_SIGNAL, PairKind.BACKGROUND_IDLER]))
     events.idler_ps[bg] = herald_references(events.signal_ps[bg], heralds_ps)
     return events
 

@@ -400,6 +400,28 @@ class TestAnalyze:
         total = sum(float(r["counts"]) for r in rows)
         assert total > 0
 
+    @pytest.mark.parametrize("command", ["g2", "cs", "waveform"])
+    def test_config_gives_only_the_analysis_settings(self, command, pinned_tags, tmp_path,
+                                                     capsys):
+        # as a run this file is over the event budget, which simulate rejects
+        # (TestRejectedInput); analyze simulates nothing and takes only its windows
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text("source.background_rate_signal = 1e12\n"
+                       "analysis.herald_window_ps = 200000\nanalysis.bin_ps = 2000\n")
+        argv = ["analyze", command, "--tags", str(pinned_tags), "--config", str(cfg)]
+        assert main(argv if command == "g2" else argv + ["--csv", str(out)]) == 0
+        if command == "g2":
+            assert "window +/-200 ns" in capsys.readouterr().out
+        else:  # 2 ns bins over the default 50 ns and 100 ns ranges
+            assert len(read_csv(out)[1]) == {"cs": 25, "waveform": 50}[command]
+
+    @pytest.mark.parametrize("command", ["g2", "cs", "waveform"])
+    def test_config_with_a_bad_line_exits_2(self, command, pinned_tags, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("analysis.bin_ps = 2000\nsource.bogus = 1\n")
+        assert main(["analyze", command, "--tags", str(pinned_tags), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: line 2: unknown key 'source.bogus'\n"
+
     def test_empty_stream_analysis_exits_4(self, tmp_path):
         from spptag.model import TimeTagStream
         from spptag.tagfile import write_tags

@@ -243,9 +243,9 @@ class TestFitCoherenceTime:
                 lambda d, w: hom_visibility(BiphotonAmplitude(shape, w), d), delays, vis,
                 p0=[max(2.0 * float(np.mean(delays)), 1.0)], sigma=errors,
                 absolute_sigma=weighted, maxfev=200)
-        except ValueError:  # a trial step to a nonpositive width, in both solvers
-            with pytest.raises(FitError):
-                fit_coherence_time(delays, vis, shape, errors=errors)
+        except ValueError:  # MINPACK stepped to a nonpositive width; this fit damps that step
+            fwhm_fit, err = fit_coherence_time(delays, vis, shape, errors=errors)
+            assert fwhm_fit == pytest.approx(fwhm, rel=1e-6, abs=5.0 * err)
             return
         fwhm_fit, err = fit_coherence_time(delays, vis, shape, errors=errors)
         assert fwhm_fit == pytest.approx(popt[0], rel=1e-6)

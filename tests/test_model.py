@@ -298,3 +298,26 @@ class TestTimeTagStream:
         b = TimeTagStream([1, 2], [0, 1], 10)
         c = TimeTagStream([1, 2], [0, 1], 11)
         assert a == b and a != c
+
+
+class TestInChannels:
+    FORMS = {  # how a caller may name the channels it wants
+        "int": lambda v: v[0],
+        "numpy int": lambda v: np.int64(v[0]),
+        "tuple": tuple,
+        "set": set,
+        "array": lambda v: np.array(v, dtype=np.int64),
+    }
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(channels=st.lists(st.integers(0, 3) | st.integers(0, 255), max_size=40),
+           wanted=st.lists(st.integers(0, 3) | st.integers(-2**63, 2**63 - 1),
+                           min_size=1, max_size=4),
+           form=st.sampled_from(sorted(FORMS)))
+    def test_equals_isin(self, channels, wanted, form):
+        # values outside uint8 match nothing, as they do for np.isin
+        chans = np.array(channels, dtype=np.uint8)
+        given_as = self.FORMS[form](wanted)
+        expected = np.isin(chans.astype(np.int64), np.array(wanted[:1] if form.endswith("int")
+                                                            else wanted, dtype=np.int64))
+        np.testing.assert_array_equal(model.in_channels(chans, given_as), expected)

@@ -74,6 +74,18 @@ class TestModulation:
         assert out == expected
         assert out.t_rel_ns().min() >= 0.0
 
+    @pytest.mark.parametrize("edge_ns", [-3.25, 0.0, 7.5])
+    def test_heaviside_keeps_the_events_past_the_edge_and_draws_nothing(self, edge_ns):
+        # m^2 is 0 or 1, so no uniform u in [0, 1) changes whether u < m^2
+        ev = synthetic_events(5000, RngSpec(64))
+        gen = RngSpec(65).generator()
+        out = apply_modulation(ev, ModulationFunction.heaviside(edge_ns), gen)
+        kept = [i for i in range(len(ev))
+                if (int(ev.signal_ps[i]) - int(ev.idler_ps[i])) / 1000.0 >= edge_ns]
+        assert 0 < len(kept) < len(ev)
+        assert out == PairEvents(ev.idler_ps[kept], ev.signal_ps[kept], ev.kind[kept])
+        np.testing.assert_array_equal(gen.random(4), RngSpec(65).generator().random(4))
+
     def test_heaviside_inclusive_at_edge(self):
         heralds = np.array([1_000_000, 2_000_000], dtype=np.int64)
         times = heralds + np.array([5_000, 4_999])
@@ -473,6 +485,26 @@ class TestStreamedRun:
         write_tags(tmp_path / "golden.spptag", stream)
         digest = hashlib.sha256((tmp_path / "golden.spptag").read_bytes()).hexdigest()
         assert digest == "045d5ff535ada70b479c96795eb262f34b05b59375ee778c6514eb358e6c327a"
+
+    # darks on every detector, more multipairs and an idler-arm background, so
+    # every thinning, dark-count insertion and background reference is exercised
+    NOISY = replace(DESK, source=replace(DESK.source, multipair_prob=0.05,
+                                         background_rate_idler=3000.0),
+                    detectors=tuple(replace(d, dark_rate=5000.0) for d in DESK.detectors))
+
+    @pytest.mark.parametrize("modulation, digest", [
+        (ModulationFunction.gaussian_target(30.0),
+         "79623501f17754da7685a2f27022c6e26b903523946da9d93666cab1eb5adccd"),
+        (ModulationFunction.identity(),
+         "ef00ded5d3041bd1db7dac74084e709d080654bccf736e0bc7b51bde285ed014"),
+        (ModulationFunction.heaviside(-3.25),
+         "e6e3acac006c08614c19a3d9806e8946347bd37d1a4f64dafcf4426ee48a9ef5"),
+    ], ids=["gaussian", "identity", "heaviside"])
+    def test_golden_tag_file_of_a_noisy_bench(self, tmp_path, modulation, digest):
+        stream = run_experiment(replace(self.NOISY, modulation=modulation), 3 * SECOND,
+                                RngSpec(2026, 7), segments=3)
+        write_tags(tmp_path / "golden.spptag", stream)
+        assert hashlib.sha256((tmp_path / "golden.spptag").read_bytes()).hexdigest() == digest
 
 
 class TestStreamExperiment:
