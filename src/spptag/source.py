@@ -136,7 +136,8 @@ def poisson_times(rate_per_s: float, t0_ps: float, t1_ps: float,
     offset = 0.0
     out = []
     while True:  # offset + cumsum(-log1p(-u) / rate), rounded, in one buffer
-        offsets = np.log1p(-gen.random(chunk))
+        offsets = gen.random(chunk)
+        np.log1p(np.negative(offsets, out=offsets), out=offsets)
         np.cumsum(np.divide(offsets, -rate_per_ps, out=offsets), out=offsets)
         offsets += offset
         offset = float(offsets[-1])
@@ -235,8 +236,7 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
 
 
 def _with_references(events: PairEvents, heralds_ps: np.ndarray) -> PairEvents:
-    """Set each background photon's reference in place to its nearest herald; in a
-    slice the kinds are in draw order, so the background photons are a run."""
+    """Set each background photon's reference in place to its nearest herald; kinds are sorted."""
     bg = slice(*events.kind.searchsorted([PairKind.BACKGROUND_SIGNAL, PairKind.BACKGROUND_IDLER]))
     events.idler_ps[bg] = herald_references(events.signal_ps[bg], heralds_ps)
     return events
