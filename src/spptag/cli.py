@@ -16,7 +16,6 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .config import (
-    RunConfig,
     default_config,
     format_config,
     load_analysis,
@@ -165,29 +164,43 @@ def cmd_simulate(args) -> int:
 
 
 # ----------------------------------------------------------------- analyze
+# analyze runs these on a tag file, repro on simulated streams
+
+def _ps(ns: float) -> int:
+    return int(round(ns * PS_PER_NS))
+
+
+def _g2(stream, analysis):
+    return heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS, window_ps=analysis.herald_window_ps)
+
+
+def _cs(stream, analysis, lo_ns, hi_ns, rng):
+    """C(tau), the index of its peak and its bins above the classical bound at 5 sigma."""
+    res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, analysis.bin_ps, _ps(lo_ns), _ps(hi_ns),
+                         rng, auto_window_ps=analysis.cs_window_ps)
+    return res, int(np.argmax(res.c_values)), res.c_values - 5 * res.c_errors > 1
+
+
+def _waveform(stream, bin_ps, lo_ns, hi_ns):
+    return reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, _ps(lo_ns), _ps(hi_ns))
+
 
 def cmd_analyze_g2(args) -> int:
-    window_ps = _analysis(args).herald_window_ps
-    stream = read_tags(args.tags)
-    res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS, window_ps=window_ps)
+    analysis = _analysis(args)
+    res = _g2(read_tags(args.tags), analysis)
     print(f"heralded g2(0) = {res.value:.4f} +/- {res.error:.4f}  "
           f"(heralds {res.n_heralds}, singles {res.n_a}/{res.n_b}, "
-          f"doubles {res.n_ab}, window +/-{window_ps / 1000:g} ns)")
+          f"doubles {res.n_ab}, window +/-{analysis.herald_window_ps / 1000:g} ns)")
     return 0
 
 
 def cmd_analyze_cs(args) -> int:
     analysis = _analysis(args)
-    stream = read_tags(args.tags)
-    lo = int(round(args.tau_min_ns * PS_PER_NS))
-    hi = int(round(args.tau_max_ns * PS_PER_NS))
-    res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, analysis.bin_ps, lo, hi,
-                         RngSpec(args.seed, 0), auto_window_ps=analysis.cs_window_ps)
-    peak = int(np.argmax(res.c_values))
+    res, peak, classical = _cs(read_tags(args.tags), analysis, args.tau_min_ns,
+                               args.tau_max_ns, RngSpec(args.seed, 0))
     print(f"C(tau): peak {res.c_values[peak]:.1f} +/- {res.c_errors[peak]:.1f} "
           f"at {res.tau_ns[peak]:.2f} ns; "
           f"g_ii(0) = {res.g_ii0.value:.3f}, g_rr(0) = {res.g_rr0.value:.3f}")
-    classical = res.c_values - 5 * res.c_errors > 1
     print(f"bins violating the classical bound at 5 sigma: "
           f"{int(np.sum(classical))}/{classical.size}")
     if args.csv:
@@ -198,12 +211,8 @@ def cmd_analyze_cs(args) -> int:
 
 def cmd_analyze_waveform(args) -> int:
     bin_ps = _analysis(args).bin_ps
-    stream = read_tags(args.tags)
-    lo = int(round(args.tau_min_ns * PS_PER_NS))
-    hi = int(round(args.tau_max_ns * PS_PER_NS))
-    wf = reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi)
-    total = wf.counts.sum()
-    print(f"waveform: {int(total)} coincidences in "
+    wf = _waveform(read_tags(args.tags), bin_ps, args.tau_min_ns, args.tau_max_ns)
+    print(f"waveform: {int(wf.counts.sum())} coincidences in "
           f"[{args.tau_min_ns:g}, {args.tau_max_ns:g}) ns, "
           f"{wf.counts.size} bins of {bin_ps / 1000:g} ns")
     if args.csv:
@@ -302,34 +311,33 @@ def cmd_spectrum_fit(args) -> int:
 
 # ------------------------------------------------------------------- repro
 
-def _bench(modulated: bool, converted: bool) -> RunConfig:
-    """Desk-scale bench in one of the four standard arrangements."""
-    run = default_config()
-    exp = run.experiment
-    modulation = (ModulationFunction.heaviside(0.0) if modulated
-                  else ModulationFunction.identity())
-    if converted:
-        sample = exp.sample
-    else:
-        sample = SampleConfig(exp.sample.photon_wavelength_nm, 1.0, 1.0)
-    exp = replace(exp, modulation=modulation, sample=sample)
-    return replace(run, experiment=exp)
+def _arrangements(duration_ps, seed, table):
+    """(label, run, stream) for each (label, modulated, converted) row of table:
+    the desk bench with a step drive at zero delay or none, through the sample
+    or past it.  Every run meets the event budget before this returns; row k's
+    stream is simulated from RngSpec(seed, k) only when it is asked for."""
+    base = default_config()
+    exp = base.experiment
+    runs = []
+    for label, modulated, converted in table:
+        modulation = (ModulationFunction.heaviside(0.0) if modulated
+                      else ModulationFunction.identity())
+        sample = exp.sample if converted else SampleConfig(exp.sample.photon_wavelength_nm, 1.0)
+        experiment = replace(exp, modulation=modulation, sample=sample)
+        runs.append((label, replace(base, experiment=experiment, duration_ps=duration_ps)))
+    return ((label, run, run_experiment(run.experiment, duration_ps, RngSpec(seed, k)))
+            for k, (label, run) in enumerate(runs))
 
 
 def cmd_repro_table1(args) -> int:
-    arrangements = [  # each checked against the event budget before any output
-        ("unshaped incident", replace(_bench(False, False), duration_ps=args.duration_ps)),
-        ("shaped incident", replace(_bench(True, False), duration_ps=args.duration_ps)),
-        ("unshaped reemitted", replace(_bench(False, True), duration_ps=args.duration_ps)),
-        ("shaped reemitted", replace(_bench(True, True), duration_ps=args.duration_ps)),
-    ]
+    arrangements = _arrangements(args.duration_ps, args.seed, [
+        ("unshaped incident", False, False), ("shaped incident", True, False),
+        ("unshaped reemitted", False, True), ("shaped reemitted", True, True)])
     print(f"heralded g2(0), {args.duration_ps / 1e12:g} s per arrangement, "
           f"seed {args.seed}")
     rows = []
-    for k, (label, run) in enumerate(arrangements):
-        stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, k))
-        res = heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS,
-                               window_ps=run.analysis.herald_window_ps)
+    for label, run, stream in arrangements:
+        res = _g2(stream, run.analysis)
         rows.append((label, res.value, res.error, res.n_heralds, res.n_ab))
         print(f"  {label:20s} {res.value:.4f} +/- {res.error:.4f} "
               f"(doubles {res.n_ab})")
@@ -340,17 +348,11 @@ def cmd_repro_table1(args) -> int:
 
 
 def cmd_repro_fig3(args) -> int:
-    run = replace(_bench(modulated=False, converted=True), duration_ps=args.duration_ps)
-    stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, 0))
-    res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, run.analysis.bin_ps,
-                         int(-25 * PS_PER_NS), int(25 * PS_PER_NS),
-                         RngSpec(args.seed, 1),
-                         auto_window_ps=run.analysis.cs_window_ps)
-    peak = int(np.argmax(res.c_values))
+    [(_, run, stream)] = _arrangements(args.duration_ps, args.seed, [("reemitted", False, True)])
+    res, peak, violating = _cs(stream, run.analysis, -25.0, 25.0, RngSpec(args.seed, 1))
     print(f"time-resolved classical-bound test, {args.duration_ps / 1e12:g} s:")
     print(f"  peak C = {res.c_values[peak]:.0f} +/- {res.c_errors[peak]:.0f} "
           f"at {res.tau_ns[peak]:.2f} ns (classical light: C <= 1)")
-    violating = res.c_values - 5 * res.c_errors > 1
     print(f"  bins above the bound at 5 sigma: "
           f"{int(np.sum(violating))}/{violating.size}")
     _write_csv(args.csv, ["tau_ns", "c", "c_error"], [res.tau_ns, res.c_values, res.c_errors])
@@ -359,22 +361,15 @@ def cmd_repro_fig3(args) -> int:
 
 def cmd_repro_fig4(args) -> int:
     bin_ps, lo_ns, hi_ns = 1000, -75.0, 75.0
-    lo, hi = int(lo_ns * PS_PER_NS), int(hi_ns * PS_PER_NS)
-    n_bins = (hi - lo) // bin_ps
-    arrangements = [(label, replace(_bench(modulated, True), duration_ps=args.duration_ps))
-                    for label, modulated in (("unshaped", False), ("shaped", True))]
+    arrangements = _arrangements(args.duration_ps, args.seed,
+                                 [("unshaped", False, True), ("shaped", True, True)])
     columns, names = [], ["tau_ns"]
     print(f"heralded waveforms, {args.duration_ps / 1e12:g} s per arrangement:")
-    for k, (label, run) in enumerate(arrangements):
-        amp = run.experiment.source.amplitude
-        mod = run.experiment.modulation
-        stream = run_experiment(run.experiment, args.duration_ps, RngSpec(args.seed, k))
-        wf = reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, lo, hi)
-
-        def density(t, amp=amp, mod=mod):
-            return evaluate_density(amp, t) * mod.amplitude(t) ** 2
-
-        template = expected_waveform(density, lo_ns, bin_ps / PS_PER_NS, n_bins)
+    for label, run, stream in arrangements:
+        wf = _waveform(stream, bin_ps, lo_ns, hi_ns)
+        amp, mod = run.experiment.source.amplitude, run.experiment.modulation
+        template = expected_waveform(lambda t: evaluate_density(amp, t) * mod.amplitude(t) ** 2,
+                                     lo_ns, bin_ps / PS_PER_NS, wf.counts.size)
         sim = cosine_similarity(wf.counts, template)
         print(f"  {label:10s} {int(wf.counts.sum())} coincidences, "
               f"similarity to programmed shape {sim:.4f}")
@@ -414,6 +409,16 @@ def _repro_flags(duration: str) -> argparse.ArgumentParser:
     return flags
 
 
+def _histogram_flags(tau_max_ns: float) -> argparse.ArgumentParser:
+    """--bin-ps, the tau range and --csv of analyze cs and waveform, one parent each."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--bin-ps", type=int)
+    flags.add_argument("--tau-min-ns", type=_finite, default=-25.0)
+    flags.add_argument("--tau-max-ns", type=_finite, default=tau_max_ns)
+    flags.add_argument("--csv")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spptag",
@@ -442,21 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     g2.add_argument("--window-ps", dest="herald_window_ps", type=int)
     g2.set_defaults(func=cmd_analyze_g2)
 
-    cs = asub.add_parser("cs", parents=[tags], help="time-resolved classical-bound test")
-    cs.add_argument("--bin-ps", type=int)
-    cs.add_argument("--tau-min-ns", type=_finite, default=-25.0)
-    cs.add_argument("--tau-max-ns", type=_finite, default=25.0)
+    cs = asub.add_parser("cs", parents=[tags, _histogram_flags(25.0)],
+                         help="time-resolved classical-bound test")
     cs.add_argument("--auto-window-ps", dest="cs_window_ps", type=int)
     cs.add_argument("--seed", type=int, default=7,
                     help="seed for the software herald split")
-    cs.add_argument("--csv")
     cs.set_defaults(func=cmd_analyze_cs)
 
-    wf = asub.add_parser("waveform", parents=[tags], help="herald-relative arrival histogram")
-    wf.add_argument("--bin-ps", type=int)
-    wf.add_argument("--tau-min-ns", type=_finite, default=-25.0)
-    wf.add_argument("--tau-max-ns", type=_finite, default=75.0)
-    wf.add_argument("--csv")
+    wf = asub.add_parser("waveform", parents=[tags, _histogram_flags(75.0)],
+                         help="herald-relative arrival histogram")
     wf.set_defaults(func=cmd_analyze_waveform)
 
     hom = sub.add_parser("hom", help="two-photon interference predictions")

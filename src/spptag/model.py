@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * every random draw goes through a counter-based Philox generator addressed
   by an explicit (seed, stream_id) pair, and all non-uniform variates are
   produced from uniforms by inverse-CDF transforms, so a given RngSpec yields
-  byte-identical results regardless of platform or call interleaving
+  byte-identical results per numpy CPU kernel set (ROADMAP item 2), however calls interleave
 """
 from __future__ import annotations
 

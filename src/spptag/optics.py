@@ -425,7 +425,7 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
         # the kind column is in draw order (pairs, extras, signal and idler background),
         # so the signal arm and, after modulation, its pairs and background are runs
         pairs = next(slices)  # not enumerate(slices): its cached tuple would keep the slice
-        arrivals = [pairs.idler_ps[pairs.kind != PairKind.BACKGROUND_SIGNAL]]  # sorted below
+        arrivals = [pairs.idler_arm_times()]  # sorted below
         signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
         del pairs  # signal views the slice's columns: free them once a stage copies
         signal = apply_modulation(signal, config.modulation, gen_mod, source=src.amplitude)

@@ -109,8 +109,8 @@ class PairEvents:
         return int(np.count_nonzero(self.kind == kind))
 
     def idler_arm_times(self) -> np.ndarray:
-        """Emission times of photons physically present in the idler arm [ps]."""
-        return np.sort(self.idler_ps[self.kind != PairKind.BACKGROUND_SIGNAL], kind="stable")
+        """Emission times of photons physically present in the idler arm [ps], in draw order."""
+        return self.idler_ps[self.kind != PairKind.BACKGROUND_SIGNAL]
 
     def __eq__(self, other):
         return (isinstance(other, PairEvents)

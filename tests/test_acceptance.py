@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import riemann_hom_coincidence
-from spptag.cli import _bench, main
+from spptag.cli import _arrangements, main
 from spptag.config import default_config, format_config, parse_config
 from spptag.correlator import (
     cauchy_schwarz,
@@ -55,26 +55,21 @@ SECOND_PS = 10**12
 GEOM = ArrayGeometry()
 
 
-def simulate(arrangement, duration_s, seed, stream_id=0):
-    run = _bench(*arrangement)
-    duration_ps = duration_s * SECOND_PS
-    return run_experiment(run.experiment, duration_ps,
-                          RngSpec(seed, stream_id),
-                          segments=_segments_for(duration_ps))
+def simulate(arrangement, duration_s, seed):
+    """Stream 0 of seed for one (modulated, converted) bench arrangement."""
+    [(_, _, stream)] = _arrangements(duration_s * SECOND_PS, seed, [("", *arrangement)])
+    return stream
 
 
 @pytest.fixture(scope="module")
 def table1():
     """Heralded g2(0) in the four bench arrangements, 500 s each."""
     rows = {}
-    for k, (label, modulated, converted) in enumerate([
+    for label, _, stream in _arrangements(500 * SECOND_PS, 20260822, [
             ("unshaped_incident", False, False),
             ("shaped_incident", True, False),
             ("unshaped_reemitted", False, True),
             ("shaped_reemitted", True, True)]):
-        stream = run_experiment(
-            _bench(modulated, converted).experiment, 500 * SECOND_PS,
-            RngSpec(20260822, k), segments=_segments_for(500 * SECOND_PS))
         rows[label] = heralded_g2_zero(stream, 0, 1, 2, window_ps=150_000)
     return rows
 
@@ -202,9 +197,8 @@ class TestWaveformImprinting:
 
     def test_gaussian_target_reshapes_wavepacket(self):
         # bench with the derived 40 ns gaussian drive in place
-        run = _bench(False, True)
-        mod = ModulationFunction.gaussian_target(40.0)
-        exp = replace(run.experiment, modulation=mod)
+        mod = ModulationFunction.gaussian_target(40.0)  # on the unshaped reemitted bench
+        exp = replace(default_config().experiment, modulation=mod)
         stream = run_experiment(exp, 1200 * SECOND_PS, RngSpec(777002, 0),
                                 segments=_segments_for(1200 * SECOND_PS))
         wf, template = waveform_and_template(stream, mod)

@@ -148,6 +148,8 @@ class TestRejectedInput:
         "spectrum fano --lo-nm 1e-300 --hi-nm 1e-299 --points 3": "small-hole law",
         # 1.9e10 tags over the run: the stream alone would take about 380 GB
         "repro table1 --duration 1000000s": "most come from source.background_rate_signal",
+        "repro fig3 --duration 1000000s": "most come from source.background_rate_signal",
+        "repro fig4 --duration 1000000s": "most come from source.background_rate_signal",
     }
 
     # config line -> the key its error names: delays and jitter shifts beyond int64 ps
@@ -637,6 +639,34 @@ class TestRepro:
         fields, rows = read_csv(out)
         assert fields == ["tau_ns", "c", "c_error"]
         assert len(rows) == 50
+
+    def test_rows_are_analyze_on_the_same_stream(self, tmp_path, capsys):
+        # row k of a repro table is stream k of --seed, and the unshaped
+        # reemitted arrangement is the default bench that simulate runs
+        def simulate(stream):
+            tags = tmp_path / f"s{stream}.spptag"
+            assert main(["simulate", "--seed", "5", "--stream", str(stream),
+                         "--duration", "2s", "--out", str(tags)]) == 0
+            return str(tags)
+
+        f4, wf = tmp_path / "f4.csv", tmp_path / "wf.csv"
+        assert main(["repro", "fig4", "--seed", "5", "--duration", "2s", "--csv", str(f4)]) == 0
+        assert main(["analyze", "waveform", "--tags", simulate(0), "--tau-min-ns=-75",
+                     "--tau-max-ns", "75", "--csv", str(wf)]) == 0
+        counts = [r["counts"] for r in read_csv(wf)[1]]
+        assert len(counts) == 150 and counts == [r["counts_unshaped"] for r in read_csv(f4)[1]]
+
+        t1 = tmp_path / "t1.csv"
+        assert main(["repro", "table1", "--seed", "5", "--duration", "2s", "--csv", str(t1)]) == 0
+        row = read_csv(t1)[1][2]
+        assert row["arrangement"] == "unshaped reemitted"
+        tags = simulate(2)
+        capsys.readouterr()
+        assert main(["analyze", "g2", "--tags", tags]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"heralded g2(0) = {float(row['g2']):.4f} "
+                              f"+/- {float(row['error']):.4f}  (heralds {row['n_heralds']}, ")
+        assert f"doubles {row['n_doubles']}, " in out
 
     def test_fig4_small(self, tmp_path, capsys):
         out = tmp_path / "f4.csv"
