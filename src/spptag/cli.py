@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 file I/O or tag
-file format problem, 4 analysis undefined on the given data, 5 fit failure;
-_EXIT_CODES maps each error class to its code.  A flag whose dest is a
-dataclass field overrides that field when given (_override), so the
-dataclass validates it like a config-file value.  Float flags and CSV
-inputs must be finite (_finite); grid point counts are at most MAX_POINTS.
+file format problem, 4 analysis undefined on the data, 5 fit failure, 6 out of
+memory; _EXIT_CODES maps each error class to its code.  A flag whose dest is
+a dataclass field overrides that field when given (_override), so the
+dataclass validates it like a config-file value.  Float flags and CSV inputs
+must be finite (_finite); grid point counts are at most MAX_POINTS.
 """
 import argparse
 import csv
@@ -62,7 +62,7 @@ SIGNAL_CHS = (1, 2)
 
 # the first class an error is an instance of gives the exit code
 _EXIT_CODES = {ConfigError: 2, TagFileError: 3, OSError: 3, AnalysisError: 4,
-               DomainError: 4, FitError: 5, ValueError: 2, OverflowError: 2}
+               DomainError: 4, FitError: 5, ValueError: 2, OverflowError: 2, MemoryError: 6}
 MAX_POINTS = 2**24  # grid points a --points or --range-points flag may ask for
 CSV_ROWS = 4096  # rows a CSV write holds as Python objects at a time
 
@@ -545,7 +545,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

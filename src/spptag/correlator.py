@@ -7,16 +7,19 @@ merged, time-ordered stream, with no per-channel copies, one BLOCK of stream
 positions at a time.  A partner lies within reach = max(|lo|, |hi - 1|), so
 the anchor's nearest tag of either set on that side does too: the gaps
 between those tags drop the anchors with both neighbours farther (exact).
-Two searchsorted calls, inside the range that two scalar searches give the
-block, give each remaining anchor its stream index range.  _Rank turns the
-ranges into partner counts, for indices in any order: the partners of the
-blocks before an index, counted once up front, plus a running count inside
-its block, kept for the few blocks asked last.  Histograms expand a block's
-(anchor, window tag) pairs BLOCK at a time.  Cost: O(n) over n tags for any
-window, O(k log n) for the k anchors kept, O(m) for the m tags in histogram
-windows.  Memory: O(BLOCK) beyond the stream and the result, a few MB at
-BLOCK = 2**16, whatever the window, and while cauchy_schwarz counts g_ii,
-the 1 B per tag of labels of its software split (_split).
+Each remaining anchor's window edges start from its own stream index: a walk
+of up to WALK tags outward, where the mean tag spacing puts an edge that near,
+then a binary search for the edges still moving.  _Rank turns the ranges into
+partner counts, for indices in any order: the partners of the blocks before
+an index, counted once up front, plus those before it in its block, one
+popcount of the block's partner bits, packed 8 to a byte beside a count to
+each byte's end, kept for the few blocks asked last.  Histograms expand a
+block's (anchor, window tag) pairs BLOCK at a time.  Cost: O(n) over n tags
+per sweep, plus O(k w) for the k anchors whose windows hold w = WALK tags or
+fewer, O(k' log BLOCK) for the k' anchors whose windows hold more, and O(m)
+for the m tags in histogram windows.  Memory: O(BLOCK) beyond the stream and
+the result, a few MB at BLOCK = 2**16, whatever the window, and while
+cauchy_schwarz counts g_ii, the 1 B per tag of labels of its software split.
 
 Every binned result is a CorrelationHistogram, with int64 counts: the
 herald-relative waveform (reconstruct_waveform) and the cross-correlation
@@ -70,6 +73,10 @@ def _split(stream: TimeTagStream, channel: int, gen: np.random.Generator) -> Tim
     return TimeTagStream(stream.times_ps, labels, stream.duration_ps)
 
 
+WALK = 4  # tags an edge search steps outward from its anchor before it searches
+RECENT = 4  # blocks a _Rank keeps packed: the blocks of a block's window starts and ends
+
+
 def _windows(stream: TimeTagStream, ch_a, pairing, lo: int, hi: int):
     """Per BLOCK of stream positions, the windows of the ch_a anchors that can pair.
 
@@ -94,47 +101,58 @@ def _windows(stream: TimeTagStream, ch_a, pairing, lo: int, hi: int):
         near[0] = t_p.size > 0 and int(t_p[0]) - previous <= reach
         np.less_equal(np.diff(t_p), reach, out=near[1:-1])
         previous = int(t_p[-1]) if t_p.size else previous
-        t_a = t_p[np.flatnonzero(is_a[at] & (near[:-1] | near[1:]))]  # faster than a mask
-        r0, r1 = ((np.searchsorted(t, min(int(x) + d, INT64_MAX), side="right")
-                   for x, d in ((t_a[0], lo), (t_a[-1], hi))) if t_a.size else (0, 0))
-        first, last = (np.searchsorted(t[r0:r1], np.minimum(t_a, INT64_MAX - d) + d if d > 0
-                                       else t_a + d, side="right") + r0 for d in (lo, hi))
+        kept = np.flatnonzero(is_a[at] & (near[:-1] | near[1:]))  # faster than a mask
+        p, t_a = start + (kept if n_pair == pair.size else at[kept]), t_p[kept]  # index, time
+        first, last = _edge(t, p, t_a, lo), _edge(t, p, t_a, hi)
+        del kept, p  # held through the yield, they would add to the histograms' peak
         yield int(n_a), int(n_pair - n_a), first, last, t_a
 
 
-RECENT = 4  # running counts a _Rank keeps: the blocks of a block's window starts and ends
+def _edge(t: np.ndarray, p: np.ndarray, t_a: np.ndarray, d: int) -> np.ndarray:
+    """The count of tags at or before t_a + d, saturating, for the anchors at stream
+    indices p: a walk of up to WALK tags from p, up for d >= 0 and down below, where
+    the anchors' mean spacing puts the edge that near, then a binary search."""
+    end = np.minimum(t_a, INT64_MAX - d) + d if d > 0 else t_a + d
+    step = 1 if d >= 0 else -1
+    nxt, moving = p + step, slice(None)  # the next tag out from each anchor
+    if p.size and abs(d) * int(p[-1] - p[0]) < WALK * int(t_a[-1] - t_a[0]):
+        short = np.less_equal if step > 0 else np.greater  # the next tag is before the edge
+        for walked in range(WALK):  # off the stream, take repeats its end tag: on to the search
+            out = np.flatnonzero(short(t.take(nxt[moving], mode="clip"), end[moving]))
+            moving = moving[out] if walked else out
+            nxt[moving] += step
+    edge, ends = nxt + (step < 0), end[moving]
+    if ends.size:  # the edges lie between those of the first and last
+        r0, r1 = np.searchsorted(t, ends[[0, -1]], side="right")
+        edge[moving] = np.searchsorted(t[r0:r1], ends, side="right") + r0
+    return edge
 
 
 class _Rank:
-    """The count of channel tags below stream index q, for indices in any order.
-
-    The tags of the blocks before q's are counted once up front; the running
-    count inside q's block is kept for the RECENT blocks asked last.
-    """
+    """The count of channel tags below stream index q, for indices in any order."""
 
     def __init__(self, stream: TimeTagStream, channel):
         channels = stream.channels  # the cache below must not hold self, or it outlives a call
         counts = [np.count_nonzero(in_channels(channels[start:start + BLOCK], channel))
                   for start in range(0, len(stream), BLOCK)]
         self.before = np.cumsum([0, *counts], dtype=np.int64)  # one past the last block too
-        self.running = lru_cache(RECENT)(
-            lambda b: _running(channels[b * BLOCK:(b + 1) * BLOCK], channel))
+
+        def packed(b):  # block b, a bit a tag from each byte's low bit, then a zero byte
+            on = in_channels(channels[b * BLOCK:(b + 1) * BLOCK], channel)
+            bits = np.append(np.packbits(on, bitorder="little"), np.uint8(0))
+            return bits, np.cumsum(np.bitwise_count(bits), dtype=np.int32)  # to each byte's end
+        self.packed = lru_cache(RECENT)(packed)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         blocks = q // BLOCK
         out = self.before[blocks]
-        cuts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist() + [q.size]
-        for i, j in zip(cuts, cuts[1:]):  # runs of indices in one block
+        ends = [*(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(), q.size]
+        for i, j in zip([0, *ends], ends if q.size else ()):  # runs of indices in one block
             b = int(blocks[i])
-            out[i:j] += self.running(b)[q[i:j] - b * BLOCK]
+            bits, upto = self.packed(b)
+            r = q[i:j] - b * BLOCK  # the tags through r's byte, less those from r on
+            out[i:j] += upto[r >> 3] - np.bitwise_count(bits[r >> 3] >> (r & 7).astype(np.uint8))
         return out
-
-
-def _running(channels: np.ndarray, channel) -> np.ndarray:
-    """The count of channel tags before each position of channels, and after the last."""
-    running = np.zeros(channels.size + 1, dtype=np.int32)
-    np.cumsum(in_channels(channels, channel), dtype=np.int32, out=running[1:])
-    return running
 
 
 @dataclass
@@ -247,8 +265,7 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
     n_a = n_b = pairs = 0
     for na, nb, first, last, _ in _windows(stream, ch_a, pairing, -window_ps, window_ps):
         n_a, n_b = n_a + na, n_b + nb
-        before = below(first)
-        pairs += int(below(last).sum() - before.sum())
+        pairs += int(below(last).sum() - below(first).sum())
     if n_a == 0 or n_b == 0:
         raise AnalysisError("zero-delay g2 undefined: empty channel")
     x = min(window_ps, stream.duration_ps) / stream.duration_ps
@@ -351,8 +368,7 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     below_a, below_b = _Rank(stream, ch_a), _Rank(stream, ch_b)
     n_h = n_a = n_b = n_ab = 0
     for n, _, first, last, _ in _windows(stream, herald_ch, pairing, -window_ps, window_ps + 1):
-        a, b = (rank(np.concatenate((first, last))) for rank in (below_a, below_b))
-        has_a, has_b = a[:first.size] < a[first.size:], b[:first.size] < b[first.size:]
+        has_a, has_b = (rank(first) < rank(last) for rank in (below_a, below_b))
         n_h += n
         n_a += int(np.count_nonzero(has_a))
         n_b += int(np.count_nonzero(has_b))

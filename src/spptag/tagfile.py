@@ -15,7 +15,7 @@ then one 16-byte record per tag, in nondecreasing time order:
 
 Writing and reading are exact inverses byte for byte.  Both work through
 the records BLOCK at a time, so either holds the stream's arrays (9 bytes a
-tag) plus one block of records.
+tag) plus one block of records.  A read holds at most MAX_TAGS records.
 """
 import io
 import struct
@@ -30,6 +30,7 @@ VERSION = 1
 HEADER = struct.Struct("<8sIIIIQ")
 HEADER_SIZE = HEADER.size  # 32
 RECORD_SIZE = 16
+MAX_TAGS = 2**27  # records a read holds, 9 B each: twice config.MAX_RUN_TAGS
 
 _RECORD_DTYPE = np.dtype([("time", "<u8"), ("channel", "u1"), ("pad", "V7")])
 
@@ -56,7 +57,8 @@ def write_tags(path, stream: TimeTagStream) -> None:
 def read_tags(path) -> TimeTagStream:
     """Read a tag file into the stream it holds, a block of records at a time."""
     with open(path, "rb") as fh:
-        fh = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe: its bytes tell its size
+        if not fh.seekable():  # a pipe: its bytes, up to a record past the budget, tell its size
+            fh = io.BytesIO(fh.read(HEADER_SIZE + RECORD_SIZE * (MAX_TAGS + 1)))
         head = fh.read(HEADER_SIZE)
         if len(head) >= len(MAGIC) and head[: len(MAGIC)] != MAGIC:
             raise TagFileError(f"not a tag file: magic {head[:8]!r}")
@@ -74,6 +76,8 @@ def read_tags(path) -> TimeTagStream:
             raise TagFileError(
                 f"body of {body_size} bytes is not a whole number of records")
         n = body_size // RECORD_SIZE
+        if n > MAX_TAGS:
+            raise TagFileError(f"{path}: {n} records, above the budget of {MAX_TAGS}")
         times = np.empty(n, dtype=np.int64)
         utimes = times.view(np.uint64)  # the file's unsigned times, checked before use
         channels = np.empty(n, dtype=np.uint8)

@@ -1,5 +1,5 @@
-"""Shared independent oracles for interference and waveform tests, and a
-block-size sweep for the code that works through long arrays in blocks."""
+"""Shared independent oracles for interference, waveform and correlator tests,
+and a block-size sweep for the code that works through long arrays in blocks."""
 import numpy as np
 import pytest
 
@@ -15,6 +15,20 @@ def at_each_block(module, blocks=SMALL_BLOCKS + (BLOCK,)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(module, "BLOCK", block)
             yield block
+
+
+def searchsorted_pairs(anchors, partners, lo: int, hi: int) -> np.ndarray:
+    """Per anchor a, the count of partners in [a + lo, a + hi): two binary
+    searches in the partners' own sorted times, no merged stream."""
+    return np.searchsorted(partners, anchors + hi) - np.searchsorted(partners, anchors + lo)
+
+
+def searchsorted_histogram(anchors, partners, bin_width: int, lo: int, hi: int) -> np.ndarray:
+    """Counts of partner - anchor delays in the bins of [lo, hi): the
+    differences of the pairs below each bin edge."""
+    below = [np.searchsorted(partners, anchors + edge).sum()
+             for edge in range(lo, hi + 1, bin_width)]
+    return np.diff(below)
 
 
 def riemann_hom_coincidence(amp: BiphotonAmplitude, detuning_mhz: float,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import spptag
+from spptag import cli, tagfile
 from spptag.cli import _write_csv, build_parser, main
 from spptag.config import default_config, parse_config
 from spptag.hom import hom_visibility
@@ -207,6 +208,32 @@ class TestRejectedInput:
         assert self.PROBES[command] in proc.stderr, proc.stderr
         if command == self.PAIRS_PROBE:  # rejected before any pair is expanded
             assert elapsed < 1.0
+
+    def test_tag_file_over_the_record_budget_exits_3(self, tmp_path):
+        # a valid header and 2^30 records, sparse: 17.2 GB that preallocating would
+        # take 9.7 GB for, past the 3 GB limit
+        path = tmp_path / "huge.spptag"
+        with open(path, "wb") as fh:
+            fh.write(tagfile.HEADER.pack(tagfile.MAGIC, 1, 1, 3, 0, 10**12))
+            fh.truncate(tagfile.HEADER_SIZE + tagfile.RECORD_SIZE * 2**30)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "spptag.cli", "analyze", "g2", "--tags",
+                               str(path)], cwd=tmp_path, env=_child_env(), capture_output=True,
+                              text=True, preexec_fn=_limit_address_space)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: {path}: {2**30} records, "
+                               f"above the budget of {tagfile.MAX_TAGS}\n")
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 16.0 GiB for an array"])
+    def test_memory_error_exits_6_on_one_line(self, message, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "read_tags", exhausted)
+        assert main(["analyze", "g2", "--tags", "t.spptag"]) == 6
+        assert capsys.readouterr() == ("", f"error: {message or 'MemoryError'}\n")
 
     def test_fit_that_leaves_the_width_free_exits_5(self, tmp_path):
         # both rows at zero delay: every width gives the same visibility

@@ -8,11 +8,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import at_each_block
+from helpers import (
+    SMALL_BLOCKS,
+    at_each_block,
+    searchsorted_histogram,
+    searchsorted_pairs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spptag import AnalysisError, BiphotonAmplitude, RngSpec, Shape, TimeTagStream, correlator
+from spptag.config import default_config
 from spptag.correlator import (
     LOW_STATS_COUNTS,
     MAX_BINS,
@@ -27,7 +33,8 @@ from spptag.correlator import (
     reconstruct_waveform,
     split_channel,
 )
-from spptag.model import evaluate_density, sample_delay
+from spptag.model import BLOCK, evaluate_density, sample_delay
+from spptag.optics import run_experiment
 from spptag.source import poisson_times
 
 SECOND = 10**12
@@ -366,48 +373,67 @@ class TestCauchySchwarz:
 
 
 @st.composite
-def tie_streams(draw):
-    """Small streams on channels 0-3 over 120 ps: many equal times, often an
+def tie_streams(draw, span=120):
+    """Small streams on channels 0-3 over span ps: many equal times, often an
     empty channel, and many tag pairs exactly a window edge apart."""
     n = draw(st.integers(0, 40))
-    times = sorted(draw(st.lists(st.integers(0, 120), min_size=n, max_size=n)))
+    times = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
     chans = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     return TimeTagStream(times, chans, 200)
 
 
+# tie streams, and dense ones over 8 ps, where a window a few ps wide holds more tags than
+# a walk covers
+STREAMS = tie_streams() | tie_streams(span=8)
 # half widths from one tag wide (ties are 0 ps apart) to beyond the 200 ps streams
 WIDTHS = st.integers(1, 40) | st.integers(41, 250)
 
 
 @st.composite
 def windows(draw):
-    """(bin, lo, hi) with hi - lo a whole number of bins; 0 need not be inside."""
-    bin_w = draw(st.integers(1, 12))
-    lo = draw(st.integers(-60, 60))
-    return bin_w, lo, lo + bin_w * draw(st.integers(1, 6))
+    """(bin, lo, hi) with hi - lo a whole number of bins: around 0, wholly after
+    the anchor (lo > 0) or wholly before it (hi <= 0)."""
+    bin_w, n_bins = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    span = bin_w * n_bins
+    lo = draw(st.integers(-60, 60) | st.integers(1, 60) | st.integers(-60 - span, -span))
+    return bin_w, lo, lo + span
+
+
+WALKS = (0, 1)  # besides correlator.WALK
+
+
+def at_each_block_and_walk():
+    """at_each_block, then at block sizes 7 and BLOCK each walk length of WALKS:
+    at 0 the search finds every window edge, at 1 a one-tag walk hands most
+    of the edges it starts on to the search."""
+    yield from at_each_block(correlator)
+    for walk in WALKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlator, "WALK", walk)
+            yield from at_each_block(correlator, (7, BLOCK))
 
 
 class TestPropertiesAgainstBruteForce:
-    """Each property holds at every block size: at the small ones a stream
-    crosses many block edges, and windows from one tag wide to wider than
-    the whole stream reach across many blocks."""
+    """Each property holds at every block size and walk length: at the small
+    blocks a stream crosses many block edges, and windows from one tag wide
+    to wider than the whole stream reach across many blocks."""
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), win=windows(), merged=st.booleans())
+    @given(s=STREAMS, win=windows(), merged=st.booleans())
     def test_histogram(self, s, win, merged):
         bin_w, lo, hi = win
         ch_b = (1, 2) if merged else 1
         expected = brute_histogram(s.channel_times(0), s.channel_times(ch_b), bin_w, lo, hi)
-        for _ in at_each_block(correlator):
+        for _ in at_each_block_and_walk():
             hist = coincidence_histogram(s, 0, ch_b, bin_w, lo, hi)
             np.testing.assert_array_equal(hist.counts, expected)
             assert (hist.n_a, hist.n_b) == (s.count(0), s.count(ch_b))
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), w=WIDTHS)
+    @given(s=STREAMS, w=WIDTHS)
     def test_auto_g2_pairs(self, s, w):
         t_a, t_b = s.channel_times(1), s.channel_times(2)
-        for _ in at_each_block(correlator):
+        for _ in at_each_block_and_walk():
             if t_a.size == 0 or t_b.size == 0:
                 with pytest.raises(AnalysisError):
                     auto_g2_zero(s, 1, 2, w)
@@ -415,11 +441,11 @@ class TestPropertiesAgainstBruteForce:
                 assert auto_g2_zero(s, 1, 2, w).n_pairs == brute_pairs_within(t_a, t_b, w)
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), w=WIDTHS)
+    @given(s=STREAMS, w=WIDTHS)
     def test_heralded_counts(self, s, w):
         h, t_a, t_b = (s.channel_times(ch) for ch in (0, 1, 2))
         n_a, n_b, n_ab = brute_heralded_counts(h, t_a, t_b, w)
-        for _ in at_each_block(correlator):
+        for _ in at_each_block_and_walk():
             if h.size == 0 or n_a == 0 or n_b == 0:
                 with pytest.raises(AnalysisError):
                     heralded_g2_zero(s, 0, 1, 2, window_ps=w)
@@ -428,12 +454,13 @@ class TestPropertiesAgainstBruteForce:
                 assert (res.n_heralds, res.n_a, res.n_b, res.n_ab) == (h.size, n_a, n_b, n_ab)
 
     @settings(max_examples=150, deadline=None)
-    @given(s=tie_streams(), channel=st.sampled_from([0, 3, (1, 2)]), data=st.data())
+    @given(s=STREAMS, channel=st.sampled_from([0, 3, (1, 2)]), data=st.data())
     def test_rank_in_any_order(self, s, channel, data):
         q = np.array(data.draw(st.permutations(range(len(s) + 1))), dtype=np.int64)
         on = np.isin(s.channels, channel)
         expected = [int(np.count_nonzero(on[:k])) for k in q]
-        for _ in at_each_block(correlator):
+        # blocks of 9 and 17 tags end partway through a byte of packed bits
+        for _ in at_each_block(correlator, SMALL_BLOCKS + (9, 17, BLOCK)):
             rank = correlator._Rank(s, channel)
             assert rank(q).tolist() == expected  # one call, the indices shuffled
             assert [int(rank(q[i:i + 1])[0]) for i in range(q.size)] == expected
@@ -459,6 +486,36 @@ class TestPropertiesAgainstBruteForce:
             assert (res.g_ii0.n_pairs, res.g_rr0.n_pairs) == (g_ii, g_rr)
             # g_ii counted in place equals auto_g2_zero of the split stream
             assert res.g_ii0 == auto_g2_zero(split_channel(s, 0, RngSpec(seed)), 0, 1, w)
+
+
+class TestAgainstPerChannelSearchAtDeskDensity:
+    """A 40 s desk-bench stream (151k tags, three real blocks) against binary
+    searches in each channel's own times: windows from 1 ns, where most hold
+    only their anchor, to 1 ms, where many hold more tags than a walk covers."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        run = default_config()
+        s = run_experiment(run.experiment, duration_ps=40 * SECOND, rng=RngSpec(172, 0))
+        assert len(s) > 2 * BLOCK
+        return s
+
+    @pytest.mark.parametrize("w", [1000, 150_000, 10_000_000, 300_000_000, 1_000_000_000],
+                             ids=["1ns", "150ns", "10us", "300us", "1ms"])
+    def test_counts(self, stream, w):
+        h, t_a, t_b = (stream.channel_times(ch) for ch in (0, 1, 2))
+        if w >= 300_000_000:  # some windows reach past a walk: a search finds their edges
+            assert searchsorted_pairs(h, stream.times_ps, 1, w + 1).max() > correlator.WALK
+        has_a, has_b = (searchsorted_pairs(h, t, -w, w + 1) > 0 for t in (t_a, t_b))
+        res = heralded_g2_zero(stream, 0, 1, 2, window_ps=w)
+        assert (res.n_a, res.n_b, res.n_ab) == (has_a.sum(), has_b.sum(), (has_a & has_b).sum())
+        assert auto_g2_zero(stream, 1, 2, w).n_pairs == searchsorted_pairs(t_a, t_b, -w, w).sum()
+        bin_w = w // 10
+        t_ab = np.sort(np.concatenate((t_a, t_b)))
+        hist = coincidence_histogram(stream, 0, (1, 2), bin_w, -5 * bin_w, 15 * bin_w)
+        np.testing.assert_array_equal(
+            hist.counts, searchsorted_histogram(h, t_ab, bin_w, -5 * bin_w, 15 * bin_w))
+        assert hist.counts.sum() > 0
 
 
 class TestWaveform:

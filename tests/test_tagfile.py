@@ -10,7 +10,7 @@ from helpers import at_each_block
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spptag import tagfile
+from spptag import config, tagfile
 from spptag.errors import TagFileError
 from spptag.model import BLOCK, TimeTagStream
 from spptag.tagfile import (
@@ -269,6 +269,30 @@ class TestCorruption:
         whole = outcome()
         for _ in at_each_block(tagfile):
             assert outcome() == whole
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_record_budget_checked_before_any_allocation(self, tmp_path, monkeypatch, pipe):
+        # a pipe is read up to one record past the budget, so its count reads one over
+        monkeypatch.setattr(tagfile, "MAX_TAGS", 5)
+        raw = pack_file(list(range(7)), [0] * 7, 10)
+        path = tmp_path / "t.spptag"
+        path.write_bytes(raw)
+        if pipe:
+            read_end, write_end = os.pipe()
+            with open(write_end, "wb") as fh:
+                fh.write(raw)
+            path = f"/dev/fd/{read_end}"
+        monkeypatch.setattr(np, "empty", None)  # any allocation would fail as a TypeError
+        try:
+            with pytest.raises(TagFileError, match=f"^{path}: {6 if pipe else 7} records, "
+                                                   "above the budget of 5$"):
+                read_tags(path)
+        finally:
+            if pipe:
+                os.close(read_end)
+
+    def test_record_budget_reads_every_simulated_run(self):
+        assert tagfile.MAX_TAGS >= config.MAX_RUN_TAGS
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
