@@ -5,7 +5,9 @@ file format problem, 4 analysis undefined on the data, 5 fit failure, 6 out of
 memory; _EXIT_CODES maps each error class to its code.  A flag whose dest is
 a dataclass field overrides that field when given (_override), so the
 dataclass validates it like a config-file value.  Float flags and CSV inputs
-must be finite (_finite); grid point counts are at most MAX_POINTS.
+must be finite (_finite); grid point counts and CSV input rows are at most
+MAX_POINTS.  Each command imports the library modules it calls in its own
+body, so a process loads only those: `repro fig5` never compiles the simulator.
 """
 import argparse
 import csv
@@ -15,36 +17,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import (
-    default_config,
-    format_config,
-    load_analysis,
-    load_config,
-    parse_duration,
-)
-from .correlator import (
-    cauchy_schwarz,
-    cosine_similarity,
-    expected_waveform,
-    heralded_g2_zero,
-    reconstruct_waveform,
-)
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    DomainError,
-    FitError,
-    TagFileError,
-)
-from .hom import fit_coherence_time, hom_curve
-from .model import (
-    PS_PER_NS,
-    BiphotonAmplitude,
-    RngSpec,
-    Shape,
-    evaluate_density,
-)
-from .optics import ModulationFunction, SampleConfig, run_experiment
+from .errors import AnalysisError, ConfigError, DomainError, FitError, TagFileError
+from .model import PS_PER_NS, BiphotonAmplitude, RngSpec, Shape, evaluate_density
 from .spectrum import (
     ArrayGeometry,
     FanoParameters,
@@ -55,7 +29,6 @@ from .spectrum import (
     fit_fano,
     spp_resonance_wavelength,
 )
-from .tagfile import read_tags, write_tags
 
 HERALD_CH = 0
 SIGNAL_CHS = (1, 2)
@@ -63,7 +36,7 @@ SIGNAL_CHS = (1, 2)
 # the first class an error is an instance of gives the exit code
 _EXIT_CODES = {ConfigError: 2, TagFileError: 3, OSError: 3, AnalysisError: 4,
                DomainError: 4, FitError: 5, ValueError: 2, OverflowError: 2, MemoryError: 6}
-MAX_POINTS = 2**24  # grid points a --points or --range-points flag may ask for
+MAX_POINTS = 2**24  # points a --points or --range-points grid, or rows an input CSV, may hold
 CSV_ROWS = 4096  # rows a CSV write holds as Python objects at a time
 
 
@@ -84,6 +57,7 @@ def _duration(text: str) -> int:
     Raises ConfigError, which argparse passes on, so a bad duration leaves
     main as one error line naming it, like a bad config value.
     """
+    from .config import parse_duration
     try:
         return parse_duration(text)
     except ValueError as exc:
@@ -98,6 +72,7 @@ def _override(obj, args):
 
 def _analysis(args):
     """analyze simulates nothing: it takes the file's analysis section, not its run."""
+    from .config import default_config, load_analysis
     return _override(load_analysis(args.config) if args.config
                      else default_config().analysis, args)
 
@@ -114,20 +89,23 @@ def _write_csv(path, header, columns):
 
 
 def _read_csv_columns(path, names):
+    """The named columns as float arrays, each value converted as its row arrives."""
+    import array
+    columns = [array.array("d") for _ in names]
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [n for n in names if n not in fields]
+        missing = [n for n in names if n not in (reader.fieldnames or [])]
         if missing:
             raise ConfigError(f"{path}: missing CSV columns {missing}")
-        rows = list(reader)
-    out = []
-    for name in names:
-        try:
-            out.append(np.array([_finite(r[name]) for r in rows]))
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"{path}: bad value in column {name!r}: {exc}") from None
-    return out
+        for k, row in enumerate(reader):
+            if k == MAX_POINTS:
+                raise ConfigError(f"{path}: more rows than the budget of {MAX_POINTS}")
+            for name, column in zip(names, columns):
+                try:
+                    column.append(_finite(row[name]))
+                except argparse.ArgumentTypeError as exc:
+                    raise ConfigError(f"{path}: bad value in column {name!r}: {exc}") from None
+    return [np.frombuffer(column) for column in columns]
 
 
 def _shape_arg(value: str) -> Shape:
@@ -148,6 +126,9 @@ def _add_field_flags(parser, cls):
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
+    from .config import default_config, format_config, load_config
+    from .optics import run_experiment
+    from .tagfile import write_tags
     run = _override(load_config(args.config, args.duration_ps) if args.config
                     else default_config(), args)
     run = replace(run, rng=_override(run.rng, args))
@@ -171,21 +152,25 @@ def _ps(ns: float) -> int:
 
 
 def _g2(stream, analysis):
+    from .correlator import heralded_g2_zero
     return heralded_g2_zero(stream, HERALD_CH, *SIGNAL_CHS, window_ps=analysis.herald_window_ps)
 
 
 def _cs(stream, analysis, lo_ns, hi_ns, rng):
     """C(tau), the index of its peak and its bins above the classical bound at 5 sigma."""
+    from .correlator import cauchy_schwarz
     res = cauchy_schwarz(stream, HERALD_CH, SIGNAL_CHS, analysis.bin_ps, _ps(lo_ns), _ps(hi_ns),
                          rng, auto_window_ps=analysis.cs_window_ps)
     return res, int(np.argmax(res.c_values)), res.c_values - 5 * res.c_errors > 1
 
 
 def _waveform(stream, bin_ps, lo_ns, hi_ns):
+    from .correlator import reconstruct_waveform
     return reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, _ps(lo_ns), _ps(hi_ns))
 
 
 def cmd_analyze_g2(args) -> int:
+    from .tagfile import read_tags
     analysis = _analysis(args)
     res = _g2(read_tags(args.tags), analysis)
     print(f"heralded g2(0) = {res.value:.4f} +/- {res.error:.4f}  "
@@ -195,6 +180,7 @@ def cmd_analyze_g2(args) -> int:
 
 
 def cmd_analyze_cs(args) -> int:
+    from .tagfile import read_tags
     analysis = _analysis(args)
     res, peak, classical = _cs(read_tags(args.tags), analysis, args.tau_min_ns,
                                args.tau_max_ns, RngSpec(args.seed, 0))
@@ -210,6 +196,7 @@ def cmd_analyze_cs(args) -> int:
 
 
 def cmd_analyze_waveform(args) -> int:
+    from .tagfile import read_tags
     bin_ps = _analysis(args).bin_ps
     wf = _waveform(read_tags(args.tags), bin_ps, args.tau_min_ns, args.tau_max_ns)
     print(f"waveform: {int(wf.counts.sum())} coincidences in "
@@ -224,6 +211,7 @@ def cmd_analyze_waveform(args) -> int:
 # --------------------------------------------------------------------- hom
 
 def cmd_hom_curve(args) -> int:
+    from .hom import hom_curve
     amp = BiphotonAmplitude(args.shape, args.fwhm_ns)
     detunings = args.detunings_mhz
     if detunings is None:
@@ -240,6 +228,7 @@ def cmd_hom_curve(args) -> int:
 
 
 def cmd_hom_fit(args) -> int:
+    from .hom import fit_coherence_time
     cols = ["delay_ns", "visibility"]
     delays, vis = _read_csv_columns(args.input, cols)
     fwhm, err = fit_coherence_time(delays, vis, args.shape)
@@ -316,6 +305,8 @@ def _arrangements(duration_ps, seed, table):
     the desk bench with a step drive at zero delay or none, through the sample
     or past it.  Every run meets the event budget before this returns; row k's
     stream is simulated from RngSpec(seed, k) only when it is asked for."""
+    from .config import default_config
+    from .optics import ModulationFunction, SampleConfig, run_experiment
     base = default_config()
     exp = base.experiment
     runs = []
@@ -360,6 +351,7 @@ def cmd_repro_fig3(args) -> int:
 
 
 def cmd_repro_fig4(args) -> int:
+    from .correlator import cosine_similarity, expected_waveform
     bin_ps, lo_ns, hi_ns = 1000, -75.0, 75.0
     arrangements = _arrangements(args.duration_ps, args.seed,
                                  [("unshaped", False, True), ("shaped", True, True)])
@@ -381,6 +373,7 @@ def cmd_repro_fig4(args) -> int:
 
 
 def cmd_repro_fig5(args) -> int:
+    from .hom import hom_curve
     amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, 50.0)
     detunings = np.linspace(0.0, 12.0, 49)
     delays = (8.0, 42.5)

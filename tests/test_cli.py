@@ -231,9 +231,24 @@ class TestRejectedInput:
         def exhausted(path):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "read_tags", exhausted)
+        monkeypatch.setattr(tagfile, "read_tags", exhausted)
         assert main(["analyze", "g2", "--tags", "t.spptag"]) == 6
         assert capsys.readouterr() == ("", f"error: {message or 'MemoryError'}\n")
+
+    @pytest.mark.parametrize("command", ["hom fit --input vis.csv",
+                                         "spectrum fit --input spec.csv"])
+    def test_csv_over_the_row_budget_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _write_fit_inputs()  # 9 and 50 rows
+        rows = 9 if command.startswith("hom") else 50
+        monkeypatch.setattr(cli, "MAX_POINTS", rows)
+        assert main(command.split()) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_POINTS", rows - 1)
+        assert main(command.split()) == 2
+        path = command.split()[-1]
+        assert capsys.readouterr() == ("", f"error: {path}: more rows than the budget "
+                                           f"of {rows - 1}\n")
 
     def test_fit_that_leaves_the_width_free_exits_5(self, tmp_path):
         # both rows at zero delay: every width gives the same visibility
@@ -477,8 +492,38 @@ class TestCsv:
         for k in (0, 4095, 4096, 123_456, x.size - 1):
             assert [float(rows[k][f]) for f in fields] == [col[k] for col in columns]
 
+    def test_columns_read_as_rows_arrive(self, tmp_path):
+        # 200k rows of two columns: held as a dict of strings per row, they took 371 B a row
+        x = np.arange(200_000) / 7.0
+        path = tmp_path / "big.csv"
+        _write_csv(path, ["delay_ns", "visibility"], [x, x * x])
+        tracemalloc.start()
+        try:
+            delays, vis = cli._read_csv_columns(path, ["delay_ns", "visibility"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * x.size
+        assert np.array_equal(delays, x) and np.array_equal(vis, x * x)
+
 
 class TestImports:
+    # what a command that neither simulates nor reads tags must not load
+    SIMULATOR = ["spptag.config", "spptag.optics", "spptag.source", "spptag.correlator",
+                 "spptag.tagfile"]
+
+    @pytest.mark.parametrize("command, unused", [
+        ("repro fig5", SIMULATOR), ("hom curve", SIMULATOR), ("spectrum fano", SIMULATOR),
+        ("analyze g2 --tags {tags}", ["spptag.hom"])])
+    def test_command_imports_only_the_modules_it_runs(self, command, unused, pinned_tags,
+                                                       tmp_path):
+        argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
+        code = (f"import sys; from spptag.cli import main; rc = main({argv!r}); "
+                f"print(rc, [m for m in {unused!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "0 []"
+
     @pytest.mark.parametrize("command", [
         "analyze g2 --tags {tags}", "analyze cs --tags {tags}",
         "analyze waveform --tags {tags}", "hom curve", "spectrum bethe",
