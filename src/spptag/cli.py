@@ -7,7 +7,8 @@ a dataclass field overrides that field when given (_override), so the
 dataclass validates it like a config-file value.  Float flags and CSV inputs
 must be finite (_finite); grid point counts and CSV input rows are at most
 MAX_POINTS.  Each command imports the library modules it calls in its own
-body, so a process loads only those: `repro fig5` never compiles the simulator.
+body, so a process loads only those: `repro fig5`, and `analyze` without
+--config, never compile the simulator.
 """
 import argparse
 import csv
@@ -18,7 +19,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DomainError, FitError, TagFileError
-from .model import PS_PER_NS, BiphotonAmplitude, RngSpec, Shape, evaluate_density
+from .model import PS_PER_NS, AnalysisConfig, BiphotonAmplitude, RngSpec, Shape, evaluate_density
 from .spectrum import (
     ArrayGeometry,
     FanoParameters,
@@ -72,9 +73,10 @@ def _override(obj, args):
 
 def _analysis(args):
     """analyze simulates nothing: it takes the file's analysis section, not its run."""
-    from .config import default_config, load_analysis
-    return _override(load_analysis(args.config) if args.config
-                     else default_config().analysis, args)
+    if not args.config:
+        return _override(AnalysisConfig(), args)
+    from .config import load_analysis
+    return _override(load_analysis(args.config), args)
 
 
 def _write_csv(path, header, columns):
@@ -164,9 +166,10 @@ def _cs(stream, analysis, lo_ns, hi_ns, rng):
     return res, int(np.argmax(res.c_values)), res.c_values - 5 * res.c_errors > 1
 
 
-def _waveform(stream, bin_ps, lo_ns, hi_ns):
+def _waveform(stream, analysis, lo_ns, hi_ns):
     from .correlator import reconstruct_waveform
-    return reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, bin_ps, _ps(lo_ns), _ps(hi_ns))
+    return reconstruct_waveform(stream, HERALD_CH, SIGNAL_CHS, analysis.bin_ps,
+                                _ps(lo_ns), _ps(hi_ns))
 
 
 def cmd_analyze_g2(args) -> int:
@@ -197,11 +200,11 @@ def cmd_analyze_cs(args) -> int:
 
 def cmd_analyze_waveform(args) -> int:
     from .tagfile import read_tags
-    bin_ps = _analysis(args).bin_ps
-    wf = _waveform(read_tags(args.tags), bin_ps, args.tau_min_ns, args.tau_max_ns)
+    analysis = _analysis(args)
+    wf = _waveform(read_tags(args.tags), analysis, args.tau_min_ns, args.tau_max_ns)
     print(f"waveform: {int(wf.counts.sum())} coincidences in "
           f"[{args.tau_min_ns:g}, {args.tau_max_ns:g}) ns, "
-          f"{wf.counts.size} bins of {bin_ps / 1000:g} ns")
+          f"{wf.counts.size} bins of {analysis.bin_ps / 1000:g} ns")
     if args.csv:
         _write_csv(args.csv, ["tau_ns", "counts", "error"],
                    [wf.centers_ns(), wf.counts.astype(float), np.sqrt(wf.counts)])
@@ -332,6 +335,7 @@ def cmd_repro_table1(args) -> int:
         rows.append((label, res.value, res.error, res.n_heralds, res.n_ab))
         print(f"  {label:20s} {res.value:.4f} +/- {res.error:.4f} "
               f"(doubles {res.n_ab})")
+        del stream  # before the next arrangement is simulated
     if args.csv:
         _write_csv(args.csv, ["arrangement", "g2", "error", "n_heralds", "n_doubles"],
                    zip(*rows))
@@ -352,16 +356,17 @@ def cmd_repro_fig3(args) -> int:
 
 def cmd_repro_fig4(args) -> int:
     from .correlator import cosine_similarity, expected_waveform
-    bin_ps, lo_ns, hi_ns = 1000, -75.0, 75.0
+    lo_ns, hi_ns = -75.0, 75.0
     arrangements = _arrangements(args.duration_ps, args.seed,
                                  [("unshaped", False, True), ("shaped", True, True)])
     columns, names = [], ["tau_ns"]
     print(f"heralded waveforms, {args.duration_ps / 1e12:g} s per arrangement:")
     for label, run, stream in arrangements:
-        wf = _waveform(stream, bin_ps, lo_ns, hi_ns)
+        wf = _waveform(stream, run.analysis, lo_ns, hi_ns)
+        del stream  # before the next arrangement is simulated
         amp, mod = run.experiment.source.amplitude, run.experiment.modulation
         template = expected_waveform(lambda t: evaluate_density(amp, t) * mod.amplitude(t) ** 2,
-                                     lo_ns, bin_ps / PS_PER_NS, wf.counts.size)
+                                     lo_ns, run.analysis.bin_ps / PS_PER_NS, wf.counts.size)
         sim = cosine_similarity(wf.counts, template)
         print(f"  {label:10s} {int(wf.counts.sum())} coincidences, "
               f"similarity to programmed shape {sim:.4f}")

@@ -15,7 +15,7 @@ annotations give the value types (enums by value):
                   (optics.MODULATION_FIELDS) is rejected like an unknown key
     detector0-2   DetectorConfig
     beamsplitter  ExperimentConfig.split_ratio
-    analysis      AnalysisConfig
+    analysis      AnalysisConfig, of spptag.model
     spectrum      ArrayGeometry, FanoParameters and SpectrumConfig, all of
                   spptag.spectrum
 
@@ -33,7 +33,7 @@ from decimal import Decimal
 from typing import Callable, get_type_hints
 
 from .errors import ConfigError
-from .model import BiphotonAmplitude, RngSpec, Shape, check_ps
+from .model import AnalysisConfig, BiphotonAmplitude, RngSpec, Shape, check_ps
 from .optics import (
     ExperimentConfig,
     ModulationFunction,
@@ -47,19 +47,6 @@ PS_PER_SECOND = 1_000_000_000_000
 MAX_DURATION_PS = 2**63 - 1  # tag times are int64 picoseconds
 MAX_SLICE_EVENTS = 2**24  # a slice in flight takes up to about 80 bytes per event
 MAX_RUN_TAGS = 2**26  # the whole stream is held, about 20 bytes per tag
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Default windows for the analysis commands."""
-
-    bin_ps: int = 1000
-    herald_window_ps: int = 150_000
-    cs_window_ps: int = 10_000_000
-
-    def __post_init__(self):
-        for name in ("bin_ps", "herald_window_ps", "cs_window_ps"):
-            check_ps(getattr(self, name), name, 2**63 - 1, low=0)
 
 
 @dataclass(frozen=True)

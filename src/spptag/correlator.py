@@ -46,7 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AnalysisError
-from .model import BLOCK, PS_PER_NS, RngSpec, TimeTagStream, as_generator, in_channels
+from .model import (BLOCK, PS_PER_NS, AnalysisConfig, RngSpec, TimeTagStream, as_generator,
+                    in_channels)
 
 log = logging.getLogger(__name__)
 
@@ -309,7 +310,7 @@ class CauchySchwarzResult:
 def cauchy_schwarz(stream: TimeTagStream, herald_ch: int, reemit_chs: tuple[int, int],
                    bin_width_ps: int, tau_min_ps: int, tau_max_ps: int,
                    rng: RngSpec | np.random.Generator,
-                   auto_window_ps: int = 10_000_000) -> CauchySchwarzResult:
+                   auto_window_ps: int = AnalysisConfig.cs_window_ps) -> CauchySchwarzResult:
     """Classical-bound curve from one three-channel stream.
 
     The cross-correlation is herald against both reemit detectors merged.

@@ -87,28 +87,25 @@ def hom_curve(amp: BiphotonAmplitude, detunings_mhz,
     return HomCurve(det, hom_coincidence(amp, det, delay_ns), float(delay_ns))
 
 
-def fit_coherence_time(delays_ns, visibilities, shape: Shape,
-                       errors=None) -> tuple[float, float]:
+def fit_coherence_time(delays_ns, visibilities, shape: Shape) -> tuple[float, float]:
     """Least-squares FWHM from measured visibility-versus-delay points.
 
     Returns (fwhm_ns, standard error).  The model is hom_visibility for the
-    given shape with the density centered at zero delay.  Errors, if given,
-    divide the residuals, and the standard error is then absolute.
+    given shape with the density centered at zero delay.
     """
     delays = np.asarray(delays_ns, dtype=float)
     vis = np.asarray(visibilities, dtype=float)
     if delays.size != vis.size or delays.size < 2:
         raise FitError("need at least two visibility points")
-    sigma = 1.0 if errors is None else np.asarray(errors, dtype=float)
 
     def residuals(p):  # a trial width at or below zero fails, as a cost that is not finite does
         if p[0] <= 0:
             return np.full(delays.size, np.inf)
-        return (hom_visibility(BiphotonAmplitude(shape, p[0]), delays) - vis) / sigma
+        return hom_visibility(BiphotonAmplitude(shape, p[0]), delays) - vis
 
     try:
         p, cov, _ = least_squares(residuals, [max(2.0 * float(np.mean(np.abs(delays))), 1.0)],
-                                  max_evals=200, absolute_sigma=errors is not None)
+                                  max_evals=200)
     except (FitError, ValueError) as exc:
         raise FitError(f"coherence-time fit failed: {exc}") from exc
     return float(p[0]), float(np.sqrt(cov[0, 0]))

@@ -1,4 +1,4 @@
-"""Core types: biphoton delay densities, RNG streams, time-tag containers, least squares.
+"""Core types: delay densities, RNG streams, analysis windows, time-tag containers, least squares.
 
 Conventions used throughout the package:
 
@@ -71,6 +71,19 @@ def check_ps(ps, name: str, top: int = 2**62 - 1, low: float = -math.inf) -> Non
         raise ValueError(f"{name} gives {ps} ps, outside ({low}, {top}]")
 
 
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Default windows for the analysis commands."""
+
+    bin_ps: int = 1000
+    herald_window_ps: int = 150_000
+    cs_window_ps: int = 10_000_000
+
+    def __post_init__(self):
+        for name in ("bin_ps", "herald_window_ps", "cs_window_ps"):
+            check_ps(getattr(self, name), name, 2**63 - 1, low=0)
+
+
 def as_generator(rng: RngSpec | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngSpec):
         return rng.generator()
@@ -81,13 +94,13 @@ TOL = 1.49012e-8  # MINPACK's default relative tolerance on the cost and on the 
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000, absolute_sigma=False):
+def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000):
     """Bounded Levenberg-Marquardt (More 1978): (x, covariance, residual at x) for the x
     in [lo, hi] that minimizes sum(residual(x) ** 2).  Forward differences step x by
     sqrt(eps) max(1, |x|); steps solve (J'J + lam diag(J'J)) dx = -J'r with Nielsen's lam,
     hold x at a bound the descent presses on, are clipped to the box, and stop at one that
     lowers the cost or moves x by less than TOL relative (J is kept after it).  The
-    covariance is curve_fit's: inv(J'J), times sum(r**2) / (m - n) unless absolute_sigma.
+    covariance is curve_fit's: inv(J'J) times sum(r**2) / (m - n).
     FitError on a cost not finite at x0, a singular J'J, or at max_evals.
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
@@ -127,7 +140,7 @@ def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000, absolute_
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise FitError("the data do not determine the parameters") from None
-    return x, cov * (1.0 if absolute_sigma else cost / (r.size - x.size)), r
+    return x, cov * (cost / (r.size - x.size)), r
 
 
 @dataclass(frozen=True)
@@ -182,19 +195,14 @@ def evaluate_density(amp: BiphotonAmplitude, tau_ns):
 
 
 def sample_delay(amp: BiphotonAmplitude, rng: RngSpec | np.random.Generator,
-                 size: int | None = None):
-    """Draw signal-idler delays [ns] by inverse CDF from uniform variates.
+                 size: int) -> np.ndarray:
+    """Draw `size` signal-idler delays [ns] by inverse CDF from uniform variates.
 
-    With size=None returns a single float.  Passing an RngSpec restarts the
-    stream, so repeated calls with the same spec repeat the same values; pass
-    a live Generator to continue a stream.
+    Passing an RngSpec restarts the stream, so repeated calls with the same
+    spec repeat the same values; pass a live Generator to continue a stream.
     """
-    gen = as_generator(rng)
-    n = 1 if size is None else int(size)
-    out = _delay_quantile(amp, np.clip(gen.random(n), U_CLIP, 1.0 - U_CLIP))
-    if size is None:
-        return float(out[0])
-    return out
+    u = as_generator(rng).random(int(size))
+    return _delay_quantile(amp, np.clip(u, U_CLIP, 1.0 - U_CLIP))
 
 
 def delay_range(amp: BiphotonAmplitude) -> tuple[float, float]:

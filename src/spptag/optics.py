@@ -403,7 +403,7 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
     every other independent thinning (Lewis & Shedler 1979).
     """
     edges = segment_edges(duration_ps, segments)
-    duration_ps, segments = int(edges[-1]), edges.size - 1
+    duration_ps, segments = int(duration_ps), edges.size - 1
     src, sample, detectors = config.source, config.sample, config.detectors
     source = replace(src, background_rate_signal=src.background_rate_signal
                      * sample.overall_conversion * sample.background_suppression)

@@ -157,7 +157,8 @@ def segment_count(duration_ps: int) -> int:
 def segment_edges(duration_ps: int, segments: int | None = None) -> np.ndarray:
     """Boundaries of `segments` equal slices of [0, duration] [ps].
 
-    By default there is one slice per 100 s.
+    By default there is one slice per 100 s.  The interior edges are rounded
+    through float64; the last is the duration exactly.
     """
     duration_ps = int(duration_ps)
     if duration_ps <= 0:
@@ -165,7 +166,7 @@ def segment_edges(duration_ps: int, segments: int | None = None) -> np.ndarray:
     segments = segment_count(duration_ps) if segments is None else int(segments)
     if segments < 1:
         raise ValueError("segments must be >= 1")
-    return np.linspace(0, duration_ps, segments + 1).astype(np.int64)
+    return np.append(np.linspace(0, duration_ps, segments + 1)[:-1].astype(np.int64), duration_ps)
 
 
 def slice_lead_ps(config: SourceConfig) -> int:
@@ -204,15 +205,14 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
     fwhm_ps = amp.fwhm_ns * PS_PER_NS
 
     idlers = poisson_times(config.pair_rate, t0_ps, t1_ps, gen)
-    delays_ns = np.asarray(sample_delay(amp, gen, size=idlers.size), dtype=float)
-    signals = idlers + np.rint(delays_ns * PS_PER_NS).astype(np.int64)
+    signals = idlers + np.rint(sample_delay(amp, gen, idlers.size) * PS_PER_NS).astype(np.int64)
 
     if config.multipair_prob > 0.0 and idlers.size:
         flagged = gen.random(idlers.size) < config.multipair_prob
         primaries = idlers[flagged]
         offs = np.rint((2.0 * gen.random(primaries.size) - 1.0) * fwhm_ps)
         extra_idlers = primaries + offs.astype(np.int64)
-        extra_delays = np.asarray(sample_delay(amp, gen, size=primaries.size))
+        extra_delays = sample_delay(amp, gen, primaries.size)
         extra_signals = extra_idlers + np.rint(extra_delays * PS_PER_NS).astype(np.int64)
     else:
         extra_idlers = np.empty(0, dtype=np.int64)
@@ -243,19 +243,16 @@ def _with_references(events: PairEvents, heralds_ps: np.ndarray) -> PairEvents:
 
 
 def generate_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
-                   segments: int | None = None, *,
-                   segment: int | None = None) -> PairEvents:
-    """Simulate source emission over [0, duration].
+                   segments: int | None = None, *, segment: int) -> PairEvents:
+    """Simulate source emission over one slice of [0, duration].
 
     The observation time is split into `segments` equal slices (by default
-    one per 100 s), slice k drawn from rng.child(k).  The result is the
-    slices of stream_pairs concatenated in order.  With segment=k only slice
-    k is drawn; its BACKGROUND_SIGNAL events then still hold their own time
-    as idler_ps, since their references may lie in neighbouring slices.
+    one per 100 s), and slice `segment` is drawn from rng.child(segment).
+    Its BACKGROUND_SIGNAL events still hold their own time as idler_ps,
+    since their references may lie in neighbouring slices: stream_pairs
+    assigns them, and a whole run is PairEvents.concatenate(stream_pairs(...)).
     """
     edges = segment_edges(duration_ps, segments)
-    if segment is None:
-        return PairEvents.concatenate(stream_pairs(config, duration_ps, rng, segments))
     if not 0 <= segment < edges.size - 1:
         raise ValueError("segment must lie in [0, segments)")
     return _draw_slice(config, int(edges[segment]), int(edges[segment + 1]),
@@ -264,7 +261,7 @@ def generate_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
 
 def stream_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
                  segments: int | None = None) -> Iterator[PairEvents]:
-    """The slices of generate_pairs one at a time, references assigned.
+    """The slices of [0, duration] from generate_pairs in order, references assigned.
 
     A background reference is the nearest idler-arm emission over the whole
     run.  Slices are drawn ahead of the one yielded until no undrawn slice

@@ -8,7 +8,7 @@ Three ingredients:
 * a Fano lineshape that superposes the resonant channel on the direct one.
 """
 from dataclasses import astuple, dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -210,17 +210,6 @@ class TransmissionSpectrum:
     resonant: np.ndarray
     direct: np.ndarray
 
-    def __post_init__(self):
-        wl = np.asarray(self.wavelength_nm, dtype=float)
-        if wl.ndim != 1 or wl.size < 2 or not np.all(np.diff(wl) > 0):
-            raise ValueError("need a strictly increasing 1-d wavelength grid")
-        for name in ("total", "resonant", "direct"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != wl.shape:
-                raise ValueError(f"{name} must match the wavelength grid")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "wavelength_nm", wl)
-
 
 @dataclass(frozen=True)
 class FanoParameters:
@@ -282,10 +271,13 @@ def fano_spectrum(geometry: ArrayGeometry, wavelength_nm,
     The resonant channel is A (q G/2 + x)^2 / ((G/2)^2 + x^2) with
     x = wl - resonance and G the FWHM; A is fixed so the total at the
     lineshape maximum (resonance + G / (2 q)) equals params.peak_transmittance.
+    The grid must be 1-d, strictly increasing and at least 2 points long.
     """
     wl = np.asarray(wavelength_nm, dtype=float)
     direct = bethe_transmittance(geometry, wl)
     total, resonant = _fano_channels(geometry, wl, direct, astuple(params))
+    if wl.ndim != 1 or wl.size < 2 or not np.all(np.diff(wl) > 0):
+        raise ValueError("need a strictly increasing 1-d wavelength grid")
     return TransmissionSpectrum(wl, total, resonant, direct)
 
 
@@ -323,11 +315,10 @@ class FanoFit:
     residual_rms: float
 
 
-def fit_fano(wavelength_nm, transmittance, geometry: ArrayGeometry,
-             initial: Optional[FanoParameters] = None) -> FanoFit:
+def fit_fano(wavelength_nm, transmittance, geometry: ArrayGeometry) -> FanoFit:
     """Least-squares Fano fit of a measured array transmission spectrum.
 
-    Wavelengths must increase.  Without `initial`, up to three start points are tried.
+    Wavelengths must increase.  Up to three start points are tried.
     """
     wl = np.asarray(wavelength_nm, dtype=float)
     t = np.asarray(transmittance, dtype=float)
@@ -336,13 +327,11 @@ def fit_fano(wavelength_nm, transmittance, geometry: ArrayGeometry,
     if not np.all(np.diff(wl) > 0):
         raise FitError("wavelengths must increase")
     span = wl[-1] - wl[0]
-    if initial is not None:
-        starts = [astuple(initial)]
-    else:  # at the peak sample; the width above half the peak, or q = 1, catch lines missed
-        i = int(np.argmax(t))
-        at, quarter, peak = float(wl[i]), max(span / 4.0, 1.0), float(np.clip(t[i], 1e-3, 1.0))
-        half = max(span * float(np.mean(t > 0.5 * (t[i] + t.min()))), 1.0)
-        starts = [(at, quarter, 10.0, peak), (at, half, 10.0, peak), (at, quarter, 1.0, peak)]
+    # at the peak sample; the width above half the peak, or q = 1, catch lines missed
+    i = int(np.argmax(t))
+    at, quarter, peak = float(wl[i]), max(span / 4.0, 1.0), float(np.clip(t[i], 1e-3, 1.0))
+    half = max(span * float(np.mean(t > 0.5 * (t[i] + t.min()))), 1.0)
+    starts = [(at, quarter, 10.0, peak), (at, half, 10.0, peak), (at, quarter, 1.0, peak)]
 
     direct = bethe_transmittance(geometry, wl)  # the same at every trial point
     lo = np.array([wl[0] - span, 1e-3, 0.05, 1e-6])

@@ -38,7 +38,7 @@ from spptag.optics import (
     apply_modulation,
     run_experiment,
 )
-from spptag.source import PairKind, generate_pairs, poisson_times
+from spptag.source import PairEvents, PairKind, poisson_times, stream_pairs
 from spptag.source import segment_count as _segments_for
 from spptag.spectrum import (
     ArrayGeometry,
@@ -189,7 +189,7 @@ class TestWaveformImprinting:
     def test_step_edge_kills_all_early_photons_at_modulator(self):
         # stage-level exactness: no survivor precedes the programmed edge
         src = default_config().experiment.source
-        pairs = generate_pairs(src, 60 * SECOND_PS, RngSpec(88, 0))
+        pairs = PairEvents.concatenate(stream_pairs(src, 60 * SECOND_PS, RngSpec(88, 0)))
         signal = pairs.select(pairs.kind != PairKind.BACKGROUND_IDLER)
         out = apply_modulation(signal, ModulationFunction.heaviside(0.0), RngSpec(88, 1))
         assert out.signal_ps.size > 0

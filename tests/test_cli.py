@@ -10,13 +10,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spptag
-from spptag import cli, tagfile
+from spptag import cli, optics, tagfile
 from spptag.cli import _write_csv, build_parser, main
 from spptag.config import default_config, parse_config
 from spptag.hom import hom_visibility
@@ -308,6 +309,16 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
 
+    def test_header_holds_a_duration_float64_cannot_represent(self, tmp_path):
+        # float64 rounds 12345678901234567 to ...568
+        cfg, out = tmp_path / "quiet.cfg", tmp_path / "t.spptag"
+        cfg.write_text("source.pair_rate = 0.0\nsource.background_rate_signal = 0.0\n"
+                       "detector1.dark_rate = 0.0\ndetector2.dark_rate = 0.0\n")
+        assert main(["simulate", "--config", str(cfg), "--duration", "12345678901234567ps",
+                     "--out", str(out)]) == 0
+        stream = read_tags(out)
+        assert stream.duration_ps == 12345678901234567 and len(stream) == 0
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("source.pair_rate = fast\n")
@@ -511,10 +522,13 @@ class TestImports:
     # what a command that neither simulates nor reads tags must not load
     SIMULATOR = ["spptag.config", "spptag.optics", "spptag.source", "spptag.correlator",
                  "spptag.tagfile"]
+    # analyze without --config takes its windows from model
+    ANALYZE = ["spptag.config", "spptag.optics", "spptag.source", "spptag.hom"]
 
     @pytest.mark.parametrize("command, unused", [
         ("repro fig5", SIMULATOR), ("hom curve", SIMULATOR), ("spectrum fano", SIMULATOR),
-        ("analyze g2 --tags {tags}", ["spptag.hom"])])
+        ("analyze g2 --tags {tags}", ANALYZE), ("analyze cs --tags {tags}", ANALYZE),
+        ("analyze waveform --tags {tags}", ANALYZE)])
     def test_command_imports_only_the_modules_it_runs(self, command, unused, pinned_tags,
                                                        tmp_path):
         argv = [str(pinned_tags) if a == "{tags}" else a for a in command.split()]
@@ -739,6 +753,21 @@ class TestRepro:
         assert out.startswith(f"heralded g2(0) = {float(row['g2']):.4f} "
                               f"+/- {float(row['error']):.4f}  (heralds {row['n_heralds']}, ")
         assert f"doubles {row['n_doubles']}, " in out
+
+    @pytest.mark.parametrize("command", ["table1", "fig4"])
+    def test_each_stream_is_dropped_before_the_next_run(self, command, tmp_path, monkeypatch):
+        streams, run_experiment = [], optics.run_experiment
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in streams)
+            stream = run_experiment(*args, **kwargs)
+            streams.append(weakref.ref(stream))
+            return stream
+
+        monkeypatch.setattr(optics, "run_experiment", tracked)
+        assert main(["repro", command, "--duration", "1s",
+                     "--csv", str(tmp_path / "out.csv")]) == 0
+        assert len(streams) == {"table1": 4, "fig4": 2}[command]
 
     def test_fig4_small(self, tmp_path, capsys):
         out = tmp_path / "f4.csv"

@@ -34,7 +34,7 @@ from spptag.optics import (
     _dead_time_filter_mask,
     _jitter_reach_ps,
 )
-from spptag.source import PairEvents, PairKind, SourceConfig
+from spptag.source import PairEvents, PairKind, SourceConfig, stream_pairs
 from spptag.spectrum import SpectrumConfig
 from spptag.tagfile import write_tags
 
@@ -393,9 +393,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             source=SourceConfig(pair_rate=2000.0, amplitude=AMP),
             modulation=ModulationFunction.heaviside(0.0))
-        from spptag.source import generate_pairs
         rng = RngSpec(103)
-        pairs = generate_pairs(cfg.source, SECOND, rng.child(0))
+        pairs = PairEvents.concatenate(stream_pairs(cfg.source, SECOND, rng.child(0)))
         signal = pairs.select(pairs.kind != PairKind.BACKGROUND_IDLER)
         survivors = apply_modulation(signal, cfg.modulation, rng.child(1))
         assert survivors.t_rel_ns().min() >= 0.0

@@ -16,6 +16,7 @@ from spptag.source import (
     generate_pairs,
     herald_references,
     poisson_times,
+    segment_edges,
     stream_pairs,
 )
 
@@ -27,6 +28,10 @@ def _cfg(**kw):
     base = dict(pair_rate=2000.0, amplitude=AMP)
     base.update(kw)
     return SourceConfig(**base)
+
+
+def _whole_run(config, duration_ps, rng, segments=None) -> PairEvents:
+    return PairEvents.concatenate(stream_pairs(config, duration_ps, rng, segments))
 
 
 class TestPoissonTimes:
@@ -61,14 +66,24 @@ class TestPoissonTimes:
         np.testing.assert_array_equal(late - t0, early)
 
 
+class TestSegmentEdges:
+    @pytest.mark.parametrize("duration", [12345678901234567, 2**63 - 1])
+    def test_last_edge_is_the_duration_exactly(self, duration):
+        # float64 rounds both durations up; 2**63 - 1 to 2**63, which int64 cannot hold
+        edges = segment_edges(duration)
+        assert edges.dtype == np.int64 and edges[0] == 0 and edges[-1] == duration
+        assert edges.size == -(-duration // (100 * SECOND)) + 1
+        assert np.all(np.diff(edges) > 0)
+
+
 class TestGeneratePairs:
     def test_rate_sanity(self):
-        ev = generate_pairs(_cfg(), 10 * SECOND, RngSpec(41))
+        ev = _whole_run(_cfg(), 10 * SECOND, RngSpec(41))
         n_true = ev.count_kind(PairKind.TRUE_PAIR)
         assert abs(n_true - 20000) < 4.5 * np.sqrt(20000)
 
     def test_delay_distribution(self):
-        ev = generate_pairs(_cfg(), 30 * SECOND, RngSpec(42))
+        ev = _whole_run(_cfg(), 30 * SECOND, RngSpec(42))
         mask = ev.kind == PairKind.TRUE_PAIR
         delays_ns = (ev.signal_ps[mask] - ev.idler_ps[mask]) / 1000.0
         t0 = AMP.tau0_ns
@@ -78,25 +93,23 @@ class TestGeneratePairs:
 
     def test_multipair_fraction(self):
         q = 0.01
-        ev = generate_pairs(_cfg(multipair_prob=q), 50 * SECOND, RngSpec(43))
+        ev = _whole_run(_cfg(multipair_prob=q), 50 * SECOND, RngSpec(43))
         n_true = ev.count_kind(PairKind.TRUE_PAIR)
         n_extra = ev.count_kind(PairKind.MULTIPAIR_EXTRA)
         expected = q * n_true
         assert abs(n_extra - expected) < 4.5 * np.sqrt(expected)
 
     def test_background_rates(self):
-        ev = generate_pairs(_cfg(background_rate_signal=500.0,
-                                 background_rate_idler=300.0),
-                            10 * SECOND, RngSpec(44))
+        ev = _whole_run(_cfg(background_rate_signal=500.0, background_rate_idler=300.0),
+                        10 * SECOND, RngSpec(44))
         nb_s = ev.count_kind(PairKind.BACKGROUND_SIGNAL)
         nb_i = ev.count_kind(PairKind.BACKGROUND_IDLER)
         assert abs(nb_s - 5000) < 4.5 * np.sqrt(5000)
         assert abs(nb_i - 3000) < 4.5 * np.sqrt(3000)
 
     def test_true_pairs_in_idler_order(self):
-        ev = generate_pairs(_cfg(multipair_prob=0.02,
-                                 background_rate_signal=1000.0),
-                            2 * SECOND, RngSpec(45), segments=2)
+        ev = _whole_run(_cfg(multipair_prob=0.02, background_rate_signal=1000.0),
+                        2 * SECOND, RngSpec(45), segments=2)
         idlers = ev.idler_ps[ev.kind == PairKind.TRUE_PAIR]
         assert np.all(np.diff(idlers) >= 0)
 
@@ -109,25 +122,25 @@ class TestGeneratePairs:
             assert np.all(np.diff(ev.kind.astype(int)) >= 0)
 
     def test_times_within_observation(self):
-        ev = generate_pairs(_cfg(), 1 * SECOND, RngSpec(46))
+        ev = _whole_run(_cfg(), 1 * SECOND, RngSpec(46))
         assert ev.idler_ps.min() >= 0 and ev.idler_ps.max() <= SECOND
         assert ev.signal_ps.min() >= 0 and ev.signal_ps.max() <= SECOND
 
     def test_determinism(self):
-        a = generate_pairs(_cfg(multipair_prob=0.01, background_rate_signal=100.0),
-                           SECOND, RngSpec(47, 5))
-        b = generate_pairs(_cfg(multipair_prob=0.01, background_rate_signal=100.0),
-                           SECOND, RngSpec(47, 5))
+        a = _whole_run(_cfg(multipair_prob=0.01, background_rate_signal=100.0),
+                       SECOND, RngSpec(47, 5))
+        b = _whole_run(_cfg(multipair_prob=0.01, background_rate_signal=100.0),
+                       SECOND, RngSpec(47, 5))
         assert a == b
-        c = generate_pairs(_cfg(multipair_prob=0.01, background_rate_signal=100.0),
-                           SECOND, RngSpec(47, 6))
+        c = _whole_run(_cfg(multipair_prob=0.01, background_rate_signal=100.0),
+                       SECOND, RngSpec(47, 6))
         assert a != c
 
     def test_partition_matches_manual_concatenation(self):
         cfg = _cfg(multipair_prob=0.02, background_rate_signal=800.0,
                    background_rate_idler=200.0)
         rng = RngSpec(48, 9)
-        combined = generate_pairs(cfg, 3 * SECOND, rng, segments=3)
+        combined = _whole_run(cfg, 3 * SECOND, rng, segments=3)
         manual = PairEvents.concatenate(
             generate_pairs(cfg, 3 * SECOND, rng, segments=3, segment=k) for k in range(3))
         bg = manual.kind == PairKind.BACKGROUND_SIGNAL
@@ -136,7 +149,7 @@ class TestGeneratePairs:
         assert bg.any() and combined == manual
 
     def test_empty_source(self):
-        ev = generate_pairs(_cfg(pair_rate=0.0), SECOND, RngSpec(49))
+        ev = _whole_run(_cfg(pair_rate=0.0), SECOND, RngSpec(49))
         assert len(ev) == 0
 
 
@@ -144,7 +157,7 @@ class TestBackgroundReferences:
     def test_nearest_idler_arm_emission(self):
         cfg = _cfg(pair_rate=100.0, background_rate_signal=200.0,
                    background_rate_idler=50.0)
-        ev = generate_pairs(cfg, SECOND, RngSpec(51))
+        ev = _whole_run(cfg, SECOND, RngSpec(51))
         arm = np.sort(ev.idler_arm_times())
         mask = ev.kind == PairKind.BACKGROUND_SIGNAL
         for t, ref in zip(ev.signal_ps[mask], ev.idler_ps[mask]):
@@ -160,7 +173,7 @@ class TestBackgroundReferences:
         pair_rate, bg_signal, bg_idler = rates
         cfg = _cfg(pair_rate=pair_rate, multipair_prob=0.05,
                    background_rate_signal=bg_signal, background_rate_idler=bg_idler)
-        ev = generate_pairs(cfg, duration, RngSpec(53), segments=segments)
+        ev = _whole_run(cfg, duration, RngSpec(53), segments=segments)
         arm = np.sort(ev.idler_arm_times())
         mask = ev.kind == PairKind.BACKGROUND_SIGNAL
         bg, refs = ev.signal_ps[mask], ev.idler_ps[mask]
@@ -171,7 +184,7 @@ class TestBackgroundReferences:
 
     def test_no_heralds_gives_zero_reference(self):
         cfg = _cfg(pair_rate=0.0, background_rate_signal=100.0)
-        ev = generate_pairs(cfg, SECOND, RngSpec(52))
+        ev = _whole_run(cfg, SECOND, RngSpec(52))
         mask = ev.kind == PairKind.BACKGROUND_SIGNAL
         assert mask.all()
         assert np.all(ev.idler_ps[mask] == 0)
@@ -188,9 +201,11 @@ class TestValidation:
 
     def test_generate_arguments(self):
         with pytest.raises(ValueError):
-            generate_pairs(_cfg(), 0, RngSpec(1))
+            generate_pairs(_cfg(), 0, RngSpec(1), segment=0)
         with pytest.raises(ValueError):
-            generate_pairs(_cfg(), SECOND, RngSpec(1), segments=0)
+            generate_pairs(_cfg(), SECOND, RngSpec(1), segments=0, segment=0)
+        with pytest.raises(ValueError, match="segment must lie"):
+            generate_pairs(_cfg(), SECOND, RngSpec(1), segments=2, segment=2)
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):

@@ -284,6 +284,13 @@ class TestFano:
         with pytest.raises(ValueError):
             fano_spectrum(GEOM, np.linspace(450.0, 550.0, 101), params)
 
+    @pytest.mark.parametrize("grid", [
+        [800.0], [900.0, 800.0], [800.0, 800.0, 900.0], [[700.0, 800.0], [850.0, 900.0]],
+    ])
+    def test_grid_must_be_strictly_increasing_and_1d(self, grid):
+        with pytest.raises(ValueError, match="need a strictly increasing 1-d wavelength grid"):
+            fano_spectrum(GEOM, grid)
+
     @pytest.mark.parametrize("wl,params", [
         (1e300, FanoParameters()),
         (806.0, FanoParameters(fwhm_nm=1e-300)),  # 0 / 0 at the resonance
@@ -337,13 +344,6 @@ class TestFanoFit:
         assert fit.params.peak_transmittance == pytest.approx(
             truth.peak_transmittance, rel=0.05)
         assert np.all(np.isfinite(fit.stderr))
-
-    def test_explicit_initial_guess(self):
-        truth = FanoParameters(806.0, 96.0, 20.0, 0.36)
-        wl = np.linspace(650.0, 1000.0, 40)
-        t = fano_transmittance(GEOM, wl, truth)
-        fit = fit_fano(wl, t, GEOM, initial=FanoParameters(820.0, 60.0, 8.0, 0.3))
-        assert fit.params.resonance_nm == pytest.approx(806.0, rel=1e-5)
 
     def test_too_few_points(self):
         with pytest.raises(FitError):
