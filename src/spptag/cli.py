@@ -7,8 +7,8 @@ a dataclass field overrides that field when given (_override), so the
 dataclass validates it like a config-file value.  Float flags and CSV inputs
 must be finite (_finite); grid point counts and CSV input rows are at most
 MAX_POINTS.  Each command imports the library modules it calls in its own
-body, so a process loads only those: `repro fig5`, and `analyze` without
---config, never compile the simulator.
+body, so a process loads only those: `repro fig5`, `hom`, and `analyze` without
+--config, never compile the simulator or load the hole-array spectrum.
 """
 import argparse
 import csv
@@ -19,17 +19,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DomainError, FitError, TagFileError
-from .model import PS_PER_NS, AnalysisConfig, BiphotonAmplitude, RngSpec, Shape, evaluate_density
-from .spectrum import (
-    ArrayGeometry,
-    FanoParameters,
-    bethe_hole_transmittance,
-    bethe_transmittance,
-    fano_spectrum,
-    fano_transmittance,
-    fit_fano,
-    spp_resonance_wavelength,
-)
+from .model import (PS_PER_NS, AnalysisConfig, ArrayGeometry, BiphotonAmplitude, FanoParameters,
+                    RngSpec, Shape, evaluate_density)
 
 HERALD_CH = 0
 SIGNAL_CHS = (1, 2)
@@ -243,6 +234,7 @@ def cmd_hom_fit(args) -> int:
 # ---------------------------------------------------------------- spectrum
 
 def cmd_spectrum_bethe(args) -> int:
+    from .spectrum import bethe_hole_transmittance, bethe_transmittance
     geom = _override(ArrayGeometry(), args)
     hole = bethe_hole_transmittance(geom, args.wavelength_nm)
     array = bethe_transmittance(geom, args.wavelength_nm)
@@ -252,6 +244,7 @@ def cmd_spectrum_bethe(args) -> int:
 
 
 def cmd_spectrum_resonance(args) -> int:
+    from .spectrum import spp_resonance_wavelength
     geom = _override(ArrayGeometry(), args)
     try:
         orders = [tuple(int(v) for v in pair.split(","))
@@ -270,6 +263,7 @@ def cmd_spectrum_resonance(args) -> int:
 
 
 def cmd_spectrum_fano(args) -> int:
+    from .spectrum import fano_spectrum, fano_transmittance
     geom = _override(ArrayGeometry(), args)
     params = _override(FanoParameters(), args)
     if not 2 <= args.points <= MAX_POINTS:
@@ -289,6 +283,7 @@ def cmd_spectrum_fano(args) -> int:
 
 
 def cmd_spectrum_fit(args) -> int:
+    from .spectrum import fit_fano
     geom = _override(ArrayGeometry(), args)
     wl, t = _read_csv_columns(args.input, ["wavelength_nm", "transmittance"])
     fit = fit_fano(wl, t, geom)
@@ -337,8 +332,7 @@ def cmd_repro_table1(args) -> int:
               f"(doubles {res.n_ab})")
         del stream  # before the next arrangement is simulated
     if args.csv:
-        _write_csv(args.csv, ["arrangement", "g2", "error", "n_heralds", "n_doubles"],
-                   zip(*rows))
+        _write_csv(args.csv, ["arrangement", "g2", "error", "n_heralds", "n_doubles"], zip(*rows))
     return 0
 
 
@@ -448,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs = asub.add_parser("cs", parents=[tags, _histogram_flags(25.0)],
                          help="time-resolved classical-bound test")
     cs.add_argument("--auto-window-ps", dest="cs_window_ps", type=int)
-    cs.add_argument("--seed", type=int, default=7,
-                    help="seed for the software herald split")
+    cs.add_argument("--seed", type=int, default=7, help="seed for the software herald split")
     cs.set_defaults(func=cmd_analyze_cs)
 
     wf = asub.add_parser("waveform", parents=[tags, _histogram_flags(75.0)],
@@ -460,12 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = hom.add_subparsers(dest="hom_command", required=True)
 
     curve = hsub.add_parser("curve", help="coincidence vs carrier detuning")
-    curve.add_argument("--shape", type=_shape_arg,
-                       default=Shape.DOUBLE_EXPONENTIAL)
+    curve.add_argument("--shape", type=_shape_arg, default=Shape.DOUBLE_EXPONENTIAL)
     curve.add_argument("--fwhm-ns", type=_finite, default=50.0)
     curve.add_argument("--delay-ns", type=_finite, default=0.0)
-    curve.add_argument("--detunings-mhz",
-                       type=lambda text: [_finite(v) for v in text.split(",")],
+    curve.add_argument("--detunings-mhz", type=lambda text: [_finite(v) for v in text.split(",")],
                        help="comma-separated list, e.g. '0,2,4'")
     curve.add_argument("--range-lo-mhz", type=_finite, default=0.0)
     curve.add_argument("--range-hi-mhz", type=_finite, default=12.0)
@@ -474,10 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(func=cmd_hom_curve)
 
     hfit = hsub.add_parser("fit", help="coherence time from visibility points")
-    hfit.add_argument("--input", required=True,
-                      help="CSV with columns delay_ns, visibility")
-    hfit.add_argument("--shape", type=_shape_arg,
-                      default=Shape.DOUBLE_EXPONENTIAL)
+    hfit.add_argument("--input", required=True, help="CSV with columns delay_ns, visibility")
+    hfit.add_argument("--shape", type=_shape_arg, default=Shape.DOUBLE_EXPONENTIAL)
     hfit.set_defaults(func=cmd_hom_fit)
 
     spec = sub.add_parser("spectrum", help="hole-array transmission")
@@ -492,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     reson = ssub.add_parser("resonance", parents=[geometry], help="grating-coupling wavelengths")
     reson.add_argument("--orders", default="1,0;1,1",
                        help="semicolon-separated index pairs, e.g. '1,0;1,1'")
-    reson.add_argument("--interface", choices=("air", "glass"),
-                       default="glass")
+    reson.add_argument("--interface", choices=("air", "glass"), default="glass")
     reson.add_argument("--theta-deg", type=_finite, default=0.0)
     reson.add_argument("--polarization", choices=("tm", "te"), default="tm")
     reson.set_defaults(func=cmd_spectrum_resonance)
@@ -502,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     fano.add_argument("--lo-nm", type=_finite, default=600.0)
     fano.add_argument("--hi-nm", type=_finite, default=1000.0)
     fano.add_argument("--points", type=int, default=201)
-    fano.add_argument("--at-nm", type=_finite,
-                      help="also print the transmittance here")
+    fano.add_argument("--at-nm", type=_finite, help="also print the transmittance here")
     fano.add_argument("--csv")
     _add_field_flags(fano, FanoParameters)
     fano.set_defaults(func=cmd_spectrum_fano)

@@ -16,8 +16,8 @@ annotations give the value types (enums by value):
     detector0-2   DetectorConfig
     beamsplitter  ExperimentConfig.split_ratio
     analysis      AnalysisConfig, of spptag.model
-    spectrum      ArrayGeometry, FanoParameters and SpectrumConfig, all of
-                  spptag.spectrum
+    spectrum      ArrayGeometry and FanoParameters, of spptag.model, and
+                  SpectrumConfig, of spptag.spectrum
 
 The rest are run.duration (with a unit suffix), rng.seed and rng.stream.
 The spectrum section is optional as a whole; giving any of its keys

@@ -56,11 +56,13 @@ MAX_PAIRS = 2**24  # (anchor, window tag) pairs a histogram expands before it gi
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def _pairing(ch_a, ch_b) -> np.ndarray:
-    """The channels of anchors and partners together; the two sets must be disjoint."""
-    if np.intersect1d(ch_a, ch_b).size:
+def _pairing(ch_a, ch_b) -> tuple[int, ...]:
+    """The channels of anchors and partners together; the two sets must be disjoint.
+    Python int sets: np.intersect1d and np.union1d would load numpy.ma."""
+    a, b = ({int(ch) for ch in (c if np.iterable(c) else [c])} for c in (ch_a, ch_b))
+    if a & b:
         raise AnalysisError("channel sets must be disjoint for pair counting")
-    return np.union1d(ch_a, ch_b)
+    return tuple(sorted(a | b))
 
 
 def _split(stream: TimeTagStream, channel: int, gen: np.random.Generator) -> TimeTagStream:
@@ -250,8 +252,7 @@ class ZeroDelayG2:
     n_pairs: int
 
 
-def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b,
-                 window_ps: int) -> ZeroDelayG2:
+def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b, window_ps: int) -> ZeroDelayG2:
     """g(0) between two detector channels of one split field.
 
     Counts every pair with t_b - t_a in [-window, +window) and divides by
@@ -408,8 +409,7 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(va, vb) / norm)
 
 
-def expected_waveform(density_fn, start_ns: float, bin_width_ns: float,
-                      n_bins: int) -> np.ndarray:
+def expected_waveform(density_fn, start_ns: float, bin_width_ns: float, n_bins: int) -> np.ndarray:
     """Bin-averaged template of an analytic density, for shape comparisons."""
     edges = start_ns + bin_width_ns * np.arange(n_bins + 1)
     fine = np.linspace(edges[:-1], edges[1:], 33, axis=1)

@@ -30,6 +30,13 @@ from .errors import FitError
 from .model import BiphotonAmplitude, Shape, least_squares
 
 TWO_PI_MHZ_TO_RAD_PER_NS = 2.0 * np.pi * 1e-3
+_TINY, _EPS = np.finfo(float).smallest_normal, np.finfo(float).eps
+
+
+def _sinc(x):
+    """np.sinc(x) = sin(pi x) / (pi x) by np.sinc's own steps, without its per-call set-up."""
+    y = np.where(x, np.pi * x, _EPS)  # pi x is 0 only where x is
+    return np.sin(y) / y
 
 
 def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz, delay_ns=0.0):
@@ -39,32 +46,35 @@ def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz, delay_ns=0.0):
     """
     omega = np.asarray(detuning_mhz, dtype=float) * TWO_PI_MHZ_TO_RAD_PER_NS
     d = np.asarray(delay_ns, dtype=float) - amp.offset_ns
+    # one error state for all: each form below takes an overflow as the limit it means
     with np.errstate(over="ignore", invalid="ignore"):
         # a phase omega * d beyond the double range leaves an overlap of order 1 / omega: none
         far = np.isinf(omega) | np.isinf(omega * d)
-    omega = np.where(far, 0.0, omega)
-    if amp.shape is Shape.GAUSSIAN:
-        s = amp.sigma_ns
-        with np.errstate(over="ignore"):  # a square beyond the double range: no overlap
+        n_far = np.count_nonzero(far)
+        if n_far:
+            omega = np.where(far, 0.0, omega)
+        if amp.shape is Shape.GAUSSIAN:
+            s = amp.sigma_ns
             overlap = np.exp(-0.5 * (d / s) ** 2 - 0.5 * (omega * s) ** 2)
-    elif amp.shape is Shape.DOUBLE_EXPONENTIAL:
-        t0, a = amp.tau0_ns, np.abs(d)
-        # omega ** 2 = inf leaves no tail, and a / t0 = inf no overlap
-        with np.errstate(over="ignore"):
-            if not all(np.finfo(float).smallest_normal <= p < np.inf for p in (t0**2, t0**-2)):
+        elif amp.shape is Shape.DOUBLE_EXPONENTIAL:
+            t0, a = amp.tau0_ns, np.abs(d)
+            inv_sq = t0 ** -2
+            # omega ** 2 = inf leaves no tail, and a / t0 = inf no overlap
+            if not (_TINY <= t0 ** 2 < np.inf and _TINY <= inv_sq < np.inf):
                 raise ValueError(f"fwhm_ns = {amp.fwhm_ns:g}: tau0 ** 2 or its inverse "
                                  "is not a normal double")
-            tail = ((np.cos(omega * a) / t0 - omega * np.sin(omega * a))
-                    / (t0 ** -2 + omega ** 2))
-            # a * np.sinc(omega a / pi) = sin(omega a) / omega, finite at omega = 0
-            overlap = np.exp(-a / t0) * (a * np.sinc(omega * a / np.pi) + tail) / t0
-    else:  # exponential decay: one-sided packets do not overlap after the swap for d <= 0
-        t0, d = amp.tau0_ns, np.maximum(d, 0.0)
-        with np.errstate(over="ignore"):
+            phase = omega * a
+            tail = (np.cos(phase) / t0 - omega * np.sin(phase)) / (inv_sq + omega ** 2)
+            # a * sinc(omega a / pi) = sin(omega a) / omega, finite at omega = 0
+            overlap = np.exp(-a / t0) * (a * _sinc(phase / np.pi) + tail) / t0
+        else:  # exponential decay: one-sided packets do not overlap after the swap for d <= 0
+            t0, d = amp.tau0_ns, np.maximum(d, 0.0)
             x = d / t0
-        x = np.where(np.isinf(x), 0.0, x)  # x exp(-x) is 0 past the double range, as at x = 0
-        overlap = 2.0 * x * np.exp(-x) * np.sinc(omega * d / np.pi)
-    return 0.5 * (1.0 - np.where(far, 0.0, overlap))
+            x = np.where(np.isinf(x), 0.0, x)  # x exp(-x) is 0 past the double range, as at x = 0
+            overlap = 2.0 * x * np.exp(-x) * _sinc(omega * d / np.pi)
+        if n_far:
+            overlap = np.where(far, 0.0, overlap)
+    return 0.5 * (1.0 - overlap)
 
 
 def hom_visibility(amp: BiphotonAmplitude, delay_ns=0.0):
@@ -81,8 +91,7 @@ class HomCurve:
     delay_ns: float
 
 
-def hom_curve(amp: BiphotonAmplitude, detunings_mhz,
-              delay_ns: float = 0.0) -> HomCurve:
+def hom_curve(amp: BiphotonAmplitude, detunings_mhz, delay_ns: float = 0.0) -> HomCurve:
     det = np.asarray(detunings_mhz, dtype=float)
     return HomCurve(det, hom_coincidence(amp, det, delay_ns), float(delay_ns))
 

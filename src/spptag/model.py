@@ -1,4 +1,5 @@
-"""Core types: delay densities, RNG streams, analysis windows, time-tag containers, least squares.
+"""Core types: delay densities, RNG streams, analysis windows, hole-array geometry and Fano
+parameters, time-tag containers, least squares.
 
 Conventions used throughout the package:
 
@@ -84,6 +85,65 @@ class AnalysisConfig:
             check_ps(getattr(self, name), name, 2**63 - 1, low=0)
 
 
+@dataclass(frozen=True)
+class ArrayGeometry:
+    """Square hole array: pitch and hole diameter set the optics.
+
+    Film thickness and sidewall taper are fabrication descriptors carried for
+    bookkeeping; the small-hole formulas of spptag.spectrum do not use them.
+    """
+
+    pitch_nm: float = 430.0
+    hole_diameter_nm: float = 200.0
+    film_thickness_nm: float = 100.0
+    taper_angle_deg: float = 17.0
+
+    def __post_init__(self):
+        check_finite(self, "pitch_nm", "hole_diameter_nm", "film_thickness_nm", "taper_angle_deg")
+        if not 0 < self.hole_diameter_nm < self.pitch_nm:
+            raise ValueError("need 0 < hole diameter < pitch")
+        if self.film_thickness_nm <= 0:
+            raise ValueError("film thickness must be positive")
+        if not 0 <= self.taper_angle_deg < 45:
+            raise ValueError("taper angle out of range [0, 45)")
+
+    @property
+    def hole_radius_nm(self) -> float:
+        return 0.5 * self.hole_diameter_nm
+
+    @property
+    def open_area_fraction(self) -> float:
+        return np.pi * (self.hole_radius_nm / self.pitch_nm) ** 2  # the ratio is below 1/2
+
+
+@dataclass(frozen=True)
+class FanoParameters:
+    """Fano resonance riding on the direct hole-array background.
+
+    resonance_nm is the bare resonance position, fwhm_nm its width, q the
+    asymmetry, and peak_transmittance the total transmittance attained at
+    the lineshape maximum (resonance_nm + fwhm_nm / (2 q)).
+    """
+
+    resonance_nm: float = 806.0
+    fwhm_nm: float = 96.0
+    q: float = 20.0
+    peak_transmittance: float = 0.36
+
+    def __post_init__(self):
+        check_finite(self, "resonance_nm", "fwhm_nm", "q", "peak_transmittance")
+        if self.fwhm_nm <= 0:
+            raise ValueError("fwhm must be positive")
+        if self.q <= 0:
+            raise ValueError("q must be positive")
+        if not 0 < self.peak_transmittance <= 1:
+            raise ValueError("peak transmittance must lie in (0, 1]")
+
+    @property
+    def peak_wavelength_nm(self) -> float:
+        return self.resonance_nm + 0.5 * self.fwhm_nm / self.q
+
+
 def as_generator(rng: RngSpec | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngSpec):
         return rng.generator()
@@ -104,34 +164,40 @@ def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000):
     FitError on a cost not finite at x0, a singular J'J, or at max_evals.
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
-    hi, eye = np.broadcast_to(hi, x.shape), np.eye(x.size)
+    n, (los, his) = x.size, (np.full(x.shape, b, dtype=float).tolist() for b in (lo, hi))
     with np.errstate(over="ignore", invalid="ignore"):  # a cost that is not finite fails every test
         r = residual(x)
         cost, evals, lam, nu, done = float(r @ r), 1, 1e-3, 2.0, False
         if not math.isfinite(cost):
             raise FitError("sum of squared residuals is not finite at the start point")
         while not done:
-            jac = np.empty((r.size, x.size))
-            for k in range(x.size):  # backward where the forward point would pass hi
-                xk = x.copy()
-                h = SQRT_EPS * max(1.0, abs(xk[k]))
-                xk[k] += h if xk[k] + h <= hi[k] else -h
-                jac[:, k] = (residual(xk) - r) / (xk[k] - x[k])
-            a, g, drop, evals = jac.T @ jac, jac.T @ r, 0.0, evals + x.size
-            if not a.diagonal().all():  # a zero column of J: inv(a) below raises
+            jac = np.empty((r.size, n))
+            for k, (xj, hj) in enumerate(zip(x.tolist(), his)):  # backward past hi
+                h, xk = SQRT_EPS * max(1.0, abs(xj)), x.copy()
+                xk[k] = xj + h if xj + h <= hj else xj - h
+                jac[:, k] = (residual(xk) - r) / (xk[k] - xj)
+            a, g, drop, evals = jac.T @ jac, jac.T @ r, 0.0, evals + n
+            if np.count_nonzero(a.diagonal()) < n:  # a zero column of J: inv(a) below raises
                 break
-            pin = np.where(g > 0, x <= lo, x >= hi)
-            m, rhs = np.where(pin | pin[:, None], eye, a), np.where(pin, 0.0, -g)
+            pin = [xj <= lj if gj > 0 else xj >= hj
+                   for xj, gj, lj, hj in zip(x.tolist(), g.tolist(), los, his)]
+            m, rhs = a.copy(), -g
+            if any(pin):
+                m[pin, :] = m[:, pin] = 0.0
+                m[pin, pin], rhs[pin] = 1.0, 0.0
+            two_g, size = 2.0 * g, TOL * (TOL + math.sqrt(x @ x))
             while not (drop > 0 or done):  # trial steps, more damped after each that fails
                 if evals >= max_evals:
                     raise FitError(f"no convergence in {max_evals} evaluations")
-                x_new = x + np.linalg.solve(m * (1.0 + lam * eye), rhs)
-                x_new = np.minimum(np.maximum(x_new, lo), hi)
+                damped = m.copy()
+                damped.flat[::n + 1] *= 1.0 + lam
+                # a 1x1 solve is this division, bit for bit (TestLeastSquares)
+                dx = np.linalg.solve(damped, rhs) if n > 1 else rhs / damped[0]
+                x_new = np.minimum(np.maximum(x + dx, lo), hi)
                 step, r_new, evals = x_new - x, residual(x_new), evals + 1
-                drop, predicted = cost - float(r_new @ r_new), -float((2.0 * g + a @ step) @ step)
+                drop, predicted = cost - float(r_new @ r_new), -float((two_g + a @ step) @ step)
                 rho = drop / predicted if predicted > 0 else 0.0
-                done = (drop < TOL * cost and rho > 0.25
-                        or math.sqrt(step @ step) < TOL * (TOL + math.sqrt(x @ x)))
+                done = drop < TOL * cost and rho > 0.25 or math.sqrt(step @ step) < size
                 lam, nu = ((lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0) if drop > 0
                            else (lam * nu, 2.0 * nu))
             if drop > 0:
@@ -140,7 +206,7 @@ def least_squares(residual, x0, lo=-np.inf, hi=np.inf, max_evals=1000):
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise FitError("the data do not determine the parameters") from None
-    return x, cov * (cost / (r.size - x.size)), r
+    return x, cov * (cost / (r.size - n)), r
 
 
 @dataclass(frozen=True)
@@ -216,8 +282,7 @@ def _delay_quantile(amp: BiphotonAmplitude, u: np.ndarray) -> np.ndarray:
     if amp.shape is Shape.DOUBLE_EXPONENTIAL:
         t0 = amp.tau0_ns
         # Laplace inverse CDF, branch at the median
-        out = np.where(u < 0.5,
-                       t0 * np.log(2.0 * u),
+        out = np.where(u < 0.5, t0 * np.log(2.0 * u),
                        -t0 * np.log(2.0 * (1.0 - u)))
     elif amp.shape is Shape.EXPONENTIAL_DECAY:
         out = -amp.tau0_ns * np.log1p(-u)

@@ -7,6 +7,8 @@ Three ingredients:
 * surface-plasmon grating resonances of the array for either interface,
 * a Fano lineshape that superposes the resonant channel on the direct one.
 """
+import math
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from typing import Sequence, Union
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import _gold
 from .errors import DomainError, FitError
-from .model import check_finite, least_squares
+from .model import ArrayGeometry, FanoParameters, check_finite, least_squares
 
 EPSILON_AIR = 1.0
 EPSILON_GLASS = 2.25
@@ -42,10 +44,9 @@ class PermittivityTable:
     def permittivity(self, wavelength_nm):
         wl = np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_nm[0], self.wavelength_nm[-1]
-        if np.any(wl < lo) or np.any(wl > hi):
-            raise DomainError(
-                f"wavelength outside tabulated range [{lo:.1f}, {hi:.1f}] nm"
-            )
+        w = wl.item() if wl.ndim == 0 else wl  # a scalar compares as a Python float, unreduced
+        if (w < lo or w > hi) if wl.ndim == 0 else np.count_nonzero((wl < lo) | (wl > hi)):
+            raise DomainError(f"wavelength outside tabulated range [{lo:.1f}, {hi:.1f}] nm")
         # interpolate the permittivity itself, not (n, k)
         re = np.interp(wl, self.wavelength_nm, self.epsilon.real)
         im = np.interp(wl, self.wavelength_nm, self.epsilon.imag)
@@ -60,52 +61,24 @@ def gold_permittivity(wavelength_nm):
     return GOLD.permittivity(wavelength_nm)
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Square hole array: pitch and hole diameter set the optics.
-
-    Film thickness and sidewall taper are fabrication descriptors carried for
-    bookkeeping; the small-hole formulas below do not use them.
-    """
-
-    pitch_nm: float = 430.0
-    hole_diameter_nm: float = 200.0
-    film_thickness_nm: float = 100.0
-    taper_angle_deg: float = 17.0
-
-    def __post_init__(self):
-        check_finite(self, "pitch_nm", "hole_diameter_nm", "film_thickness_nm",
-                     "taper_angle_deg")
-        if not 0 < self.hole_diameter_nm < self.pitch_nm:
-            raise ValueError("need 0 < hole diameter < pitch")
-        if self.film_thickness_nm <= 0:
-            raise ValueError("film thickness must be positive")
-        if not 0 <= self.taper_angle_deg < 45:
-            raise ValueError("taper angle out of range [0, 45)")
-
-    @property
-    def hole_radius_nm(self) -> float:
-        return 0.5 * self.hole_diameter_nm
-
-    @property
-    def open_area_fraction(self) -> float:
-        return np.pi * (self.hole_radius_nm / self.pitch_nm) ** 2  # the ratio is below 1/2
-
-
 def bethe_hole_transmittance(geometry: ArrayGeometry, wavelength_nm) -> Union[float, np.ndarray]:
     """Transmittance of one subwavelength hole, normalized to the hole area.
 
     Small circular aperture in a thin perfect screen: (64/27 pi^2) (k r)^4.
     """
     wl = np.asarray(wavelength_nm, dtype=float)
-    if np.any(wl <= 0):
+    scalar = wl.ndim == 0  # worked as a Python float, with no array reductions
+    if wl.item() <= 0 if scalar else np.count_nonzero(wl <= 0):
         raise ValueError("wavelength must be positive")
-    kr = 2 * np.pi * geometry.hole_radius_nm / wl
-    with np.errstate(over="ignore"):
-        t = 64.0 / (27.0 * np.pi**2) * kr**4
-    if not np.all(np.isfinite(t)):
+    kr = 2 * np.pi * geometry.hole_radius_nm / (wl.item() if scalar else wl)
+    try:  # a Python float's kr ** 4 raises on overflow where an array's gives inf
+        with nullcontext() if scalar else np.errstate(over="ignore"):
+            t = 64.0 / (27.0 * np.pi**2) * kr**4
+    except OverflowError:
+        t = np.inf
+    if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
         raise ValueError("hole radius over wavelength too large for the small-hole law")
-    return t
+    return np.float64(t) if scalar else t
 
 
 def bethe_transmittance(geometry: ArrayGeometry, wavelength_nm) -> Union[float, np.ndarray]:
@@ -125,31 +98,36 @@ def spp_effective_index(wavelength_nm, interface: Union[str, float] = "glass",
     return np.real(np.sqrt(eps_m * eps_d / (eps_m + eps_d)))
 
 
-def _resonance_wavelength_for_index(geometry: ArrayGeometry, n_eff: float,
-                                    order: tuple, theta_deg: float,
-                                    polarization: str) -> float:
-    """Momentum matching on a square lattice for a fixed mode index.
+def _momentum_match(order: tuple, theta_deg: float, polarization: str):
+    """Momentum matching on a square lattice: (geometry, mode index) -> wavelength.
 
-    k_spp^2 = (k0 sin(theta) ex + i G)^2 + (k0 sin(theta) ey + j G)^2 with
-    G = 2 pi / pitch; solved for the positive k0 root.
+    k_spp^2 = (k0 sin(theta) ex + i G)^2 + (k0 sin(theta) ey + j G)^2 with G = 2 pi / pitch
+    and (ex, ey) = (1, 0) for tm, (0, 1) for te; solved for the positive k0 root.  The angle
+    terms are worked out here, once for every mode index the returned function is given.
     """
-    i, j = order
-    s = np.sin(np.radians(theta_deg))
-    if polarization == "tm":
-        ex, ey = 1.0, 0.0
-    elif polarization == "te":
-        ex, ey = 0.0, 1.0
-    else:
+    if not -90 < theta_deg < 90:
+        raise ValueError(f"theta_deg = {theta_deg:g} must lie in (-90, 90)")
+    if polarization not in ("tm", "te"):
         raise ValueError("polarization must be 'tm' or 'te'")
-    m = i * ex + j * ey
-    nsq = n_eff**2 - s**2
-    if nsq <= 0:
-        raise DomainError("mode index below the in-plane momentum")
-    root = np.sqrt(s**2 * m**2 + nsq * (i**2 + j**2))
-    denom = s * m + root
-    if denom <= 0:
-        raise DomainError(f"no propagating ({i},{j}) resonance at this angle")
-    return geometry.pitch_nm * nsq / denom
+    i, j = order
+    s, m = np.sin(np.radians(theta_deg)), float(i if polarization == "tm" else j)
+    s_sq, s_m, sm_sq, ij_sq = s**2, s * m, s**2 * m**2, i**2 + j**2
+
+    def wavelength(geometry: ArrayGeometry, n_eff: float) -> float:
+        nsq = n_eff**2 - s_sq
+        if nsq <= 0:
+            raise DomainError("mode index below the in-plane momentum")
+        denom = s_m + np.sqrt(sm_sq + nsq * ij_sq)
+        if denom <= 0:
+            raise DomainError(f"no propagating ({i},{j}) resonance at this angle")
+        return geometry.pitch_nm * nsq / denom
+    return wavelength
+
+
+def _resonance_wavelength_for_index(geometry: ArrayGeometry, n_eff: float, order: tuple,
+                                    theta_deg: float, polarization: str) -> float:
+    """Momentum-matching wavelength for a fixed mode index (_momentum_match)."""
+    return _momentum_match(order, theta_deg, polarization)(geometry, n_eff)
 
 
 def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
@@ -161,15 +139,16 @@ def spp_resonance_wavelength(geometry: ArrayGeometry, order: tuple = (1, 0),
     The mode index depends on wavelength through the metal permittivity, so
     the momentum-matching wavelength target(wl) is solved for target(wl) = wl
     by secant steps, until a step is below 1e-10 relative or for 200 steps.
+    The incidence angle must lie in (-90, 90) degrees.
     """
     i, j = order
     if (i, j) == (0, 0):
         raise ValueError("order (0,0) is the directly transmitted beam")
     eps_d = _INTERFACES[interface] if isinstance(interface, str) else float(interface)
+    target = _momentum_match(order, theta_deg, polarization)
 
     def excess(wl):  # target(wl) - wl
-        return _resonance_wavelength_for_index(geometry, spp_effective_index(wl, eps_d, table),
-                                               order, theta_deg, polarization) - wl
+        return target(geometry, spp_effective_index(wl, eps_d, table)) - wl
 
     # start from a lossless-metal guess slightly above the light line
     wl = geometry.pitch_nm * (np.sqrt(eps_d) + 0.05) / np.hypot(i, j)
@@ -194,11 +173,8 @@ def spp_resonance_wavelengths(geometry: ArrayGeometry,
                               theta_deg: float = 0.0, polarization: str = "tm",
                               table: PermittivityTable = GOLD) -> np.ndarray:
     """Resonance wavelengths for several grating orders, one per order."""
-    return np.array([
-        spp_resonance_wavelength(geometry, order, interface, theta_deg,
-                                 polarization, table)
-        for order in orders
-    ])
+    return np.array([spp_resonance_wavelength(geometry, order, interface, theta_deg, polarization,
+                                              table) for order in orders])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,34 +185,6 @@ class TransmissionSpectrum:
     total: np.ndarray
     resonant: np.ndarray
     direct: np.ndarray
-
-
-@dataclass(frozen=True)
-class FanoParameters:
-    """Fano resonance riding on the direct hole-array background.
-
-    resonance_nm is the bare resonance position, fwhm_nm its width, q the
-    asymmetry, and peak_transmittance the total transmittance attained at
-    the lineshape maximum (resonance_nm + fwhm_nm / (2 q)).
-    """
-
-    resonance_nm: float = 806.0
-    fwhm_nm: float = 96.0
-    q: float = 20.0
-    peak_transmittance: float = 0.36
-
-    def __post_init__(self):
-        check_finite(self, "resonance_nm", "fwhm_nm", "q", "peak_transmittance")
-        if self.fwhm_nm <= 0:
-            raise ValueError("fwhm must be positive")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if not 0 < self.peak_transmittance <= 1:
-            raise ValueError("peak transmittance must lie in (0, 1]")
-
-    @property
-    def peak_wavelength_nm(self) -> float:
-        return self.resonance_nm + 0.5 * self.fwhm_nm / self.q
 
 
 def _fano_channels(geometry: ArrayGeometry, wl: np.ndarray, direct: np.ndarray,

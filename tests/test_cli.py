@@ -145,6 +145,8 @@ class TestRejectedInput:
         "spectrum fano --at-nm 1e300": "non-finite transmittance",
         "spectrum fano --fwhm-nm 1e-300": "non-finite transmittance",
         "spectrum fano --resonance-nm 1e300": "non-finite transmittance",
+        "spectrum resonance --orders 1,1 --theta-deg 170": "theta_deg",
+        "spectrum resonance --theta-deg 270 --polarization te": "theta_deg",
         "spectrum bethe --wavelength-nm 1e-300": "small-hole law",
         "spectrum bethe --pitch-nm 1e300 --hole-diameter-nm 1e299": "small-hole law",
         "spectrum fano --lo-nm 1e-300 --hi-nm 1e-299 --points 3": "small-hole law",
@@ -522,11 +524,15 @@ class TestImports:
     # what a command that neither simulates nor reads tags must not load
     SIMULATOR = ["spptag.config", "spptag.optics", "spptag.source", "spptag.correlator",
                  "spptag.tagfile"]
-    # analyze without --config takes its windows from model
-    ANALYZE = ["spptag.config", "spptag.optics", "spptag.source", "spptag.hom"]
+    # nor, unless it works the hole-array spectrum, the spectrum and its gold table
+    SPECTRUM = ["spptag.spectrum", "spptag._gold"]
+    # analyze without --config takes its windows from model, and pairs channels without numpy.ma
+    ANALYZE = ["spptag.config", "spptag.optics", "spptag.source", "spptag.hom", *SPECTRUM,
+               "numpy.ma"]
 
     @pytest.mark.parametrize("command, unused", [
-        ("repro fig5", SIMULATOR), ("hom curve", SIMULATOR), ("spectrum fano", SIMULATOR),
+        ("repro fig5", SIMULATOR + SPECTRUM), ("hom curve", SIMULATOR + SPECTRUM),
+        ("spectrum fano", SIMULATOR),
         ("analyze g2 --tags {tags}", ANALYZE), ("analyze cs --tags {tags}", ANALYZE),
         ("analyze waveform --tags {tags}", ANALYZE)])
     def test_command_imports_only_the_modules_it_runs(self, command, unused, pinned_tags,

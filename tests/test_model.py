@@ -198,6 +198,13 @@ class TestLeastSquares:
         np.testing.assert_allclose(r, design @ x - self.Y)
         np.testing.assert_allclose(cov, np.linalg.inv(design.T @ design) * ssr[0] / 9, rtol=1e-6)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=st.floats(1e-150, 1e150), sign=st.sampled_from([1.0, -1.0]),
+           b=st.floats(-1e150, 1e150))
+    def test_a_1x1_solve_is_the_division(self, a, sign, b):
+        # least_squares divides where J'J is 1x1; LAPACK must not take the reciprocal
+        assert np.linalg.solve([[sign * a]], [b])[0] == b / (sign * a)
+
     def test_stays_in_the_box(self):
         # the unbounded slope is 2; the box holds it at 1.5 and the intercept refits
         x, _, _ = least_squares(lambda p: p[0] + p[1] * self.X - self.Y, [0.0, 0.0],

@@ -198,6 +198,13 @@ class TestResonance:
         with pytest.raises(ValueError):
             spp_resonance_wavelength(GEOM, (1, 0), "glass", 0.0, "circular")
 
+    @pytest.mark.parametrize("theta_deg", [90.0, -90.0, 170.0, 370.0, 270.0, -100.0])
+    def test_angle_outside_the_front_half_space_rejected(self, theta_deg):
+        # sin repeats past 90 degrees: 170 and 370 gave the 10 degree wavelengths
+        for polarization in ("tm", "te"):
+            with pytest.raises(ValueError, match="theta_deg"):
+                spp_resonance_wavelength(GEOM, (1, 1), "glass", theta_deg, polarization)
+
     def test_out_of_table_order_raises(self):
         # (3, 3) on glass sits far below the tabulated range
         with pytest.raises(DomainError):
@@ -310,6 +317,24 @@ class TestScalarInScalarOut:
 
     def test_permittivity_gives_complex(self):
         assert isinstance(gold_permittivity(795.0), complex)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(wl=st.lists(st.floats(188.0, 1937.0), min_size=1, max_size=20))
+    def test_scalar_permittivity_matches_the_array_call(self, wl):
+        assert [gold_permittivity(w) for w in wl] == gold_permittivity(np.array(wl)).tolist()
+
+    # numpy raises a scalar to the 4th power with libm pow and an array with its SIMD pow
+    # kernel, and squares a scalar with pow and an array exactly: the scalar transmittance
+    # differs in the last bit or two at about 1 wavelength in 50
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(resonance=st.floats(700.0, 900.0), fwhm=st.floats(40.0, 150.0),
+           q=st.floats(1.0, 40.0), peak=st.floats(0.05, 0.3),
+           wl=st.lists(st.floats(450.0, 1900.0), min_size=1, max_size=20))
+    def test_scalar_transmittance_matches_the_array_call(self, resonance, fwhm, q, peak, wl):
+        params = FanoParameters(resonance, fwhm, q, peak)
+        np.testing.assert_array_max_ulp(fano_transmittance(GEOM, np.array(wl), params),
+                                        [fano_transmittance(GEOM, w, params) for w in wl],
+                                        maxulp=2)
 
     def test_arrays_match_scalars(self):
         wl = np.array([600.0, 795.0, 1000.0])
