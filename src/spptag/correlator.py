@@ -9,9 +9,13 @@ the anchor's nearest tag of either set on that side does too: the gaps
 between those tags drop the anchors with both neighbours farther (exact).
 Each remaining anchor's window edges start from its own stream index: a walk
 of up to WALK tags outward, where the mean tag spacing puts an edge that near,
-then a binary search for the edges still moving.  _Rank turns the ranges into
-partner counts, for indices in any order: the partners of the blocks before
-an index, counted once up front, plus those before it in its block, one
+then a binary search for the edges still moving.  The zero-delay counts
+(heralded_g2_zero, auto_g2_zero) count a block's partners straight from
+stream.channels[first:last], one tag place at a time, when none of its
+windows holds more than WALK tags, as at desk rates.  A block with a longer
+window is counted by _Rank, built for the whole stream on the first such
+block: for indices in any order, the partners of the blocks before an
+index, counted once up front, plus those before it in its block, one
 popcount of the block's partner bits, packed 8 to a byte beside a count to
 each byte's end, kept for the few blocks asked last.  Histograms expand a
 block's (anchor, window tag) pairs BLOCK at a time.  Cost: O(n) over n tags
@@ -38,10 +42,10 @@ first order in W/T.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,6 +135,29 @@ def _edge(t: np.ndarray, p: np.ndarray, t_a: np.ndarray, d: int) -> np.ndarray:
     return edge
 
 
+def _partner_counts(stream: TimeTagStream, first: np.ndarray, last: np.ndarray,
+                    partners) -> list[np.ndarray]:
+    """For each (channel, rank) of partners, the count of the channel's tags in each window
+    [first, last) of stream indices.  With no window longer than WALK tags the counts are
+    read straight from the channels; else rank() gives the channel's _Rank, built on the
+    first call, so a stream without long windows builds none."""
+    lens = last - first
+    longest = int(lens.max()) if lens.size else 0
+    if longest > WALK:
+        return [rank()(last) - rank()(first) for _, rank in partners]
+    counts = [np.zeros(lens.size, dtype=np.int64) for _ in partners]
+    for k in range(longest):  # the k-th tag of every window; take clips those past the stream
+        chans, inside = stream.channels.take(first + k, mode="clip"), lens > k
+        for count, (channel, _) in zip(counts, partners):
+            count += in_channels(chans, channel) & inside
+    return counts
+
+
+def _lazy_ranks(stream: TimeTagStream, *channels) -> list:
+    """(channel, rank) pairs for _partner_counts: rank() builds the channel's _Rank once."""
+    return [(ch, functools.cache(lambda ch=ch: _Rank(stream, ch))) for ch in channels]
+
+
 class _Rank:
     """The count of channel tags below stream index q, for indices in any order."""
 
@@ -144,7 +171,7 @@ class _Rank:
             on = in_channels(channels[b * BLOCK:(b + 1) * BLOCK], channel)
             bits = np.append(np.packbits(on, bitorder="little"), np.uint8(0))
             return bits, np.cumsum(np.bitwise_count(bits), dtype=np.int32)  # to each byte's end
-        self.packed = lru_cache(RECENT)(packed)
+        self.packed = functools.lru_cache(RECENT)(packed)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         blocks = q // BLOCK
@@ -263,11 +290,11 @@ def auto_g2_zero(stream: TimeTagStream, ch_a, ch_b, window_ps: int) -> ZeroDelay
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
-    below = _Rank(stream, ch_b)
+    partners = _lazy_ranks(stream, ch_b)
     n_a = n_b = pairs = 0
     for na, nb, first, last, _ in _windows(stream, ch_a, pairing, -window_ps, window_ps):
         n_a, n_b = n_a + na, n_b + nb
-        pairs += int(below(last).sum() - below(first).sum())
+        pairs += int(_partner_counts(stream, first, last, partners)[0].sum())
     if n_a == 0 or n_b == 0:
         raise AnalysisError("zero-delay g2 undefined: empty channel")
     x = min(window_ps, stream.duration_ps) / stream.duration_ps
@@ -367,10 +394,10 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     if window_ps <= 0:
         raise ValueError("window must be positive")
     pairing = _pairing(herald_ch, (ch_a, ch_b))
-    below_a, below_b = _Rank(stream, ch_a), _Rank(stream, ch_b)
+    partners = _lazy_ranks(stream, ch_a, ch_b)
     n_h = n_a = n_b = n_ab = 0
     for n, _, first, last, _ in _windows(stream, herald_ch, pairing, -window_ps, window_ps + 1):
-        has_a, has_b = (rank(first) < rank(last) for rank in (below_a, below_b))
+        has_a, has_b = (c > 0 for c in _partner_counts(stream, first, last, partners))
         n_h += n
         n_a += int(np.count_nonzero(has_a))
         n_b += int(np.count_nonzero(has_b))

@@ -41,15 +41,18 @@ def _sinc(x):
 
 def hom_coincidence(amp: BiphotonAmplitude, detuning_mhz, delay_ns=0.0):
     """Coincidence probability P_c at each detuning and arm delay; the two
-    broadcast, and scalars give a float.  An infinite detuning, or a phase
-    beyond the double range, gives the distinguishable-photon value 1/2.
+    broadcast, and scalars give a float.  An infinite detuning or delay, or a
+    phase beyond the double range, gives the distinguishable-photon value 1/2;
+    a nan detuning or delay gives nan.
     """
     omega = np.asarray(detuning_mhz, dtype=float) * TWO_PI_MHZ_TO_RAD_PER_NS
     d = np.asarray(delay_ns, dtype=float) - amp.offset_ns
     # one error state for all: each form below takes an overflow as the limit it means
     with np.errstate(over="ignore", invalid="ignore"):
-        # a phase omega * d beyond the double range leaves an overlap of order 1 / omega: none
-        far = np.isinf(omega) | np.isinf(omega * d)
+        # a phase omega * d beyond the double range leaves an overlap of order 1 / omega: none;
+        # omega + d is inf where either is, also where omega * d is 0 * inf = nan, and nan
+        # where either is nan, which then stays nan
+        far = np.isinf(omega * d) | np.isinf(omega + d)
         n_far = np.count_nonzero(far)
         if n_far:
             omega = np.where(far, 0.0, omega)

@@ -268,7 +268,7 @@ def sample_delay(amp: BiphotonAmplitude, rng: RngSpec | np.random.Generator,
     spec repeat the same values; pass a live Generator to continue a stream.
     """
     u = as_generator(rng).random(int(size))
-    return _delay_quantile(amp, np.clip(u, U_CLIP, 1.0 - U_CLIP))
+    return _delay_quantile(amp, np.clip(u, U_CLIP, 1.0 - U_CLIP, out=u))
 
 
 def delay_range(amp: BiphotonAmplitude) -> tuple[float, float]:
@@ -280,15 +280,19 @@ def delay_range(amp: BiphotonAmplitude) -> tuple[float, float]:
 def _delay_quantile(amp: BiphotonAmplitude, u: np.ndarray) -> np.ndarray:
     """Inverse CDF of the delay density [ns] at probabilities u in (0, 1)."""
     if amp.shape is Shape.DOUBLE_EXPONENTIAL:
-        t0 = amp.tau0_ns
-        # Laplace inverse CDF, branch at the median
-        out = np.where(u < 0.5, t0 * np.log(2.0 * u),
-                       -t0 * np.log(2.0 * (1.0 - u)))
+        # Laplace inverse CDF, branch at the median: t0 log(2u) below it and -t0 log(2(1 - u))
+        # from it, one log of each u's own operand, min(u, 1 - u), and no branch on u
+        out = np.minimum(u, 1.0 - u)
+        out *= 2.0
+        np.log(out, out=out)
+        out *= amp.tau0_ns  # t0 log(2 min) <= 0: from the median on it changes sign, -0.0 at u = 1/2
+        np.negative(np.copysign(out, 0.5 - u, out=out), out=out)
     elif amp.shape is Shape.EXPONENTIAL_DECAY:
         out = -amp.tau0_ns * np.log1p(-u)
     else:
         out = amp.sigma_ns * normal_quantile(u)
-    return out + amp.offset_ns
+    out += amp.offset_ns  # out is a new array on every path
+    return out
 
 
 # Wichura's AS241 (PPND16), Appl. Statist. 37, 477 (1988): rational

@@ -13,7 +13,10 @@ dark counts, Gaussian timestamp jitter, and a non-paralyzable dead time; the
 three detectors' tags are labelled with their channels once, where they are
 merged.  stream_experiment runs the whole bench one 100 s slice at a time and
 yields each slice's final tags, so memory does not grow with the run beyond
-the tags its consumer keeps; run_experiment keeps them all.
+the tags its consumer keeps; run_experiment keeps them all.  It relies on the
+source's kind order within a slice (PairEvents.run): the idler arm, the
+signal arm and, after the modulator, the signal arm's pairs and background
+are runs of the slice's columns, taken as slices and not by boolean masks.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .model import (
+    PS_PER_NS,
     BiphotonAmplitude,
     RngSpec,
     Shape,
@@ -184,11 +188,30 @@ def apply_modulation(events: PairEvents, modulation: ModulationFunction,
     """
     if modulation.kind is ModulationKind.IDENTITY:
         return events
-    t_rel = events.t_rel_ns()
-    if modulation.kind is ModulationKind.HEAVISIDE:
-        return events.select(t_rel >= modulation.edge_ns)
+    if modulation.kind is ModulationKind.HEAVISIDE:  # on the integer delay: no float t_rel
+        first_ps = _first_delay_ps(modulation.edge_ns)
+        if first_ps is None:
+            return events.select(np.empty(0, dtype=np.intp))
+        return events.select(events.signal_ps - events.idler_ps >= first_ps)
     u = as_generator(rng).random(len(events))
-    return events.select(u < modulation.amplitude(t_rel, source) ** 2)
+    return events.select(u < modulation.amplitude(events.t_rel_ns(), source) ** 2)
+
+
+def _first_delay_ps(edge_ns: float) -> int | None:
+    """The smallest int64 delay d [ps] that t_rel = d / PS_PER_NS, rounded as numpy
+    rounds it, puts at or past edge_ns; None if none does.  t_rel rises with d, so
+    d >= this is exactly t_rel >= edge_ns.  Python floats round int to float and
+    divide as numpy does."""
+    lo, hi = -2**63, 2**63 - 1
+    if float(hi) / PS_PER_NS < edge_ns:
+        return None
+    while lo < hi:  # bisect the 2^64 delays: at most 64 steps
+        mid = (lo + hi) // 2
+        if float(mid) / PS_PER_NS >= edge_ns:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -291,7 +314,8 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, duration_ps: int,
     A run can be detected in consecutive windows: pass the same state and
     live generator to each call, with the photons of [state.start_ps,
     until_ps).  Dark counts are then drawn per window and the dead time
-    carries over; the call advances state to until_ps.
+    carries over; the call advances state to until_ps.  times_ps is never
+    written, also where every photon is accepted and not copied by a take.
     """
     gen = as_generator(rng)
     state = DetectorState() if state is None else state
@@ -299,14 +323,24 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, duration_ps: int,
     times = np.asarray(times_ps, dtype=np.int64)
     if np.any(times[1:] < times[:-1]):
         raise ValueError("input photon times must be sorted")
-    accepted = np.flatnonzero(gen.random(times.size) < detector.efficiency)
-    jitter_u = gen.random(times.size).take(accepted)
-    physical = times.take(accepted)
+    jitter_u = gen.random(times.size)  # the acceptance draws, then the jitter's
+    accepted = jitter_u < detector.efficiency
+    if np.count_nonzero(accepted) == times.size:  # every photon, as at the herald detector
+        physical = times  # not written: the dead-time take below copies it
+        gen.random(out=jitter_u)
+    else:
+        accepted = np.flatnonzero(accepted)
+        jitter_u, physical = gen.random(times.size).take(accepted), times.take(accepted)
     darks = poisson_times(detector.dark_rate, state.start_ps, end_ps, gen)
     if darks.size:  # darks go after photons at the same time; they carry no jitter
         at = np.searchsorted(physical, darks, side="right")
-        physical = np.insert(physical, at, darks)
-        jitter_u = np.insert(jitter_u, at, 0.5)
+        at += np.arange(darks.size)  # their places among the merged events
+        photon = np.ones(physical.size + darks.size, dtype=bool)
+        photon[at] = False
+        merged = np.empty(photon.size, dtype=np.int64), np.empty(photon.size)
+        for column, old, new in zip(merged, (physical, jitter_u), (darks, 0.5)):
+            column[at], column[photon] = new, old
+        physical, jitter_u = merged
     alive = np.flatnonzero(_dead_time_filter_mask(physical, detector.dead_time_ps,
                                                   state.last_fire_ps))
     physical, jitter_u = physical.take(alive), jitter_u.take(alive)
@@ -314,7 +348,9 @@ def detect(times_ps: np.ndarray, detector: DetectorConfig, duration_ps: int,
     if physical.size:
         state.last_fire_ps = int(physical[-1])
     if detector.jitter_sigma_ps > 0:
-        physical += np.rint(detector.jitter_sigma_ps * normal_quantile(jitter_u)).astype(np.int64)
+        shifts = normal_quantile(jitter_u)
+        shifts *= detector.jitter_sigma_ps
+        physical += np.rint(shifts, out=shifts).astype(np.int64)
     tags = np.sort(physical, kind="stable")  # timsort: jitter leaves them nearly sorted
     return tags[np.searchsorted(tags, 0):np.searchsorted(tags, duration_ps, side="right")]
 
@@ -335,7 +371,9 @@ def _dead_time_filter_mask(times: np.ndarray, dead_ps: int,
     if dead_ps <= 0 or times.size == 0:
         return np.ones(times.size, dtype=bool)
     prev = times[0] - dead_ps if last_fire_ps is None else last_fire_ps
-    keep = np.diff(times, prepend=prev) >= dead_ps
+    keep = np.empty(times.size, dtype=bool)
+    keep[0] = times[0] - prev >= dead_ps
+    np.greater_equal(np.subtract(times[1:], times[:-1]), dead_ps, out=keep[1:])
     if keep.all():
         return keep
     # tags closer than dead_ps to their predecessor form runs after a kept tag; all
@@ -423,13 +461,16 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
         horizon = duration_ps + 1 if last else max(int(edges[k + 1]) - lead, 0)
         flush_before = np.iinfo(np.int64).max if last else horizon - jitter
         # the kind column is in draw order (pairs, extras, signal and idler background),
-        # so the signal arm and, after modulation, its pairs and background are runs
+        # so the idler arm is the runs around the signal background, the signal arm the
+        # runs up to the idler background and, after modulation, its pairs a run too
         pairs = next(slices)  # not enumerate(slices): its cached tuple would keep the slice
-        arrivals = [pairs.idler_arm_times()]  # sorted below
-        signal = pairs.select(slice(np.searchsorted(pairs.kind, PairKind.BACKGROUND_IDLER)))
+        background = pairs.run(PairKind.BACKGROUND_SIGNAL)
+        arrivals = [np.concatenate([pairs.idler_ps[:background.start],
+                                    pairs.idler_ps[background.stop:]])]
+        signal = pairs.select(slice(background.stop))
         del pairs  # signal views the slice's columns: free them once a stage copies
         signal = apply_modulation(signal, config.modulation, gen_mod, source=src.amplitude)
-        bg = np.searchsorted(signal.kind, PairKind.BACKGROUND_SIGNAL)
+        bg = signal.run(PairKind.BACKGROUND_SIGNAL).start
         # the background was drawn already thinned by the sample
         photons = np.concatenate([
             apply_sample(signal.signal_ps[:bg], sample, gen_sample), signal.signal_ps[bg:]])

@@ -11,7 +11,11 @@ be consumed slice by slice (stream_pairs) so its memory stays bounded.
 
 PairEvents is the one event table of the bench: the modulator takes and
 returns it, with signal_ps as the photon time and idler_ps as its herald
-reference; the stages after it pass signal_ps alone.
+reference; the stages after it pass signal_ps alone.  Within a slice the kind
+column is in draw order, so each kind is one run of positions (PairEvents.run):
+the slice loops take the idler arm, the signal arm and the background to be
+referenced as slices of the columns, never as boolean gathers.  A run
+concatenated from several slices is not in that order.
 """
 from __future__ import annotations
 
@@ -105,6 +109,12 @@ class PairEvents:
         """Signal arrival time relative to its herald reference [ns]."""
         return (self.signal_ps - self.idler_ps) / PS_PER_NS
 
+    def run(self, kind: PairKind) -> slice:
+        """Positions of one kind, for events whose kind column is nondecreasing: one
+        slice in draw order, or a selection in order from one.  The bounds are uint8:
+        Python int keys would make numpy search an int64 copy of the column."""
+        return slice(*self.kind.searchsorted(np.array([kind, kind + 1], dtype=np.uint8)))
+
     def count_kind(self, kind: PairKind) -> int:
         return int(np.count_nonzero(self.kind == kind))
 
@@ -146,7 +156,9 @@ def poisson_times(rate_per_s: float, t0_ps: float, t1_ps: float,
         out.append(rounded[:inside])
         if inside < chunk:
             break
-    return np.concatenate(out, dtype=np.int64, casting="unsafe") + np.int64(t0_ps)
+    times = np.concatenate(out, dtype=np.int64, casting="unsafe")
+    times += np.int64(t0_ps)
+    return times
 
 
 def segment_count(duration_ps: int) -> int:
@@ -180,16 +192,44 @@ def slice_lead_ps(config: SourceConfig) -> int:
     return int(np.ceil((config.amplitude.fwhm_ns - earliest_delay_ns) * PS_PER_NS)) + 2
 
 
+REFERENCE_CHUNK = 4096  # sorted times searched together, among their own heralds only
+
+
 def herald_references(times_ps: np.ndarray, heralds_ps: np.ndarray) -> np.ndarray:
     """Nearest herald to each time, the earlier one on a tie; 0 with no heralds.
 
-    heralds_ps must be sorted.
+    Both arrays must be sorted.  Each chunk of REFERENCE_CHUNK times searches
+    only the heralds up to the next chunk's first time: for sorted keys numpy
+    raises the bottom of its search but restarts the top at the array's end.
     """
     if heralds_ps.size == 0:
         return np.zeros(times_ps.size, dtype=np.int64)
-    at = np.searchsorted(heralds_ps, times_ps)
-    right, left = heralds_ps.take(at, mode="clip"), heralds_ps.take(at - 1, mode="clip")
-    return np.where(right - times_ps < times_ps - left, right, left)  # left <= t <= right, or equal
+    at = np.empty(times_ps.size, dtype=np.intp)
+    edges = heralds_ps.searchsorted(np.append(times_ps[::REFERENCE_CHUNK], times_ps[-1:]))
+    for k, start in enumerate(range(0, times_ps.size, REFERENCE_CHUNK)):
+        lo, hi = int(edges[k]), int(edges[k + 1])
+        keys = times_ps[start:start + REFERENCE_CHUNK]
+        np.add(heralds_ps[lo:hi].searchsorted(keys), lo, out=at[start:start + keys.size])
+    right = heralds_ps.take(at, mode="clip")
+    at -= 1  # now the left neighbour's: left <= t <= right, or they are equal
+    at += right - times_ps < times_ps - heralds_ps.take(at, mode="clip")
+    return heralds_ps.take(at, mode="clip")  # a take, not a branch per time as np.where is
+
+
+def _inside(duration_ps: int, *times: np.ndarray) -> slice | np.ndarray:
+    """Which events have every time in [0, duration]: a mask, or all of them as a
+    slice that copies nothing when each column's extremes lie inside."""
+    if all(t.size == 0 or (t.min() >= 0 and t.max() <= duration_ps) for t in times):
+        return slice(None)
+    return np.logical_and.reduce([(t >= 0) & (t <= duration_ps) for t in times])
+
+
+def _plus_delays(times_ps: np.ndarray, delays_ns: np.ndarray) -> np.ndarray:
+    """times + rint(delays * PS_PER_NS) [ps]; the delays are scaled and rounded in place."""
+    delays_ns *= PS_PER_NS
+    shifted = np.rint(delays_ns, out=delays_ns).astype(np.int64)
+    shifted += times_ps
+    return shifted
 
 
 def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
@@ -205,15 +245,14 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
     fwhm_ps = amp.fwhm_ns * PS_PER_NS
 
     idlers = poisson_times(config.pair_rate, t0_ps, t1_ps, gen)
-    signals = idlers + np.rint(sample_delay(amp, gen, idlers.size) * PS_PER_NS).astype(np.int64)
+    signals = _plus_delays(idlers, sample_delay(amp, gen, idlers.size))
 
     if config.multipair_prob > 0.0 and idlers.size:
         flagged = gen.random(idlers.size) < config.multipair_prob
         primaries = idlers[flagged]
         offs = np.rint((2.0 * gen.random(primaries.size) - 1.0) * fwhm_ps)
         extra_idlers = primaries + offs.astype(np.int64)
-        extra_delays = sample_delay(amp, gen, primaries.size)
-        extra_signals = extra_idlers + np.rint(extra_delays * PS_PER_NS).astype(np.int64)
+        extra_signals = _plus_delays(extra_idlers, sample_delay(amp, gen, primaries.size))
     else:
         extra_idlers = np.empty(0, dtype=np.int64)
         extra_signals = np.empty(0, dtype=np.int64)
@@ -222,10 +261,9 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
     bg_idl = poisson_times(config.background_rate_idler, t0_ps, t1_ps, gen)
 
     # drop any event with a physical time outside the observation window
-    pair_ok = (signals >= 0) & (signals <= duration_ps)
+    pair_ok = _inside(duration_ps, signals)
     idlers, signals = idlers[pair_ok], signals[pair_ok]
-    extra_ok = ((extra_signals >= 0) & (extra_signals <= duration_ps)
-                & (extra_idlers >= 0) & (extra_idlers <= duration_ps))
+    extra_ok = _inside(duration_ps, extra_signals, extra_idlers)
     extra_idlers, extra_signals = extra_idlers[extra_ok], extra_signals[extra_ok]
 
     kind_col = np.repeat(np.array(list(PairKind), dtype=np.uint8),  # in draw order
@@ -236,8 +274,8 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
 
 
 def _with_references(events: PairEvents, heralds_ps: np.ndarray) -> PairEvents:
-    """Set each background photon's reference in place to its nearest herald; kinds are sorted."""
-    bg = slice(*events.kind.searchsorted([PairKind.BACKGROUND_SIGNAL, PairKind.BACKGROUND_IDLER]))
+    """Set each background photon's reference in place to its nearest herald; one slice."""
+    bg = events.run(PairKind.BACKGROUND_SIGNAL)
     events.idler_ps[bg] = herald_references(events.signal_ps[bg], heralds_ps)
     return events
 
@@ -277,7 +315,7 @@ def stream_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
 
     def settled(events: PairEvents, undrawn_from_ps: int) -> bool:
         """Every background photon has a herald at or after it that no undrawn one beats."""
-        bg = events.signal_ps[events.kind == PairKind.BACKGROUND_SIGNAL]
+        bg = events.signal_ps[events.run(PairKind.BACKGROUND_SIGNAL)]
         if bg.size == 0 or not heralds_possible:
             return True
         right = np.searchsorted(heralds, bg.max())
@@ -288,7 +326,9 @@ def stream_pairs(config: SourceConfig, duration_ps: int, rng: RngSpec,
                 not drawn or not settled(drawn[0], edges[k + len(drawn)] - lead)):
             drawn.append(generate_pairs(config, duration_ps, rng, segments,
                                         segment=k + len(drawn)))
-            heralds = np.concatenate([heralds, drawn[-1].idler_arm_times()])
+            bg = drawn[-1].run(PairKind.BACKGROUND_SIGNAL)  # the idler arm: the runs around it
+            heralds = np.concatenate([heralds, drawn[-1].idler_ps[:bg.start],
+                                      drawn[-1].idler_ps[bg.stop:]])
             heralds.sort(kind="stable")
         # no local name: the consumer alone holds the slice it is working on
         yield _with_references(drawn.popleft(), heralds)

@@ -488,6 +488,44 @@ class TestPropertiesAgainstBruteForce:
             assert res.g_ii0 == auto_g2_zero(split_channel(s, 0, RngSpec(seed)), 0, 1, w)
 
 
+class TestPartnerCounts:
+    """Windows of WALK tags or fewer are counted straight from the channels, longer ones
+    by _Rank; both must give _Rank's counts, and no _Rank is built without a long window."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(s=STREAMS, data=st.data())
+    def test_direct_counts_match_rank(self, s, data):
+        n = len(s)
+        k = data.draw(st.integers(0, 30))
+        first = np.array(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k)),
+                         dtype=np.int64)
+        lens = np.array(data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)),
+                        dtype=np.int64)
+        last = np.minimum(first + lens, n)
+        longest = int((last - first).max()) if k else 0
+        for walk in (0, 1, 4):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(correlator, "WALK", walk)
+                for _ in at_each_block(correlator, (7, BLOCK)):
+                    partners = correlator._lazy_ranks(s, 1, (0, 2))
+                    counts = correlator._partner_counts(s, first, last, partners)
+                    for (channel, rank), got in zip(partners, counts):
+                        assert (rank.cache_info().currsize > 0) == (longest > walk)
+                        below = correlator._Rank(s, channel)
+                        assert got.tolist() == (below(last) - below(first)).tolist()
+
+    @pytest.mark.parametrize("walk", [0, 1])
+    def test_g2_counts_at_desk_density(self, walk):
+        # a 20 s run of the default bench: heralded windows of 150 ns hold a few tags,
+        # auto windows of 10 us some more; WALK 0 counts every block by _Rank
+        s = run_experiment(default_config().experiment, 20 * SECOND, RngSpec(511))
+        expected = (heralded_g2_zero(s, 0, 1, 2, 150_000), auto_g2_zero(s, 1, 2, 10_000_000))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlator, "WALK", walk)
+            assert (heralded_g2_zero(s, 0, 1, 2, 150_000),
+                    auto_g2_zero(s, 1, 2, 10_000_000)) == expected
+
+
 class TestAgainstPerChannelSearchAtDeskDensity:
     """A 40 s desk-bench stream (151k tags, three real blocks) against binary
     searches in each channel's own times: windows from 1 ns, where most hold

@@ -205,6 +205,27 @@ class TestBroadcasting:
         np.testing.assert_array_equal(pc, np.full((4, 3), 0.5))
 
 
+class TestInfiniteDelay:
+    """At an infinite delay the packets do not overlap: P_c is 1/2, also at zero detuning,
+    where the phase omega * d is 0 * inf = nan and once hid the limit."""
+
+    @pytest.mark.parametrize("shape", list(Shape))
+    @pytest.mark.parametrize("delay", [np.inf, -np.inf])
+    @pytest.mark.parametrize("detuning", [0.0, 5.0, np.inf])
+    def test_limit_is_one_half(self, shape, delay, detuning):
+        amp = BiphotonAmplitude(shape, 50.0, 12.5)
+        assert hom_coincidence(amp, detuning, delay) == 0.5
+        np.testing.assert_array_equal(
+            hom_coincidence(amp, [detuning, 0.0], [delay, 0.0])[0], 0.5)
+
+    @pytest.mark.parametrize("shape", list(Shape))
+    def test_nan_inputs_give_nan(self, shape):
+        amp = BiphotonAmplitude(shape, 50.0, 12.5)
+        for detuning, delay in [(np.nan, 0.0), (np.nan, np.inf), (np.nan, -np.inf),
+                                (0.0, np.nan), (5.0, np.nan), (np.inf, np.nan)]:
+            assert np.isnan(hom_coincidence(amp, detuning, delay))
+
+
 class TestFitCoherenceTime:
     DELAYS = np.array([5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0])
 

@@ -136,6 +136,24 @@ class TestSampling:
         draws = sample_delay(amp, RngSpec(11), size=10_000)
         assert draws.min() >= -5.0
 
+    # the two-branch inverse CDF that one log per delay replaced: the same operands, so
+    # the same bits, signed zeros too (u = 1/2 gives -0.0 before an offset of -0.0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fwhm=st.floats(1e-3, 1e4), offset=st.floats(-1e3, 1e3) | st.just(-0.0),
+           u=st.lists(st.floats(U_CLIP, 1.0 - U_CLIP)
+                      | st.sampled_from([U_CLIP, 1.0 - U_CLIP, 0.25, 0.5, 0.75,
+                                         np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]),
+                      min_size=1, max_size=50))
+    def test_one_log_laplace_quantile_matches_two_branches(self, fwhm, offset, u):
+        amp = BiphotonAmplitude(Shape.DOUBLE_EXPONENTIAL, fwhm, offset)
+        u = np.array(u)
+        given_u, t0 = u.copy(), amp.tau0_ns
+        expected = np.where(u < 0.5, t0 * np.log(2.0 * u),
+                            -t0 * np.log(2.0 * (1.0 - u))) + amp.offset_ns
+        got = model._delay_quantile(amp, u)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(u, given_u)
+
     def test_normal_quantile_is_clipped_ppf(self):
         u = np.array([0.0, U_CLIP, 0.025, 0.5, 0.975, 1.0 - U_CLIP, 1.0])
         np.testing.assert_allclose(normal_quantile(u),

@@ -17,7 +17,7 @@ from scipy import stats
 
 from spptag import BiphotonAmplitude, RngSpec, Shape
 from spptag.config import default_config
-from spptag.model import U_CLIP, evaluate_density, normal_quantile, sample_delay
+from spptag.model import U_CLIP, as_generator, evaluate_density, normal_quantile, sample_delay
 from spptag.optics import (
     DetectorConfig,
     DetectorState,
@@ -34,7 +34,7 @@ from spptag.optics import (
     _dead_time_filter_mask,
     _jitter_reach_ps,
 )
-from spptag.source import PairEvents, PairKind, SourceConfig, stream_pairs
+from spptag.source import PairEvents, PairKind, SourceConfig, poisson_times, stream_pairs
 from spptag.spectrum import SpectrumConfig
 from spptag.tagfile import write_tags
 
@@ -169,6 +169,98 @@ def _log_density(amp: BiphotonAmplitude, t) -> np.ndarray:
     if amp.shape is Shape.DOUBLE_EXPONENTIAL:
         return -np.abs(x) / amp.tau0_ns - np.log(2 * amp.tau0_ns)
     return np.where(x >= 0, -x / amp.tau0_ns - np.log(amp.tau0_ns), -np.inf)
+
+
+# int64 delays near 0, +-2^53 (where float64 stops holding every integer) and the int64 ends
+NEAR_DELAYS = st.sampled_from([0, 2**53, -2**53, 2**63 - 1, -(2**63 - 1)]).flatmap(
+    lambda c: st.integers(max(c - 2048, -2**63), min(c + 2048, 2**63 - 1)))
+EDGES_NS = (st.floats(allow_nan=False, allow_infinity=False)
+            | st.integers(-10**9, 10**9).map(lambda k: k * 0.001)
+            | st.sampled_from([9.2e15, -9.2e15, 9.3e15, -9.3e15, 1e19, -1e19, 1e300, -1e300]))
+
+
+class TestHeavisideOnIntegerDelays:
+    """A heaviside drive is decided on the integer delay signal - idler; the reference
+    is the float comparison it replaced, t_rel = delay / 1000.0 >= edge."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(delays=st.lists(NEAR_DELAYS | st.integers(-2**63, 2**63 - 1), min_size=1,
+                           max_size=40),
+           edge=EDGES_NS)
+    def test_matches_the_float_comparison(self, delays, edge):
+        d = np.array(delays, dtype=np.int64)
+        events = PairEvents(np.zeros_like(d), d, np.zeros(d.size, dtype=np.uint8))
+        t_rel = events.t_rel_ns()
+        # besides the drawn edge, the delays' own t_rel and the doubles either side of it
+        for e in [edge, *t_rel[:3], *np.nextafter(t_rel[:3], np.inf),
+                  *np.nextafter(t_rel[:3], -np.inf)]:
+            out = apply_modulation(events, ModulationFunction.heaviside(float(e)), RngSpec(0))
+            assert out == events.select(t_rel >= e)
+
+
+def _detect_by_inserts(times, detector, duration_ps, rng, *, until_ps=None, state=None):
+    """detect as written before its bookkeeping cuts: a take of every photon however many
+    are accepted, and the dark counts placed with two np.insert calls.  The reference of
+    TestDetectBookkeeping; the dead-time mask has its own oracle tests in TestDetect."""
+    gen = as_generator(rng)
+    state = DetectorState() if state is None else state
+    end_ps = duration_ps if until_ps is None else min(until_ps, duration_ps)
+    accepted = np.flatnonzero(gen.random(times.size) < detector.efficiency)
+    jitter_u = gen.random(times.size).take(accepted)
+    physical = times.take(accepted)
+    darks = poisson_times(detector.dark_rate, state.start_ps, end_ps, gen)
+    if darks.size:
+        at = np.searchsorted(physical, darks, side="right")
+        physical = np.insert(physical, at, darks)
+        jitter_u = np.insert(jitter_u, at, 0.5)
+    alive = np.flatnonzero(_dead_time_filter_mask(physical, detector.dead_time_ps,
+                                                  state.last_fire_ps))
+    physical, jitter_u = physical.take(alive), jitter_u.take(alive)
+    state.start_ps = end_ps
+    if physical.size:
+        state.last_fire_ps = int(physical[-1])
+    if detector.jitter_sigma_ps > 0:
+        physical += np.rint(detector.jitter_sigma_ps * normal_quantile(jitter_u)).astype(np.int64)
+    tags = np.sort(physical, kind="stable")
+    return tags[np.searchsorted(tags, 0):np.searchsorted(tags, duration_ps, side="right")]
+
+
+class TestDetectBookkeeping:
+    """detect never writes into its caller's photons, now that a window where every photon
+    is accepted skips the take that used to copy them, and its tags equal the reference."""
+
+    @pytest.mark.parametrize("efficiency", [1.0, 0.5])
+    @pytest.mark.parametrize("dark_rate", [0.0, 2e5])
+    @pytest.mark.parametrize("dead_time_ps", [0, 50_000])
+    def test_input_unchanged_and_tags_match_inserts(self, efficiency, dark_rate,
+                                                    dead_time_ps):
+        gen = RngSpec(99).generator()
+        duration = 10**10  # 10 ms: 2000 dark counts at 2e5/s, among 20,000 photons
+        times = np.sort(gen.integers(0, duration, 20_000))
+        times[1::7] = times[::7][:times[1::7].size]  # ties, and gaps under the dead time
+        times.sort()
+        cfg = DetectorConfig(efficiency=efficiency, dark_rate=dark_rate,
+                             dead_time_ps=dead_time_ps)
+        given_times = times.copy()
+        states, tags = [DetectorState(), DetectorState()], [[], []]
+        for until in (duration // 3, duration + 1):  # two windows: the state carries over
+            window = times[(times >= states[0].start_ps) & (times < until)]
+            for run, state, out in zip((detect, _detect_by_inserts), states, tags):
+                given_window = window.copy()
+                out.append(run(window, cfg, duration, RngSpec(100, until), until_ps=until,
+                               state=state))
+                np.testing.assert_array_equal(window, given_window)
+        np.testing.assert_array_equal(times, given_times)
+        np.testing.assert_array_equal(np.concatenate(tags[0]), np.concatenate(tags[1]))
+        assert states[0] == states[1]
+
+    def test_a_view_of_a_larger_array_is_not_written(self):
+        times = np.arange(0, 10**9, 10**6, dtype=np.int64)
+        given_times = times.copy()
+        cfg = DetectorConfig(efficiency=1.0, dark_rate=0.0, dead_time_ps=0)
+        tags = detect(times[10:500], cfg, 10**9, RngSpec(101))
+        assert tags.size == 490 and not np.array_equal(tags, times[10:500])  # jittered
+        np.testing.assert_array_equal(times, given_times)
 
 
 class TestGaussianDriveProperties:
