@@ -12,12 +12,14 @@ of up to WALK tags outward, where the mean tag spacing puts an edge that near,
 then a binary search for the edges still moving.  The zero-delay counts
 (heralded_g2_zero, auto_g2_zero) count a block's partners straight from
 stream.channels[first:last], one tag place at a time, when none of its
-windows holds more than WALK tags, as at desk rates.  A block with a longer
-window is counted by _Rank, built for the whole stream on the first such
-block: for indices in any order, the partners of the blocks before an
-index, counted once up front, plus those before it in its block, one
-popcount of the block's partner bits, packed 8 to a byte beside a count to
-each byte's end, kept for the few blocks asked last.  Histograms expand a
+windows holds more than DIRECT tags: 8, below the measured crossover with
+_Rank at 9-11, and above the 5-6 tags that the longest 10 us auto windows of
+cauchy_schwarz hold at desk rates.  A block with a longer window is counted
+by _Rank, built for the whole stream on the first such block: for indices
+in any order, the partners of the blocks before an index, counted once up
+front, plus those before it in its block, one popcount of the block's
+partner bits, packed 8 to a byte beside a count to each byte's end, kept
+for the few blocks asked last.  Histograms expand a
 block's (anchor, window tag) pairs BLOCK at a time.  Cost: O(n) over n tags
 per sweep, plus O(k w) for the k anchors whose windows hold w = WALK tags or
 fewer, O(k' log BLOCK) for the k' anchors whose windows hold more, and O(m)
@@ -75,12 +77,16 @@ def _split(stream: TimeTagStream, channel: int, gen: np.random.Generator) -> Tim
     at 0.5 or more, 0 below; every other tag takes label 2.  The times are shared."""
     labels = np.full(len(stream), 2, dtype=np.uint8)
     for start in range(0, len(stream), BLOCK):
-        on = np.flatnonzero(stream.channels[start:start + BLOCK] == channel) + start
-        labels[on] = gen.random(on.size) >= 0.5
-    return TimeTagStream(stream.times_ps, labels, stream.duration_ps)
+        on = np.flatnonzero(stream.channels[start:start + BLOCK] == channel)
+        labels[start:start + BLOCK][on] = gen.random(on.size) >= 0.5
+    return TimeTagStream._checked(stream.times_ps, labels, stream.duration_ps)
 
 
 WALK = 4  # tags an edge search steps outward from its anchor before it searches
+# longest window, in tags, whose partners a block counts from the channels; longer, and
+# _Rank counts the block.  The direct count grows with the longest window and _Rank's
+# does not: on desk-bench blocks of 10,000-15,000 anchors they cross at 9-11 tags
+DIRECT = 8
 RECENT = 4  # blocks a _Rank keeps packed: the blocks of a block's window starts and ends
 
 
@@ -106,7 +112,7 @@ def _windows(stream: TimeTagStream, ch_a, pairing, lo: int, hi: int):
         t_p = t[start:start + BLOCK][at]
         near = np.ones(t_p.size + 1, dtype=bool)  # near[k]: pairing tags k - 1 and k within reach
         near[0] = t_p.size > 0 and int(t_p[0]) - previous <= reach
-        np.less_equal(np.diff(t_p), reach, out=near[1:-1])
+        np.less_equal(t_p[1:] - t_p[:-1], reach, out=near[1:-1])
         previous = int(t_p[-1]) if t_p.size else previous
         kept = np.flatnonzero(is_a[at] & (near[:-1] | near[1:]))  # faster than a mask
         p, t_a = start + (kept if n_pair == pair.size else at[kept]), t_p[kept]  # index, time
@@ -125,8 +131,11 @@ def _edge(t: np.ndarray, p: np.ndarray, t_a: np.ndarray, d: int) -> np.ndarray:
     if p.size and abs(d) * int(p[-1] - p[0]) < WALK * int(t_a[-1] - t_a[0]):
         short = np.less_equal if step > 0 else np.greater  # the next tag is before the edge
         for walked in range(WALK):  # off the stream, take repeats its end tag: on to the search
-            out = np.flatnonzero(short(t.take(nxt[moving], mode="clip"), end[moving]))
+            # .nonzero() of the 1-d mask: np.flatnonzero's wrappers cost 1-2 us a call
+            out = short(t.take(nxt[moving], mode="clip"), end[moving]).nonzero()[0]
             moving = moving[out] if walked else out
+            if not moving.size:
+                break
             nxt[moving] += step
     edge, ends = nxt + (step < 0), end[moving]
     if ends.size:  # the edges lie between those of the first and last
@@ -138,12 +147,12 @@ def _edge(t: np.ndarray, p: np.ndarray, t_a: np.ndarray, d: int) -> np.ndarray:
 def _partner_counts(stream: TimeTagStream, first: np.ndarray, last: np.ndarray,
                     partners) -> list[np.ndarray]:
     """For each (channel, rank) of partners, the count of the channel's tags in each window
-    [first, last) of stream indices.  With no window longer than WALK tags the counts are
+    [first, last) of stream indices.  With no window longer than DIRECT tags the counts are
     read straight from the channels; else rank() gives the channel's _Rank, built on the
     first call, so a stream without long windows builds none."""
     lens = last - first
     longest = int(lens.max()) if lens.size else 0
-    if longest > WALK:
+    if longest > DIRECT:
         return [rank()(last) - rank()(first) for _, rank in partners]
     counts = [np.zeros(lens.size, dtype=np.int64) for _ in partners]
     for k in range(longest):  # the k-th tag of every window; take clips those past the stream
@@ -249,8 +258,8 @@ def _add_delays(counts, stream, ch_b, first, lens, t_a, tau_min_ps, bin_width_ps
         w0, w1 = np.searchsorted(ends, p0, side="right"), np.searchsorted(starts, p1)
         piece = np.minimum(ends[w0:w1], p1) - np.maximum(starts[w0:w1], p0)
         idx = np.repeat(first[w0:w1] - starts[w0:w1], piece) + np.arange(p0, p1)
-        keep = in_channels(stream.channels[idx], ch_b)
-        delays = stream.times_ps[idx[keep]] - np.repeat(t_a[w0:w1], piece)[keep]
+        delays = stream.times_ps[idx] - np.repeat(t_a[w0:w1], piece)  # then only ch_b's
+        delays = delays[in_channels(stream.channels[idx], ch_b)]
         np.add.at(counts, (delays - tau_min_ps) // bin_width_ps, 1)
 
 
@@ -317,7 +326,7 @@ def split_channel(stream: TimeTagStream, channel: int,
         raise AnalysisError(f"channel {channel} is empty, nothing to split")
     if np.any(t[1:] == t[:-1]):  # ties in time go in channel order
         chans = chans[np.lexsort((chans, t))]
-    return TimeTagStream(t, chans, stream.duration_ps)
+    return TimeTagStream._checked(t, chans, stream.duration_ps)  # a subset of checked times
 
 
 @dataclass
@@ -386,13 +395,15 @@ def heralded_g2_zero(stream: TimeTagStream, herald_ch: int, ch_a: int, ch_b: int
     """Three-detector conditional g2(0) over [-W, +W] around each herald.
 
     Both window edges are included.  Counts heralds accompanied by a tag on
-    a, on b, and on both; the conditional normalization cancels the herald
-    rate, so an ideal heralded single photon gives exactly zero (no herald
-    ever sees both halves).
+    a, on b, and on both, for two different channels a and b; the conditional
+    normalization cancels the herald rate, so an ideal heralded single photon
+    gives exactly zero (no herald ever sees both halves).
     """
     window_ps = int(window_ps)
     if window_ps <= 0:
         raise ValueError("window must be positive")
+    if int(ch_a) == int(ch_b):  # else every herald with a tag on a counts as seeing both
+        raise AnalysisError("signal channels a and b must differ")
     pairing = _pairing(herald_ch, (ch_a, ch_b))
     partners = _lazy_ranks(stream, ch_a, ch_b)
     n_h = n_a = n_b = n_ab = 0

@@ -8,6 +8,9 @@ Conventions used throughout the package:
   by an explicit (seed, stream_id) pair, and all non-uniform variates are
   produced from uniforms by inverse-CDF transforms, so a given RngSpec yields
   byte-identical results per numpy CPU kernel set (ROADMAP item 2), however calls interleave
+* a TimeTagStream's times are scanned for order once: by its constructor, or for a
+  tag file record by record in tagfile.read_tags; a stream relabelled or thinned
+  from a checked one is never scanned again (TimeTagStream._checked)
 """
 from __future__ import annotations
 
@@ -362,13 +365,37 @@ def normal_quantile(u) -> np.ndarray:
 def in_channels(channels: np.ndarray, channel: int | tuple[int, ...]) -> np.ndarray:
     """Mask of the channel entries equal to one channel or to any of several.
 
-    An OR of equality tests: an order of magnitude faster than np.isin on the
-    few channels a stream has, each compared as a Python int (8x faster than a numpy int).
+    One channel is one equality test.  A run lo..hi of consecutive channels in
+    0-255 is, on a uint8 column, one range test: channels <= hi from lo = 0,
+    else channels - lo <= hi - lo, where the uint8 difference wraps each
+    channel below lo to 256 - lo or more, past hi - lo.  Any other set, with a
+    gap or a channel outside 0-255, is an OR of equality tests: an order of
+    magnitude faster than np.isin on the few channels a stream has, each
+    compared as a Python int (8x faster than a numpy int).
     """
-    mask = np.zeros(channels.shape, dtype=bool)
-    for ch in channel if np.iterable(channel) else [channel]:
-        mask |= channels == int(ch)
+    if not np.iterable(channel):
+        return channels == int(channel)
+    chans = sorted({int(ch) for ch in channel})
+    if not chans:
+        return np.zeros(channels.shape, dtype=bool)
+    lo, hi = chans[0], chans[-1]
+    if hi - lo == len(chans) - 1 > 0 and 0 <= lo and hi <= 255 and channels.dtype == np.uint8:
+        return channels <= hi if lo == 0 else channels - np.uint8(lo) <= hi - lo
+    mask = channels == lo
+    for ch in chans[1:]:
+        mask |= channels == ch
     return mask
+
+
+def _exact_cast(values, dtype, name: str) -> np.ndarray:
+    """values as a contiguous array of dtype; ValueError if the cast changes a value.
+    Values already of dtype need no comparison."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan and inf cast to some integer, which differs
+        cast = np.ascontiguousarray(arr, dtype=dtype)
+    if arr.dtype != dtype and not np.array_equal(cast, arr):
+        raise ValueError(f"{name} must be exact {np.dtype(dtype).name} values")
+    return cast
 
 
 class TimeTagStream:
@@ -377,11 +404,15 @@ class TimeTagStream:
     times_ps    int64 array, nondecreasing
     channels    uint8 array, same length
     duration_ps total observation time; all tags lie in [0, duration]
+
+    The constructor checks all of this, with one scan of the times for order;
+    _checked takes arrays a caller has already checked so: tagfile.read_tags,
+    correlator._split and split_channel.
     """
 
     def __init__(self, times_ps, channels, duration_ps: int):
-        times = np.ascontiguousarray(times_ps, dtype=np.int64)
-        chans = np.ascontiguousarray(channels, dtype=np.uint8)
+        times = _exact_cast(times_ps, np.int64, "tag times")
+        chans = _exact_cast(channels, np.uint8, "channels")
         if times.shape != chans.shape or times.ndim != 1:
             raise ValueError("times and channels must be 1-d arrays of equal length")
         for start in range(0, times.size, BLOCK):  # with the previous block's last time
@@ -396,6 +427,16 @@ class TimeTagStream:
         self.times_ps = times
         self.channels = chans
         self.duration_ps = duration_ps
+
+    @classmethod
+    def _checked(cls, times: np.ndarray, channels: np.ndarray,
+                 duration_ps: int) -> "TimeTagStream":
+        """The stream of arrays the caller has checked as __init__ does: contiguous 1-d int64
+        times, nondecreasing within [0, duration_ps], contiguous uint8 channels of the same
+        length, and a positive int duration_ps.  Nothing is checked again."""
+        stream = cls.__new__(cls)
+        stream.times_ps, stream.channels, stream.duration_ps = times, channels, duration_ps
+        return stream
 
     @classmethod
     def from_channel_times(cls, per_channel: dict[int, np.ndarray],

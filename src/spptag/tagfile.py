@@ -16,6 +16,9 @@ then one 16-byte record per tag, in nondecreasing time order:
 Writing and reading are exact inverses byte for byte.  Both work through
 the records BLOCK at a time, so either holds the stream's arrays (9 bytes a
 tag) plus one block of records.  A read holds at most MAX_TAGS records.
+A read scans the times for order once, block by block as the records arrive,
+so that an error names the byte offset of the first record out of order, and
+checks the range and channels; the stream it returns is not scanned again.
 """
 import io
 import struct
@@ -104,4 +107,4 @@ def read_tags(path) -> TimeTagStream:
             raise TagFileError("tag time beyond stated observation time")
     if duration_ps <= 0:
         raise TagFileError("observation time must be positive")
-    return TimeTagStream(times, channels, duration_ps)
+    return TimeTagStream._checked(times, channels, duration_ps)  # every check made above

@@ -1,9 +1,10 @@
 """Shared independent oracles for interference, waveform and correlator tests,
-and a block-size sweep for the code that works through long arrays in blocks."""
+a block-size sweep for the code that works through long arrays in blocks, and
+a check that a stream built without the constructor's checks would pass them."""
 import numpy as np
 import pytest
 
-from spptag.model import BLOCK, BiphotonAmplitude, Shape, evaluate_density
+from spptag.model import BLOCK, BiphotonAmplitude, Shape, TimeTagStream, evaluate_density
 
 SMALL_BLOCKS = (1, 2, 3, 7)
 
@@ -15,6 +16,16 @@ def at_each_block(module, blocks=SMALL_BLOCKS + (BLOCK,)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(module, "BLOCK", block)
             yield block
+
+
+def assert_as_checked(stream: TimeTagStream) -> None:
+    """stream equals what the checking constructor builds from its own arrays (which
+    raises if they break any of its checks), down to dtypes, layout and duration type."""
+    rebuilt = TimeTagStream(stream.times_ps, stream.channels, stream.duration_ps)
+    assert stream == rebuilt
+    for got, want in ((stream.times_ps, rebuilt.times_ps), (stream.channels, rebuilt.channels)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert type(stream.duration_ps) is int
 
 
 def searchsorted_pairs(anchors, partners, lo: int, hi: int) -> np.ndarray:

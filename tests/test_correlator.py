@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import (
     SMALL_BLOCKS,
+    assert_as_checked,
     at_each_block,
     searchsorted_histogram,
     searchsorted_pairs,
@@ -33,7 +34,7 @@ from spptag.correlator import (
     reconstruct_waveform,
     split_channel,
 )
-from spptag.model import BLOCK, evaluate_density, sample_delay
+from spptag.model import BLOCK, AnalysisConfig, evaluate_density, sample_delay
 from spptag.optics import run_experiment
 from spptag.source import poisson_times
 
@@ -52,6 +53,15 @@ def brute_histogram(t_a, t_b, bin_w, tmin, tmax):
 
 def brute_pairs_within(t_a, t_b, w):
     return sum(1 for a in t_a for b in t_b if -w <= int(b) - int(a) < w)
+
+
+def brute_pairs_by_rows(t_a, t_b, w, rows=1024):
+    """brute_pairs_within over every (a, b) pair, vectorized a block of anchors at a time."""
+    total = 0
+    for i in range(0, t_a.size, rows):
+        d = t_b[None, :] - t_a[i:i + rows, None]
+        total += int(np.count_nonzero((d >= -w) & (d < w)))
+    return total
 
 
 def brute_heralded_counts(h, t_a, t_b, w):
@@ -271,6 +281,14 @@ class TestHeraldedG2:
         assert res.error < 0.35
         assert type(res.value) is float and type(res.error) is float
 
+    def test_one_signal_channel_twice_raises(self):
+        # a tag on a would count as a tag on both: g2 would read n_h / n_a
+        s = random_stream(RngSpec(151), n_per_channel=150)
+        with pytest.raises(AnalysisError, match="differ"):
+            heralded_g2_zero(s, 0, 1, 1, window_ps=100_000)
+        with pytest.raises(AnalysisError, match="differ"):
+            heralded_g2_zero(s, 0, np.uint8(2), 2, window_ps=100_000)
+
     def test_no_heralds_raises(self):
         s = TimeTagStream([100], [1], 10**6)
         with pytest.raises(AnalysisError):
@@ -489,7 +507,7 @@ class TestPropertiesAgainstBruteForce:
 
 
 class TestPartnerCounts:
-    """Windows of WALK tags or fewer are counted straight from the channels, longer ones
+    """Windows of DIRECT tags or fewer are counted straight from the channels, longer ones
     by _Rank; both must give _Rank's counts, and no _Rank is built without a long window."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -503,27 +521,66 @@ class TestPartnerCounts:
                         dtype=np.int64)
         last = np.minimum(first + lens, n)
         longest = int((last - first).max()) if k else 0
-        for walk in (0, 1, 4):
+        for direct in (0, 1, 4):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(correlator, "WALK", walk)
+                patch.setattr(correlator, "DIRECT", direct)
                 for _ in at_each_block(correlator, (7, BLOCK)):
                     partners = correlator._lazy_ranks(s, 1, (0, 2))
                     counts = correlator._partner_counts(s, first, last, partners)
                     for (channel, rank), got in zip(partners, counts):
-                        assert (rank.cache_info().currsize > 0) == (longest > walk)
+                        assert (rank.cache_info().currsize > 0) == (longest > direct)
                         below = correlator._Rank(s, channel)
                         assert got.tolist() == (below(last) - below(first)).tolist()
 
-    @pytest.mark.parametrize("walk", [0, 1])
-    def test_g2_counts_at_desk_density(self, walk):
+    @pytest.mark.parametrize("direct", [0, 1])
+    def test_g2_counts_at_desk_density(self, direct):
         # a 20 s run of the default bench: heralded windows of 150 ns hold a few tags,
-        # auto windows of 10 us some more; WALK 0 counts every block by _Rank
+        # auto windows of 10 us some more; DIRECT 0 counts every block by _Rank
         s = run_experiment(default_config().experiment, 20 * SECOND, RngSpec(511))
         expected = (heralded_g2_zero(s, 0, 1, 2, 150_000), auto_g2_zero(s, 1, 2, 10_000_000))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(correlator, "WALK", walk)
+            patch.setattr(correlator, "DIRECT", direct)
             assert (heralded_g2_zero(s, 0, 1, 2, 150_000),
                     auto_g2_zero(s, 1, 2, 10_000_000)) == expected
+
+
+class TestRankFreeAtTheCsWindow:
+    """At desk density the auto windows of cs_window_ps hold 5-6 tags at most, more than
+    WALK but not more than DIRECT: g_rr and the split's g_ii count every block straight
+    from the channels and build no _Rank."""
+
+    def test_no_rank_built_and_counts_match_brute_force(self, monkeypatch):
+        s = run_experiment(default_config().experiment, 5 * SECOND, RngSpec(513))
+        w, built, init = AnalysisConfig().cs_window_ps, [], correlator._Rank.__init__
+
+        def spy(rank, stream, channel):
+            built.append(channel)
+            init(rank, stream, channel)
+        monkeypatch.setattr(correlator._Rank, "__init__", spy)
+        g_rr = auto_g2_zero(s, 1, 2, w)
+        res = cauchy_schwarz(s, 0, (1, 2), 1000, -25_000, 25_000, RngSpec(5), auto_window_ps=w)
+        assert built == []
+        h = s.channel_times(0)
+        to_a = RngSpec(5).generator().random(h.size) < 0.5  # the split's draws, label 0 below 0.5
+        assert g_rr == res.g_rr0
+        assert g_rr.n_pairs == brute_pairs_by_rows(s.channel_times(1), s.channel_times(2), w)
+        assert res.g_ii0.n_pairs == brute_pairs_by_rows(h[to_a], h[~to_a], w)
+
+
+class TestRelabelledStreamsAreChecked:
+    """_split and split_channel build their streams without the constructor's scan of the
+    times; each equals the stream the checking constructor builds from the same arrays."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(s=tie_streams(), channel=st.integers(0, 4), seed=st.integers(0, 2**32))
+    def test_split_streams(self, s, channel, seed):
+        for _ in at_each_block(correlator):
+            assert_as_checked(correlator._split(s, channel, RngSpec(seed).generator()))
+            if s.count(channel):
+                assert_as_checked(split_channel(s, channel, RngSpec(seed)))
+            else:
+                with pytest.raises(AnalysisError):
+                    split_channel(s, channel, RngSpec(seed))
 
 
 class TestAgainstPerChannelSearchAtDeskDensity:

@@ -301,6 +301,40 @@ class TestTimeTagStream:
         with pytest.raises(ValueError):
             TimeTagStream([], [], 0)                     # empty duration
 
+    def test_arrays_of_the_stream_dtypes_checked_too(self):
+        # int64 times and uint8 channels skip the cast check, never the others
+        times, chans = np.array([5, 10], dtype=np.int64), np.zeros(2, dtype=np.uint8)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            TimeTagStream(times[::-1], chans, 100)
+        with pytest.raises(ValueError, match="within"):
+            TimeTagStream(times - 6, chans, 100)
+        with pytest.raises(ValueError, match="within"):
+            TimeTagStream(times, chans, 9)
+        with pytest.raises(ValueError, match="equal length"):
+            TimeTagStream(times, chans[:1], 100)
+
+    @pytest.mark.parametrize("times, channels", [
+        ([1, 2], np.array([300, -1])),           # wrapped to 44 and 255 by a uint8 cast
+        ([1, 2], [0, 256]),
+        ([1, 2], [0.0, 1.5]),
+        (np.array([1.7, 2.2]), [0, 1]),          # truncated to 1 and 2 by an int64 cast
+        ([1.0, np.nan], [0, 1]),
+        ([1.0, np.inf], [0, 1]),
+        (np.array([1, 2**63], dtype=np.uint64), [0, 1]),
+    ], ids=["negative channel", "channel 256", "fractional channel", "fractional times",
+            "nan time", "infinite time", "time above int64"])
+    def test_casts_that_change_a_value_raise(self, times, channels):
+        with pytest.raises(ValueError, match="exact"):
+            TimeTagStream(times, channels, 2**63 - 1)
+
+    def test_casts_that_keep_every_value_pass(self):
+        s = TimeTagStream(np.array([1.0, 2.0]), np.array([True, False]), 10)
+        t = TimeTagStream(np.array([1, 2], dtype=np.uint64),
+                          np.array([0, 255], dtype=np.int16), 10)
+        assert s.times_ps.tolist() == t.times_ps.tolist() == [1, 2]
+        assert s.channels.tolist() == [1, 0] and t.channels.tolist() == [0, 255]
+        assert s.channels.dtype == t.channels.dtype == np.uint8
+
     def test_ordering_checked_across_blocks(self):
         for _ in at_each_block(model):
             TimeTagStream(np.arange(1, 10), np.zeros(9), 10)
@@ -338,3 +372,23 @@ class TestInChannels:
         expected = np.isin(chans.astype(np.int64), np.array(wanted[:1] if form.endswith("int")
                                                             else wanted, dtype=np.int64))
         np.testing.assert_array_equal(model.in_channels(chans, given_as), expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(channels=st.lists(st.integers(0, 5) | st.integers(0, 255), max_size=40),
+           wanted=st.one_of(
+               st.sets(st.integers(-2, 300), max_size=4),            # empty, single or gapped
+               st.tuples(st.integers(-2, 300), st.integers(1, 5)).map(  # a run, from 0 or above
+                   lambda run: set(range(run[0], run[0] + run[1]))),
+               st.integers(1, 5).map(lambda n: set(range(n)))))
+    def test_range_tests_equal_the_or_of_equalities(self, channels, wanted):
+        # runs inside 0-255 take one range test on a uint8 column; everything else, and
+        # every set on a wider column, the OR of equalities
+        for dtype in (np.uint8, np.int64):
+            chans = np.array(channels, dtype=dtype)
+            expected = np.zeros(chans.shape, dtype=bool)
+            for ch in wanted:
+                expected |= chans.astype(np.int64) == ch
+            for given_as in (tuple(sorted(wanted)), wanted, tuple(sorted(wanted, reverse=True))):
+                got = model.in_channels(chans, given_as)
+                assert got.dtype == bool
+                np.testing.assert_array_equal(got, expected)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import at_each_block
+from helpers import assert_as_checked, at_each_block
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +89,15 @@ class TestRoundTrip:
         for _ in at_each_block(tagfile):
             write_tags(path, stream)
             assert read_tags(path) == stream
+
+    @PER_EXAMPLE_FILE
+    @given(stream=tag_streams())
+    def test_read_stream_is_the_checked_one(self, tmp_path, stream):
+        # the read scans the records for order itself; its stream skips the constructor's scan
+        path = tmp_path / "t.spptag"
+        for _ in at_each_block(tagfile):
+            write_tags(path, stream)
+            assert_as_checked(read_tags(path))
 
     def test_matches_hand_packed_bytes(self, tmp_path):
         times = [5, 10, 10, 99]
