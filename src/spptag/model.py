@@ -10,7 +10,8 @@ Conventions used throughout the package:
   byte-identical results per numpy CPU kernel set (ROADMAP item 2), however calls interleave
 * a TimeTagStream's times are scanned for order once: by its constructor, or for a
   tag file record by record in tagfile.read_tags; a stream relabelled or thinned
-  from a checked one is never scanned again (TimeTagStream._checked)
+  from a checked one, or concatenated from checked slices in time order, is never
+  scanned again (TimeTagStream._checked)
 """
 from __future__ import annotations
 
@@ -365,25 +366,12 @@ def normal_quantile(u) -> np.ndarray:
 def in_channels(channels: np.ndarray, channel: int | tuple[int, ...]) -> np.ndarray:
     """Mask of the channel entries equal to one channel or to any of several.
 
-    One channel is one equality test.  A run lo..hi of consecutive channels in
-    0-255 is, on a uint8 column, one range test: channels <= hi from lo = 0,
-    else channels - lo <= hi - lo, where the uint8 difference wraps each
-    channel below lo to 256 - lo or more, past hi - lo.  Any other set, with a
-    gap or a channel outside 0-255, is an OR of equality tests: an order of
-    magnitude faster than np.isin on the few channels a stream has, each
-    compared as a Python int (8x faster than a numpy int).
+    An OR of equality tests: an order of magnitude faster than np.isin on the
+    few channels a stream has, each compared as a Python int (8x faster than a numpy int).
     """
-    if not np.iterable(channel):
-        return channels == int(channel)
-    chans = sorted({int(ch) for ch in channel})
-    if not chans:
-        return np.zeros(channels.shape, dtype=bool)
-    lo, hi = chans[0], chans[-1]
-    if hi - lo == len(chans) - 1 > 0 and 0 <= lo and hi <= 255 and channels.dtype == np.uint8:
-        return channels <= hi if lo == 0 else channels - np.uint8(lo) <= hi - lo
-    mask = channels == lo
-    for ch in chans[1:]:
-        mask |= channels == ch
+    mask = np.zeros(channels.shape, dtype=bool)
+    for ch in channel if np.iterable(channel) else [channel]:
+        mask |= channels == int(ch)
     return mask
 
 
@@ -407,7 +395,7 @@ class TimeTagStream:
 
     The constructor checks all of this, with one scan of the times for order;
     _checked takes arrays a caller has already checked so: tagfile.read_tags,
-    correlator._split and split_channel.
+    correlator._split, split_channel and optics.run_experiment.
     """
 
     def __init__(self, times_ps, channels, duration_ps: int):

@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .model import (
-    PS_PER_NS,
     BiphotonAmplitude,
     RngSpec,
     Shape,
@@ -188,30 +187,11 @@ def apply_modulation(events: PairEvents, modulation: ModulationFunction,
     """
     if modulation.kind is ModulationKind.IDENTITY:
         return events
-    if modulation.kind is ModulationKind.HEAVISIDE:  # on the integer delay: no float t_rel
-        first_ps = _first_delay_ps(modulation.edge_ns)
-        if first_ps is None:
-            return events.select(np.empty(0, dtype=np.intp))
-        return events.select(events.signal_ps - events.idler_ps >= first_ps)
+    t_rel = events.t_rel_ns()
+    if modulation.kind is ModulationKind.HEAVISIDE:
+        return events.select(t_rel >= modulation.edge_ns)
     u = as_generator(rng).random(len(events))
-    return events.select(u < modulation.amplitude(events.t_rel_ns(), source) ** 2)
-
-
-def _first_delay_ps(edge_ns: float) -> int | None:
-    """The smallest int64 delay d [ps] that t_rel = d / PS_PER_NS, rounded as numpy
-    rounds it, puts at or past edge_ns; None if none does.  t_rel rises with d, so
-    d >= this is exactly t_rel >= edge_ns.  Python floats round int to float and
-    divide as numpy does."""
-    lo, hi = -2**63, 2**63 - 1
-    if float(hi) / PS_PER_NS < edge_ns:
-        return None
-    while lo < hi:  # bisect the 2^64 delays: at most 64 steps
-        mid = (lo + hi) // 2
-        if float(mid) / PS_PER_NS >= edge_ns:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return events.select(u < modulation.amplitude(t_rel, source) ** 2)
 
 
 @dataclass(frozen=True)
@@ -495,7 +475,10 @@ def stream_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
 def run_experiment(config: ExperimentConfig, duration_ps: int, rng: RngSpec,
                    segments: int | None = None) -> TimeTagStream:
     """Simulate the whole bench and return the merged three-channel stream:
-    the slices of stream_experiment concatenated in order."""
+    the slices of stream_experiment concatenated in order.  Each slice is a
+    checked stream and begins no earlier than the one before ends, so their
+    concatenation is not scanned again."""
     slices = list(stream_experiment(config, duration_ps, rng, segments))
-    return TimeTagStream(np.concatenate([s.times_ps for s in slices]),
-                         np.concatenate([s.channels for s in slices]), slices[0].duration_ps)
+    return TimeTagStream._checked(np.concatenate([s.times_ps for s in slices]),
+                                  np.concatenate([s.channels for s in slices]),
+                                  slices[0].duration_ps)

@@ -192,44 +192,18 @@ def slice_lead_ps(config: SourceConfig) -> int:
     return int(np.ceil((config.amplitude.fwhm_ns - earliest_delay_ns) * PS_PER_NS)) + 2
 
 
-REFERENCE_CHUNK = 4096  # sorted times searched together, among their own heralds only
-
-
 def herald_references(times_ps: np.ndarray, heralds_ps: np.ndarray) -> np.ndarray:
     """Nearest herald to each time, the earlier one on a tie; 0 with no heralds.
 
-    Both arrays must be sorted.  Each chunk of REFERENCE_CHUNK times searches
-    only the heralds up to the next chunk's first time: for sorted keys numpy
-    raises the bottom of its search but restarts the top at the array's end.
+    heralds_ps must be sorted.
     """
     if heralds_ps.size == 0:
         return np.zeros(times_ps.size, dtype=np.int64)
-    at = np.empty(times_ps.size, dtype=np.intp)
-    edges = heralds_ps.searchsorted(np.append(times_ps[::REFERENCE_CHUNK], times_ps[-1:]))
-    for k, start in enumerate(range(0, times_ps.size, REFERENCE_CHUNK)):
-        lo, hi = int(edges[k]), int(edges[k + 1])
-        keys = times_ps[start:start + REFERENCE_CHUNK]
-        np.add(heralds_ps[lo:hi].searchsorted(keys), lo, out=at[start:start + keys.size])
+    at = heralds_ps.searchsorted(times_ps)
     right = heralds_ps.take(at, mode="clip")
     at -= 1  # now the left neighbour's: left <= t <= right, or they are equal
     at += right - times_ps < times_ps - heralds_ps.take(at, mode="clip")
     return heralds_ps.take(at, mode="clip")  # a take, not a branch per time as np.where is
-
-
-def _inside(duration_ps: int, *times: np.ndarray) -> slice | np.ndarray:
-    """Which events have every time in [0, duration]: a mask, or all of them as a
-    slice that copies nothing when each column's extremes lie inside."""
-    if all(t.size == 0 or (t.min() >= 0 and t.max() <= duration_ps) for t in times):
-        return slice(None)
-    return np.logical_and.reduce([(t >= 0) & (t <= duration_ps) for t in times])
-
-
-def _plus_delays(times_ps: np.ndarray, delays_ns: np.ndarray) -> np.ndarray:
-    """times + rint(delays * PS_PER_NS) [ps]; the delays are scaled and rounded in place."""
-    delays_ns *= PS_PER_NS
-    shifted = np.rint(delays_ns, out=delays_ns).astype(np.int64)
-    shifted += times_ps
-    return shifted
 
 
 def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
@@ -245,14 +219,15 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
     fwhm_ps = amp.fwhm_ns * PS_PER_NS
 
     idlers = poisson_times(config.pair_rate, t0_ps, t1_ps, gen)
-    signals = _plus_delays(idlers, sample_delay(amp, gen, idlers.size))
+    signals = idlers + np.rint(sample_delay(amp, gen, idlers.size) * PS_PER_NS).astype(np.int64)
 
     if config.multipair_prob > 0.0 and idlers.size:
         flagged = gen.random(idlers.size) < config.multipair_prob
         primaries = idlers[flagged]
         offs = np.rint((2.0 * gen.random(primaries.size) - 1.0) * fwhm_ps)
         extra_idlers = primaries + offs.astype(np.int64)
-        extra_signals = _plus_delays(extra_idlers, sample_delay(amp, gen, primaries.size))
+        extra_delays = sample_delay(amp, gen, primaries.size)
+        extra_signals = extra_idlers + np.rint(extra_delays * PS_PER_NS).astype(np.int64)
     else:
         extra_idlers = np.empty(0, dtype=np.int64)
         extra_signals = np.empty(0, dtype=np.int64)
@@ -261,9 +236,10 @@ def _draw_slice(config: SourceConfig, t0_ps: int, t1_ps: int,
     bg_idl = poisson_times(config.background_rate_idler, t0_ps, t1_ps, gen)
 
     # drop any event with a physical time outside the observation window
-    pair_ok = _inside(duration_ps, signals)
+    pair_ok = (signals >= 0) & (signals <= duration_ps)
     idlers, signals = idlers[pair_ok], signals[pair_ok]
-    extra_ok = _inside(duration_ps, extra_signals, extra_idlers)
+    extra_ok = ((extra_signals >= 0) & (extra_signals <= duration_ps)
+                & (extra_idlers >= 0) & (extra_idlers <= duration_ps))
     extra_idlers, extra_signals = extra_idlers[extra_ok], extra_signals[extra_ok]
 
     kind_col = np.repeat(np.array(list(PairKind), dtype=np.uint8),  # in draw order

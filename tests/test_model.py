@@ -380,9 +380,9 @@ class TestInChannels:
                st.tuples(st.integers(-2, 300), st.integers(1, 5)).map(  # a run, from 0 or above
                    lambda run: set(range(run[0], run[0] + run[1]))),
                st.integers(1, 5).map(lambda n: set(range(n)))))
-    def test_range_tests_equal_the_or_of_equalities(self, channels, wanted):
-        # runs inside 0-255 take one range test on a uint8 column; everything else, and
-        # every set on a wider column, the OR of equalities
+    def test_sets_equal_the_or_of_equalities(self, channels, wanted):
+        # empty, single, gapped and consecutive sets, in and out of 0-255, on a uint8
+        # column and on a wider one
         for dtype in (np.uint8, np.int64):
             chans = np.array(channels, dtype=dtype)
             expected = np.zeros(chans.shape, dtype=bool)

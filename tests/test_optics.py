@@ -8,6 +8,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spptag import BiphotonAmplitude, RngSpec, Shape
+from helpers import assert_as_checked
+from spptag import BiphotonAmplitude, RngSpec, Shape, optics
 from spptag.config import default_config
 from spptag.model import U_CLIP, as_generator, evaluate_density, normal_quantile, sample_delay
 from spptag.optics import (
@@ -179,9 +181,10 @@ EDGES_NS = (st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from([9.2e15, -9.2e15, 9.3e15, -9.3e15, 1e19, -1e19, 1e300, -1e300]))
 
 
-class TestHeavisideOnIntegerDelays:
-    """A heaviside drive is decided on the integer delay signal - idler; the reference
-    is the float comparison it replaced, t_rel = delay / 1000.0 >= edge."""
+class TestHeavisideAtExtremeDelays:
+    """A heaviside drive keeps the events with t_rel = delay / 1000.0 >= edge, also at
+    delays where float64 stops holding every integer and at the int64 ends; the reference
+    compares each delay as a Python float."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(delays=st.lists(NEAR_DELAYS | st.integers(-2**63, 2**63 - 1), min_size=1,
@@ -195,7 +198,8 @@ class TestHeavisideOnIntegerDelays:
         for e in [edge, *t_rel[:3], *np.nextafter(t_rel[:3], np.inf),
                   *np.nextafter(t_rel[:3], -np.inf)]:
             out = apply_modulation(events, ModulationFunction.heaviside(float(e)), RngSpec(0))
-            assert out == events.select(t_rel >= e)
+            kept = [k for k, delay in enumerate(delays) if float(delay) / 1000.0 >= e]
+            assert out == events.select(np.array(kept, dtype=np.intp))
 
 
 def _detect_by_inserts(times, detector, duration_ps, rng, *, until_ps=None, state=None):
@@ -261,6 +265,22 @@ class TestDetectBookkeeping:
         tags = detect(times[10:500], cfg, 10**9, RngSpec(101))
         assert tags.size == 490 and not np.array_equal(tags, times[10:500])  # jittered
         np.testing.assert_array_equal(times, given_times)
+
+    @pytest.mark.parametrize("efficiency", [1.0, 0.5])
+    def test_a_dark_count_on_a_photons_picosecond_goes_after_it(self, efficiency):
+        # the dead time keeps the photon, with its jitter, and drops the dark; placed before
+        # the photon, the dark would keep its unjittered time.  Random darks almost never tie
+        times = np.arange(1, 6, dtype=np.int64) * 10**8
+        cfg = DetectorConfig(efficiency=efficiency, dark_rate=1.0, jitter_sigma_ps=300.0,
+                             dead_time_ps=50_000)
+        gen = RngSpec(102).generator()  # detect's draws: acceptance, then jitter
+        accepted = gen.random(times.size) < efficiency
+        shifts = np.rint(300.0 * normal_quantile(gen.random(times.size))).astype(np.int64)
+        k = int(np.flatnonzero(accepted)[-1])
+        assert shifts[k] != 0
+        with mock.patch.object(optics, "poisson_times", side_effect=[times[k:k + 1].copy()]):
+            tags = detect(times, cfg, 10**9, RngSpec(102))
+        np.testing.assert_array_equal(tags, (times + shifts)[accepted])
 
 
 class TestGaussianDriveProperties:
@@ -618,6 +638,7 @@ class TestStreamExperiment:
         for (_, last), (first, _) in zip(ends, ends[1:]):
             assert last <= first
         whole = run_experiment(cfg, duration, RngSpec(108), segments)
+        assert_as_checked(whole)  # built without a second scan of the times
         np.testing.assert_array_equal(np.concatenate([s.times_ps for s in slices]),
                                       whole.times_ps)
         np.testing.assert_array_equal(np.concatenate([s.channels for s in slices]),

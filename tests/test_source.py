@@ -4,7 +4,6 @@ Oracles: exponential-gap KS against the analytic CDF, Laplace-delay KS, and
 a brute-force nearest-neighbor check for background trigger references,
 also across the slices of a streamed run.
 """
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spptag import BiphotonAmplitude, RngSpec, Shape, source
+from spptag import BiphotonAmplitude, RngSpec, Shape
 from spptag.source import (
     PairEvents,
     PairKind,
@@ -195,8 +194,7 @@ class TestBackgroundReferences:
 
 
 def _references_by_one_search(times, heralds):
-    """herald_references as one np.searchsorted of every time and an np.where: the
-    reference of the chunked search."""
+    """herald_references as one np.searchsorted of every time and an np.where."""
     if heralds.size == 0:
         return np.zeros(times.size, dtype=np.int64)
     at = np.searchsorted(heralds, times)
@@ -204,17 +202,15 @@ def _references_by_one_search(times, heralds):
     return np.where(right - times < times - left, right, left)
 
 
-class TestChunkedReferences:
+class TestHeraldReferences:
     # times from before the first herald to after the last, many equal to a herald or
-    # to each other, no heralds at all, and chunks from one time to more than all of them
+    # to each other, and no heralds at all
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(heralds=st.lists(st.integers(0, 200), max_size=30).map(sorted),
-           times=st.lists(st.integers(-20, 220), max_size=60).map(sorted),
-           chunk=st.sampled_from([1, 2, 3, 7, source.REFERENCE_CHUNK]))
-    def test_matches_one_search(self, heralds, times, chunk):
+           times=st.lists(st.integers(-20, 220), max_size=60).map(sorted))
+    def test_matches_one_search(self, heralds, times):
         heralds, times = (np.array(x, dtype=np.int64) for x in (heralds, times))
-        with mock.patch.object(source, "REFERENCE_CHUNK", chunk):
-            got = herald_references(times, heralds)
+        got = herald_references(times, heralds)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, _references_by_one_search(times, heralds))
 
@@ -223,7 +219,6 @@ class TestChunkedReferences:
         # about the heralds and signal background of a 100 s desk slice and its look-ahead
         heralds = poisson_times(2e6, 0, SECOND // 5, gen)
         times = poisson_times(2.25e6, 0, SECOND // 10, gen)
-        assert times.size > 10 * source.REFERENCE_CHUNK
         np.testing.assert_array_equal(herald_references(times, heralds),
                                       _references_by_one_search(times, heralds))
 
